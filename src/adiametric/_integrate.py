@@ -11,11 +11,12 @@ evolving metrics).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeUnderflow
+from .errors import SolverError, StepSizeUnderflow
 
 # Dormand-Prince 5(4) tableau.  b5 propagates, b4 is the embedded estimate;
 # the last stage is FSAL.
@@ -71,21 +72,33 @@ def solve_ode(
     """Integrate ``dy/dt = rhs(t, y)`` from t0 to t1 (either direction).
 
     Returns an :class:`OdeSolution` sampled at ``t_eval`` (default: the
-    endpoint only).  ``breakpoints`` are interior times the stepper must
-    land on exactly.  Raises :class:`StepSizeUnderflow` when the error
-    controller stalls.
+    endpoint only).  ``t_eval`` must lie in ``[t0, t1]`` and be strictly
+    monotone in the direction of integration; samples come back in that
+    order.  ``breakpoints`` are interior times the stepper must land on
+    exactly.  Raises :class:`SolverError` for a ``t_eval`` that breaks
+    these rules or a right-hand side that turns non-finite, and its
+    subclass :class:`StepSizeUnderflow` when the error controller stalls.
     """
-    y = np.array(y0, copy=True)
-    if t1 == t0:
-        return OdeSolution(np.array([t0]), [y], {"naccept": 0, "nreject": 0, "nfev": 0})
-
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-
+    direction = 1.0 if t1 >= t0 else -1.0
     if t_eval is None:
         t_eval = np.array([t1], dtype=float)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
+        outside = ~((t_eval >= min(t0, t1)) & (t_eval <= max(t0, t1)))
+        if outside.any():
+            raise SolverError(
+                f"t_eval time {t_eval[outside][0]:.6g} lies outside [{t0:.6g}, {t1:.6g}]"
+            )
+        if np.any(np.diff(t_eval) * direction <= 0.0):
+            raise SolverError(
+                "t_eval must be strictly monotone in the direction of integration"
+            )
+
+    y = np.array(y0, copy=True)
+    if t1 == t0:
+        return OdeSolution(np.array([t0]), [y], {"naccept": 0, "nreject": 0, "nfev": 0})
+
+    span = abs(t1 - t0)
 
     # Merge output times and interior breakpoints into one forced-stop grid.
     stops = set(float(t) for t in t_eval)
@@ -126,6 +139,8 @@ def solve_ode(
             y_new = y + hs * sum(_B5[i] * k[i] for i in range(7) if _B5[i] != 0.0)
             err = hs * sum(_E[i] * k[i] for i in range(7) if _E[i] != 0.0)
             enorm = _error_norm(err, y, y_new, rtol, atol)
+            if not math.isfinite(enorm):
+                raise SolverError(f"non-finite right-hand side near t={t:.6g}")
 
             if enorm <= 1.0:
                 t = t + hs

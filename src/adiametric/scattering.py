@@ -26,7 +26,12 @@ import numpy as np
 
 from ._integrate import solve_ode
 from .errors import ComplexSpectrum, NoConvergence
-from .metric_flow import SolverConfig, evolve_metric
+from .metric_flow import (
+    SolverConfig,
+    _require_hermitian_start,
+    _symmetrize,
+    evolve_metric,
+)
 from .operator_core import (
     as_operator,
     frobenius,
@@ -65,6 +70,11 @@ class ScatteringConfig:
     convergence_tol: float = 1e-3
 
 
+# Coupling points per stacked eigvals call in the level continuation: keeps
+# the per-call saving at small dimension and the memory bounded at large.
+_EIGVALS_CHUNK = 256
+
+
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
     if shape == "exp":
         return ExponentialSwitch(h0, h_int, eps)
@@ -74,11 +84,10 @@ def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
 
 
 class _FreeFrame:
-    """Eigen-resolved free generator; supplies exact free propagators."""
+    """Eigen-resolved free generator ``H_0 = V diag(E) V^-1``."""
 
     def __init__(self, h0):
         h0 = as_operator(h0)
-        self.h0 = h0
         self.dim = h0.shape[0]
         if hermiticity_defect(h0) <= 1e-10 * max(1.0, frobenius(h0)):
             vals, vecs = np.linalg.eigh(0.5 * (h0 + h0.conj().T))
@@ -92,15 +101,6 @@ class _FreeFrame:
             self.vals = sys.eigenvalues
             self.vecs = sys.right
             self.vecs_inv = sys.left.conj().T
-
-    def propagator(self, dt) -> np.ndarray:
-        """``exp(-i H_0 dt)`` from the cached eigensystem."""
-        return (self.vecs * np.exp(-1j * self.vals * dt)) @ self.vecs_inv
-
-    def interaction_picture(self, h_int, t) -> np.ndarray:
-        """``exp(i H_0 t) H_int exp(-i H_0 t)``."""
-        u = self.propagator(-t)
-        return u @ h_int @ self.propagator(t)
 
 
 def _damping(shape, eps, t, horizon_factor):
@@ -118,58 +118,66 @@ def _dressing(h0, h_int, eps, config, form, direction, shape):
     ``form="K"`` integrates ``K(t) = U(0,t) U_0(t,0)`` (rhs ``i f K H_I(t)``),
     ``form="G"`` integrates ``G(t) = U_0(0,t) U(t,0)`` (rhs ``-i f H_I(t) G``);
     ``direction`` picks the far-past (-1) or far-future (+1) horizon.
+
+    The state is integrated in the eigenframe of ``H_0 = V diag(E) V^-1``,
+    where ``H_I(t)`` is ``V^-1 H_int V`` times the elementwise phases
+    ``exp(i (E_m - E_n) t)``, and mapped back once per output sample.
+    Returns ``(limit, at_horizon)``: the dressing at twice the horizon when
+    the exp-shape convergence check is on (one pass sampled at both times),
+    else at the horizon, and the dressing at the single horizon.
     """
     if eps <= 0.0:
         raise ValueError("switching rate eps must be positive")
     cfg = config or ScatteringConfig()
-    h_int = as_operator(h_int)
     frame = _FreeFrame(h0)
-    horizon = cfg.horizon_factor / eps
-
-    def run(t_end):
-        if form == "K":
-
-            def rhs(t, k):
-                f = _damping(shape, eps, t, cfg.horizon_factor)
-                return 1j * f * (k @ frame.interaction_picture(h_int, t))
-
-        else:
-
-            def rhs(t, g):
-                f = _damping(shape, eps, t, cfg.horizon_factor)
-                return -1j * f * (frame.interaction_picture(h_int, t) @ g)
-
-        sol = solve_ode(
-            rhs,
-            0.0,
-            t_end,
-            np.eye(frame.dim, dtype=complex),
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-        )
-        return sol.states[-1]
-
-    result = run(direction * horizon)
+    h_tilde = frame.vecs_inv @ as_operator(h_int) @ frame.vecs
+    gap = 1j * (frame.vals[:, None] - frame.vals[None, :])
+    horizon = direction * cfg.horizon_factor / eps
     # The smooth switch is exactly free beyond its support: nothing to check.
-    if cfg.check_convergence and shape == "exp":
-        wider = run(direction * 2.0 * horizon)
-        drift = frobenius(wider - result)
+    doubled = cfg.check_convergence and shape == "exp"
+    t_eval = [horizon, 2.0 * horizon] if doubled else [horizon]
+
+    if form == "K":
+
+        def rhs(t, k):
+            f = _damping(shape, eps, t, cfg.horizon_factor)
+            return 1j * f * (k @ (h_tilde * np.exp(gap * t)))
+
+    else:
+
+        def rhs(t, g):
+            f = _damping(shape, eps, t, cfg.horizon_factor)
+            return -1j * f * ((h_tilde * np.exp(gap * t)) @ g)
+
+    sol = solve_ode(
+        rhs,
+        0.0,
+        t_eval[-1],
+        np.eye(frame.dim, dtype=complex),
+        rtol=cfg.rtol,
+        atol=cfg.atol,
+        t_eval=t_eval,
+    )
+    at_horizon, limit = (
+        frame.vecs @ y @ frame.vecs_inv for y in (sol.states[0], sol.states[-1])
+    )
+    if doubled:
+        drift = frobenius(limit - at_horizon)
         if drift > cfg.convergence_tol:
             raise NoConvergence(
                 f"Moller limit moved by {drift:.3e} when doubling the horizon"
             )
-        result = wider
-    return result
+    return limit, at_horizon
 
 
 def moller_minus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
     """In-map ``lim_{t -> -inf} U(0, t) U_0(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, "K", -1, shape)
+    return _dressing(h0, h_int, eps, config, "K", -1, shape)[0]
 
 
 def moller_plus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
     """Out-map ``lim_{t -> +inf} U_0(0, t) U(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, "G", +1, shape)
+    return _dressing(h0, h_int, eps, config, "G", +1, shape)[0]
 
 
 def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
@@ -179,7 +187,7 @@ def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="
     pair it against the adiabatic metric, which is what makes the free
     probability-conservation identity carry over to the dressed S-matrix.
     """
-    return _dressing(h0, h_int, eps, config, "K", +1, shape)
+    return _dressing(h0, h_int, eps, config, "K", +1, shape)[0]
 
 
 def in_state(psi, h0, h_int, eps, config=None, shape="exp") -> np.ndarray:
@@ -210,6 +218,11 @@ def adiabatic_metric(
     (diagonal in its adjoint eigenbasis).  Raises
     :class:`ComplexSpectrum` when the full generator has no real spectrum,
     since the metric then grows without bound and no limit exists.
+
+    This integrates the metric flow itself.  :func:`s_matrix` does not
+    call it: there Theta(0) follows from the in-dressing by the Moller
+    identity, and this function is the oracle that identity is tested
+    against.
     """
     cfg = config or ScatteringConfig()
     h0 = as_operator(h0)
@@ -239,17 +252,19 @@ def _matched_levels(h0, h_int, couplings) -> np.ndarray:
     """
     vals = np.linalg.eigvals(as_operator(h0))
     vals = vals[np.lexsort((vals.imag, vals.real))]
+    couplings = np.asarray(couplings, dtype=float)
     rows = [vals]
-    for u in couplings[1:]:
-        w = np.linalg.eigvals(h0 + u * h_int)
-        prev = rows[-1]
-        remaining = list(range(len(w)))
-        perm = []
-        for p in prev:
-            k = min(remaining, key=lambda i: abs(w[i] - p))
-            remaining.remove(k)
-            perm.append(k)
-        rows.append(w[perm])
+    for start in range(1, len(couplings), _EIGVALS_CHUNK):
+        chunk = couplings[start : start + _EIGVALS_CHUNK]
+        for w in np.linalg.eigvals(h0 + chunk[:, None, None] * h_int):
+            prev = rows[-1]
+            remaining = list(range(len(w)))
+            perm = []
+            for p in prev:
+                k = min(remaining, key=lambda i: abs(w[i] - p))
+                remaining.remove(k)
+                perm.append(k)
+            rows.append(w[perm])
     return np.array(rows)
 
 
@@ -343,20 +358,37 @@ def s_matrix(
     metric the biorthonormal pairing of transported eigenvectors makes S
     diagonal unit-modulus phases in the slow-switching limit, so the
     reported unitarity defect ``||S^dag S - I||`` extrapolates to zero.
+
+    The metric flow conserves ``U^-dag Theta U^-1``, so Theta(0) is the
+    Moller identity ``K^-dag W^dag Theta_0 W K^-1``, with K the in-dressing
+    at the single horizon ``-T`` where the integrated flow would start and
+    ``W = U_0(-T, 0)``.  When ``theta0`` is static for ``h0`` (as the
+    identity is for Hermitian ``h0``) ``W^dag Theta_0 W = Theta_0``.  That
+    leaves one solve per dressing; :func:`adiabatic_metric` integrates the
+    flow and is the oracle for the identity.  Raises
+    :class:`ComplexSpectrum` when ``h0 + h_int`` has no real spectrum.
     """
     cfg = config or ScatteringConfig()
     h0 = as_operator(h0)
     h_int = as_operator(h_int)
-    if theta0 is None:
-        theta0 = np.eye(h0.shape[0], dtype=complex)
+    if not spectrum_reality_check(h0 + h_int, 1e-9):
+        raise ComplexSpectrum(
+            "full generator has complex spectrum; adiabatic metric undefined"
+        )
+    theta0 = _require_hermitian_start(
+        np.eye(h0.shape[0], dtype=complex) if theta0 is None else theta0
+    )
 
     frame = _FreeFrame(h0)
     basis = frame.vecs / np.linalg.norm(frame.vecs, axis=0, keepdims=True)
 
-    om_in = moller_minus(h0, h_int, eps, cfg, shape)
+    om_in, k_horizon = _dressing(h0, h_int, eps, cfg, "K", -1, shape)
     om_out = out_dressing(h0, h_int, eps, cfg, shape)
     om_plus = np.linalg.inv(om_out)
-    theta = adiabatic_metric(h0, h_int, theta0, eps, cfg, shape)
+    # U(0, -T)^-1 = W K^-1 with W = U_0(-T, 0) = V diag(exp(i E T)) V^-1
+    phase = np.exp(1j * frame.vals * (cfg.horizon_factor / eps))
+    pull = frame.vecs @ (phase[:, None] * frame.vecs_inv) @ np.linalg.inv(k_horizon)
+    theta = _symmetrize(pull.conj().T @ theta0 @ pull)
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
     defect = frobenius(s.conj().T @ s - np.eye(s.shape[0]))

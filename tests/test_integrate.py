@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adiametric._integrate import solve_ode
-from adiametric.errors import StepSizeUnderflow
+from adiametric.errors import SolverError, StepSizeUnderflow
 
 
 def test_scalar_exponential_accuracy():
@@ -35,6 +35,40 @@ def test_t_eval_sampling_exact_times():
     np.testing.assert_allclose(
         [s[0] for s in sol.states], t_eval**2, atol=1e-12
     )
+
+
+def test_t_eval_backward_order():
+    t_eval = [-0.5, -1.0, -2.0]
+    sol = solve_ode(
+        lambda t, y: -y, 0.0, -2.0, np.array([1.0]),
+        t_eval=t_eval, rtol=1e-10, atol=1e-12,
+    )
+    np.testing.assert_array_equal(sol.times, t_eval)
+    np.testing.assert_allclose([s[0] for s in sol.states], np.exp(-np.array(t_eval)))
+
+
+@pytest.mark.parametrize("t_eval, bad", [([-1.0, 0.5, 2.0], "-1"), ([0.5, 2.0], "2")])
+def test_t_eval_outside_window_rejected(t_eval, bad):
+    with pytest.raises(SolverError, match=f"t_eval time {bad} lies outside"):
+        solve_ode(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), t_eval=t_eval)
+
+
+@pytest.mark.parametrize(
+    "t1, t_eval",
+    [(1.0, [0.5, 0.2, 1.0]), (1.0, [0.5, 0.5]), (-1.0, [-0.2, -0.5, -0.3])],
+)
+def test_t_eval_not_monotone_rejected(t1, t_eval):
+    with pytest.raises(SolverError, match="strictly monotone"):
+        solve_ode(lambda t, y: -y, 0.0, t1, np.array([1.0]), t_eval=t_eval)
+
+
+def test_non_finite_rhs_raises():
+    def rhs(t, y):
+        return np.array([np.nan if t > 0.3 else 1.0])
+
+    with pytest.raises(SolverError, match="non-finite right-hand side near t=") as info:
+        solve_ode(rhs, 0.0, 1.0, np.array([0.0]))
+    assert not isinstance(info.value, StepSizeUnderflow)
 
 
 def test_breakpoint_kink_handled():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiametric.errors import ComplexSpectrum, NoConvergence
 from adiametric.metric_flow import (
@@ -210,6 +212,10 @@ class TestSMatrix:
         limit = extrapolate_to_zero(ladder, tilded)
         np.testing.assert_allclose(limit, np.eye(2), atol=5e-3)
 
+    def test_complex_spectrum_rejected(self):
+        with pytest.raises(ComplexSpectrum):
+            s_matrix(0.5 * SZ, 2.0j * SX, 0.1)
+
     def test_switch_shapes_agree_after_extrapolation(self):
         ladder = [0.2, 0.1]
         exp_runs = [
@@ -243,3 +249,65 @@ class TestDynamicalPhases:
         # interaction here is traceless, so phases sum to ~0
         phases = dynamical_phase_integrals(H0, HI, 0.1)
         assert abs(phases.sum()) < 1e-8
+
+
+def _pt_coupling(dim, levels, ratios, seed):
+    """Rotated PT-symmetric blocks ``a sigma_z`` + ``i b sigma_x``, b < a.
+
+    Odd ``dim`` adds one uncoupled free level.  Each block keeps the real
+    levels ``+-sqrt(a^2 - u^2 b^2)`` all along the switching path.
+    """
+    h0 = np.zeros((dim, dim), dtype=complex)
+    h_int = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim // 2):
+        block = slice(2 * n, 2 * n + 2)
+        h0[block, block] = levels[n] * SZ
+        h_int[block, block] = 1j * ratios[n] * levels[n] * SX
+    if dim % 2:
+        h0[-1, -1] = levels[-1]
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v, _ = np.linalg.qr(z)
+    return v, v @ h0 @ v.conj().T, v @ h_int @ v.conj().T
+
+
+class TestMollerIdentityMetric:
+    """``s_matrix`` takes Theta(0) from the in-dressing; the flow is the oracle."""
+
+    CFG = ScatteringConfig(check_convergence=False)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        levels=st.lists(st.floats(0.8, 2.5), min_size=2, max_size=2, unique=True),
+        ratios=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+        weights=st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 2),
+        eps=st.floats(0.8, 1.6),
+        shape=st.sampled_from(["smooth", "exp"]),
+        static=st.booleans(),
+    )
+    def test_matches_integrated_flow(
+        self, dim, levels, ratios, weights, seed, eps, shape, static
+    ):
+        v, h0, h_int = _pt_coupling(dim, levels, ratios, seed)
+        # diagonal in the eigenframe of h0 (static for it) or in a random frame
+        q = v if static else _pt_coupling(dim, levels, ratios, seed + 1)[0]
+        theta0 = q @ np.diag(weights[:dim]) @ q.conj().T
+        result = s_matrix(h0, h_int, eps, theta0, self.CFG, shape)
+        oracle = adiabatic_metric(h0, h_int, theta0, eps, self.CFG, shape)
+        assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
+
+    def test_exp_horizon_check_keeps_single_horizon_metric(self):
+        # the doubled-horizon dressing differs by the e^-12 damping tail;
+        # Theta(0) must pair with the flow's start at the single horizon
+        result = s_matrix(H0, HI, 1.6)
+        oracle = adiabatic_metric(H0, HI, np.eye(2), 1.6)
+        assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
+
+    @pytest.mark.parametrize("shape", ["smooth", "exp"])
+    def test_non_static_theta0_matches_flow(self, shape):
+        theta0 = np.eye(2) + 0.3 * SX  # does not commute with H0
+        result = s_matrix(H0, HI, 0.8, theta0, self.CFG, shape)
+        oracle = adiabatic_metric(H0, HI, theta0, 0.8, self.CFG, shape)
+        assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
