@@ -13,6 +13,8 @@ from . import errors
 from .operator_core import (
     BiorthogonalSystem,
     biorthogonal_decompose,
+    continued_eigensystems,
+    eigenframe,
     hermitian_sqrt,
     hermiticity_defect,
     positivity_check,
@@ -22,7 +24,6 @@ from .operator_core import (
 from .metric_flow import (
     MetricTrajectory,
     adiabatic_transport_prediction,
-    Solver,
     SolverConfig,
     eigenbasis_coefficients,
     eigenbasis_evolution,
@@ -45,7 +46,6 @@ from .switching import (
     SmoothSwitch,
     adiabatic_sweep,
     extrapolate_to_zero,
-    hamiltonian_at,
 )
 from .scattering import (
     ScatteringConfig,
@@ -62,6 +62,8 @@ from .two_level import (
     TwoLevelParams,
     classify_regime,
     component_flow,
+    component_generator,
+    evolve_components,
     hermitian_precession,
     pauli_compose,
     pauli_decompose,

@@ -41,7 +41,12 @@ from .operator_core import (
 )
 from .scattering import ScatteringConfig, s_matrix
 from .switching import adiabatic_sweep, extrapolate_to_zero, is_monotone_nonincreasing
-from .two_level import ramp_experiment, static_solution
+from .two_level import (
+    component_generator,
+    evolve_components,
+    ramp_experiment,
+    static_solution,
+)
 from .moyal import (
     ANSATZ_NAMES,
     cubic_linear_switch_evolve,
@@ -101,26 +106,13 @@ def _evolve_two_level(config: ModelConfig, args):
                 theta0_s=float(initial.get("theta0", 1.0)),
                 alpha=float(initial.get("alpha", 0.0)),
             ).four_vector()
-        from ._integrate import solve_ode
-        from .two_level import component_flow
-
+        generator = component_generator(params)
         t0 = float(model.get("t0", 0.0))
         t1 = float(model.get("t1", 10.0))
-
-        def rhs(t, y):
-            d0, dv = component_flow(y[0], y[1:], params)
-            return np.concatenate(([d0], dv))
-
-        sol = solve_ode(
-            rhs,
-            t0,
-            t1,
-            comp0,
-            rtol=config.solver.rtol,
-            atol=config.solver.atol,
-            t_eval=np.linspace(t0, t1, config.solver.samples),
+        t_eval = np.linspace(t0, t1, config.solver.samples)
+        times, comps = evolve_components(
+            lambda t: generator, comp0, t0, t1, config.solver, t_eval
         )
-        times, comps = sol.times, np.array(sol.states)
         diag = {}
 
     columns = ["t", "theta0", "theta1", "theta2", "theta3"]
@@ -166,7 +158,7 @@ def _evolve_matrix(config: ModelConfig, args):
             config,
             {"times": [float(t) for t in traj.times],
              "metrics": [matrix_to_json(m) for m in traj.metrics]},
-            {"solver": traj.solver.value, **traj.stats},
+            {"solver": traj.solver, **traj.stats},
         )
         _emit(args, payload=payload)
     else:
@@ -177,7 +169,9 @@ def _evolve_cubic(config: ModelConfig, args):
     model = config.model
     g = float(model.get("g", 0.1))
     duration = float(model.get("duration", math.pi))
-    traj = cubic_linear_switch_evolve(g, duration, config=None)
+    # without a solver section the model keeps its own tighter default
+    solver = config.solver if "solver" in config.raw else None
+    traj = cubic_linear_switch_evolve(g, duration, config=solver)
     columns = ["t"]
     for name in ANSATZ_NAMES:
         columns += [f"coeff_{name}_re", f"coeff_{name}_im"]

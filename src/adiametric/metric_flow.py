@@ -16,7 +16,6 @@ with its Hermitian representation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -25,14 +24,18 @@ import numpy as np
 from ._integrate import solve_ode
 from .errors import (
     ComplexSpectrum,
-    NonHermitianInput,
     NonpositiveWeight,
     SingularMetric,
     SolverError,
 )
 from .operator_core import (
+    GAP_TOL,
+    PATH_CHUNK,
     BiorthogonalSystem,
+    _require_hermitian,
+    _require_separated,
     as_operator,
+    continued_eigensystems,
     frobenius,
     hermitian_sqrt,
     hermiticity_defect,
@@ -40,7 +43,6 @@ from .operator_core import (
 )
 
 __all__ = [
-    "Solver",
     "SolverConfig",
     "MetricTrajectory",
     "quasi_hermiticity_residual",
@@ -61,13 +63,6 @@ __all__ = [
 ]
 
 
-class Solver(str, enum.Enum):
-    RUNGE_KUTTA = "runge_kutta"
-    PROPAGATOR_CONJUGATION = "propagator_conjugation"
-    PICARD = "picard"
-    NORMAL_ORDERED_SERIES = "normal_ordered_series"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Step control for the adaptive metric integrator."""
@@ -80,11 +75,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MetricTrajectory:
-    """Time-ordered metric samples plus solver metadata."""
+    """Time-ordered metric samples, the solver name and its metadata."""
 
     times: np.ndarray
     metrics: np.ndarray
-    solver: Solver
+    solver: str
     stats: dict = field(default_factory=dict)
 
     @property
@@ -133,16 +128,6 @@ def static_metric(system: BiorthogonalSystem, weights, spectrum_tol=1e-9) -> np.
     return 0.5 * (theta + theta.conj().T)
 
 
-def _require_hermitian_start(theta0):
-    theta0 = as_operator(theta0)
-    defect = hermiticity_defect(theta0)
-    if defect > 1e-10 * max(1.0, frobenius(theta0)):
-        raise NonHermitianInput(
-            f"initial metric has hermiticity defect {defect:.3e}"
-        )
-    return 0.5 * (theta0 + theta0.conj().T)
-
-
 def _symmetrize(m):
     return 0.5 * (m + m.conj().T)
 
@@ -156,7 +141,7 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     drifting at the integration tolerance.
     """
     cfg = config or SolverConfig()
-    theta0 = _require_hermitian_start(theta0)
+    theta0 = _require_hermitian(theta0)
     t_eval = np.linspace(t0, t1, cfg.samples)
     breaks = getattr(schedule, "breakpoints", tuple)()
     sol = solve_ode(
@@ -174,7 +159,7 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     return MetricTrajectory(
         times=sol.times,
         metrics=np.array(sol.states),
-        solver=Solver.RUNGE_KUTTA,
+        solver="runge_kutta",
         stats=sol.stats,
     )
 
@@ -188,7 +173,7 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     piecewise constant.  Midpoint sampling makes the accumulation second
     order in the step for smooth schedules.
     """
-    theta0 = _require_hermitian_start(theta0)
+    theta0 = _require_hermitian(theta0)
     dim = theta0.shape[0]
     grid = np.linspace(t0, t1, nsteps + 1)
     back = np.eye(dim, dtype=complex)
@@ -203,7 +188,7 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     return MetricTrajectory(
         times=np.array(times),
         metrics=np.array(metrics),
-        solver=Solver.PROPAGATOR_CONJUGATION,
+        solver="propagator_conjugation",
         stats={"nsteps": nsteps},
     )
 
@@ -306,32 +291,38 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
 
     ``hamiltonians`` is a dense sequence of generators sampled along a
     slow path.  The initial metric is decomposed on the first eigensystem;
-    the left eigenvectors are then continued step by step in the parallel
-    gauge (the pairing of consecutive right vectors against the previous
-    left vectors is held at unity, which removes the normalization freedom
-    of the biorthogonal family), and the diagonal weights are carried
-    unchanged.  For a real-spectrum path the result is the static metric
-    an infinitely slow traversal of the same path would reach; it serves
-    as an independent oracle for slow-ramp and slow-switching experiments.
+    the left eigenvectors are then continued along the path by
+    :func:`continued_eigensystems` in the parallel gauge (the pairing of
+    consecutive right vectors against the previous left vectors is held at
+    unity, which removes the normalization freedom of the biorthogonal
+    family), and the diagonal weights are carried unchanged.  For a
+    real-spectrum path the result is the static metric an infinitely slow
+    traversal of the same path would reach; it serves as an independent
+    oracle for slow-ramp and slow-switching experiments.  Path points
+    :func:`biorthogonal_decompose` would reject raise the same errors.
     """
-    from .operator_core import biorthogonal_decompose
+    gauge = None
+    for _, right, left_h in continued_eigensystems(_separated_chunks(hamiltonians)):
+        if gauge is None:
+            weights = np.diag(right[0].conj().T @ as_operator(theta0) @ right[0]).real
+            gauge, carry = np.ones(len(weights), dtype=complex), left_h[0]
+        # parallel gauge: the left vectors pick up every pairing
+        # diag(left_{k-1}^dag right_k) of the unit-norm right vectors
+        prev = np.concatenate([carry[None], left_h[:-1]])
+        gauge = gauge * np.prod(np.einsum("kmi,kim->km", prev, right), axis=0)
+        carry = left_h[-1]
+    left = carry.conj().T * gauge.conj()
+    return _symmetrize((left * weights) @ left.conj().T)
 
-    sys0 = biorthogonal_decompose(hamiltonians[0])
-    weights = np.diag(eigenbasis_coefficients(sys0, as_operator(theta0))).real
-    left, right = sys0.left.copy(), sys0.right.copy()
-    for h in hamiltonians[1:]:
-        nxt = biorthogonal_decompose(h)
-        overlap = np.abs(left.conj().T @ nxt.right)
-        perm = np.argmax(overlap, axis=1)
-        if len(set(perm.tolist())) != len(perm):
-            raise SolverError("eigenvector matching failed; path too coarse")
-        new_right = nxt.right[:, perm]
-        new_left = nxt.left[:, perm]
-        scale = 1.0 / np.einsum("in,in->n", left.conj(), new_right)
-        right = new_right * scale
-        left = new_left / scale.conj()
-    theta = (left * weights) @ left.conj().T
-    return 0.5 * (theta + theta.conj().T)
+
+def _separated_chunks(hamiltonians):
+    """Stacked path chunks, each checked as :func:`biorthogonal_decompose` would."""
+    for i in range(0, len(hamiltonians), PATH_CHUNK):
+        chunk = np.array([as_operator(h) for h in hamiltonians[i : i + PATH_CHUNK]])
+        vals, right = np.linalg.eig(chunk)
+        norms = np.linalg.norm(chunk, axis=(1, 2))
+        _require_separated(vals, right, GAP_TOL * np.maximum(1.0, norms))
+        yield chunk
 
 
 def observable_hamiltonian(h, theta, theta_dot) -> np.ndarray:
@@ -441,7 +432,7 @@ def transition_probability(
     cfg = config or SolverConfig(rtol=1e-11, atol=1e-13, samples=2)
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    theta_from = _require_hermitian_start(theta_from)
+    theta_from = _require_hermitian(theta_from)
 
     traj = evolve_metric(schedule, theta_from, t_from, t_to, cfg)
     theta_to = traj.final

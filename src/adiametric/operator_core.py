@@ -3,7 +3,9 @@
 Everything downstream (metric evolution, scattering, toy models) builds on
 the operations here: Hermiticity and positivity predicates, the Hermitian
 principal square root, biorthogonal eigendecompositions of diagonalizable
-non-Hermitian matrices, and matrix-exponential propagators.
+non-Hermitian matrices, the eigenframe ``H = V diag(E) V^-1`` behind every
+free propagator, eigensystems continued along a path of matrices, and
+matrix-exponential propagators.
 
 All functions are pure; matrices are plain ``numpy.ndarray`` values of
 complex dtype and are never mutated.
@@ -22,6 +24,7 @@ from .errors import (
     NonHermitianInput,
     NotDiagonalizable,
     NotPositive,
+    SolverError,
 )
 
 __all__ = [
@@ -32,6 +35,8 @@ __all__ = [
     "positivity_check",
     "hermitian_sqrt",
     "biorthogonal_decompose",
+    "eigenframe",
+    "continued_eigensystems",
     "propagator",
     "spectrum_reality_check",
 ]
@@ -41,6 +46,9 @@ HERMITICITY_TOL = 1e-10
 
 #: Relative eigenvalue-gap floor below which a spectrum counts as degenerate.
 GAP_TOL = 1e-8
+
+#: Path points per stacked chunk given to :func:`continued_eigensystems`.
+PATH_CHUNK = 256
 
 
 def as_operator(m) -> np.ndarray:
@@ -64,7 +72,7 @@ def hermiticity_defect(m) -> float:
     return frobenius(a - a.conj().T)
 
 
-def _require_hermitian(m, tol):
+def _require_hermitian(m, tol=HERMITICITY_TOL):
     a = as_operator(m)
     defect = frobenius(a - a.conj().T)
     if defect > tol * max(1.0, frobenius(a)):
@@ -188,29 +196,83 @@ def biorthogonal_decompose(h, gap_tol=None) -> BiorthogonalSystem:
     for n in range(a.shape[0]):
         vals[n], vecs[:, n] = _refine_eigenpair(a, vals[n], vecs[:, n])
     order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    gap = float(diffs.min()) if a.shape[0] > 1 else np.inf
-    if gap < gap_tol:
-        raise DegenerateSpectrum(
-            f"minimal eigenvalue gap {gap:.3e} below tolerance {gap_tol:.3e}"
-        )
-
-    right = _fix_phases(vecs)
-    cond = np.linalg.cond(right)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NotDiagonalizable(f"eigenvector condition number {cond:.3e}")
+    vals, right = vals[order], _fix_phases(vecs[:, order])
+    _require_separated(vals[None], right[None], gap_tol)
     left = np.linalg.inv(right).conj().T
     return BiorthogonalSystem(eigenvalues=vals, right=right, left=left)
+
+
+def _require_separated(vals, right, gap_tol):
+    """Raise for stacked eigensystems ``(n, d)``, ``(n, d, d)`` with a gap
+    below ``gap_tol`` (scalar or per system) or eigenvector condition > 1e12."""
+    self_gap = np.diag(np.full(vals.shape[1], np.inf))
+    gaps = (np.abs(vals[:, :, None] - vals[:, None, :]) + self_gap).min(axis=(1, 2))
+    floor = np.broadcast_to(gap_tol, gaps.shape)
+    if np.any(gaps < floor):
+        k = int(np.argmax(gaps < floor))
+        raise DegenerateSpectrum(
+            f"minimal eigenvalue gap {gaps[k]:.3e} below tolerance {floor[k]:.3e}"
+        )
+    cond = np.linalg.cond(right)
+    if not np.all(cond <= 1e12):
+        raise NotDiagonalizable(f"eigenvector condition number {np.max(cond):.3e}")
+
+
+def eigenframe(h):
+    """Eigenframe ``(E, V, V^-1)`` with ``H = V diag(E) V^-1``, E (real, imag)-sorted.
+
+    Hermitian input (within ``HERMITICITY_TOL``) takes the unitary ``eigh``
+    path; anything else goes through :func:`biorthogonal_decompose`.
+    """
+    a = as_operator(h)
+    if hermiticity_defect(a) <= HERMITICITY_TOL * max(1.0, frobenius(a)):
+        vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+        return vals.astype(complex), vecs, vecs.conj().T
+    sys = biorthogonal_decompose(a)
+    return sys.eigenvalues, sys.right, sys.left.conj().T
+
+
+def continued_eigensystems(chunks):
+    """Eigensystems along a path of matrices, continued level by level.
+
+    ``chunks`` yields consecutive pieces of one path as stacked ``(n, d, d)``
+    arrays; per chunk this yields eigenvalues ``(n, d)``, unit-norm right
+    eigenvectors (columns) and ``left_h = right^-1`` (rows), with index m
+    following one level from the (real, imag) order of the first point.
+    The successor of a level maximizes ``|left_prev^dagger right_next|``, so
+    eigenvectors, not eigenvalues, carry the identity through crossings; a
+    successor claimed twice raises :class:`SolverError`.
+    """
+    carry = None
+    for chunk in chunks:
+        vals, right = np.linalg.eig(chunk)
+        try:
+            left_h = np.linalg.inv(right)
+        except np.linalg.LinAlgError as exc:
+            raise NotDiagonalizable("singular eigenvectors on the path") from exc
+        if carry is None:
+            carry = left_h[0, np.lexsort((vals[0].imag, vals[0].real))]
+        prev = np.concatenate([carry[None], left_h[:-1]])
+        successor = np.argmax(np.abs(prev @ right), axis=2)
+        levels = np.arange(successor.shape[1])
+        if np.any(np.sort(successor, axis=1) != levels):
+            raise SolverError("eigenvector matching failed; path too coarse")
+        perm = np.empty_like(successor)
+        for k, step in enumerate(successor):
+            levels = step[levels]
+            perm[k] = levels
+        vals = np.take_along_axis(vals, perm, axis=1)
+        right = np.take_along_axis(right, perm[:, None, :], axis=2)
+        left_h = np.take_along_axis(left_h, perm[:, :, None], axis=1)
+        carry = left_h[-1]
+        yield vals, right, left_h
 
 
 def propagator(h, dt, method="auto") -> np.ndarray:
     """Evolution operator ``exp(-i H dt)``.
 
     ``method`` selects the evaluation path: ``"spectral"`` exponentiates
-    eigenvalues on the (bi)orthogonal eigenbasis, ``"pade"`` uses
+    eigenvalues on the :func:`eigenframe`, ``"pade"`` uses
     scaling-and-squaring, and ``"auto"`` prefers the spectral route,
     falling back to Pade when the spectrum is degenerate or defective.
     The two paths cross-validate each other in the test suite.
@@ -222,17 +284,13 @@ def propagator(h, dt, method="auto") -> np.ndarray:
         raise ValueError(f"unknown propagator method {method!r}")
 
     if method in ("auto", "spectral"):
-        if hermiticity_defect(a) <= HERMITICITY_TOL * max(1.0, frobenius(a)):
-            vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
-            return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
         try:
-            sys = biorthogonal_decompose(a)
+            vals, vecs, vecs_inv = eigenframe(a)
         except (DegenerateSpectrum, NotDiagonalizable):
             if method == "spectral":
                 raise
         else:
-            phases = np.exp(-1j * sys.eigenvalues * dt)
-            return (sys.right * phases) @ sys.left.conj().T
+            return (vecs * np.exp(-1j * vals * dt)) @ vecs_inv
     return scipy.linalg.expm(-1j * dt * a)
 
 

@@ -26,16 +26,14 @@ import numpy as np
 
 from ._integrate import solve_ode
 from .errors import ComplexSpectrum, NoConvergence
-from .metric_flow import (
-    SolverConfig,
-    _require_hermitian_start,
-    _symmetrize,
-    evolve_metric,
-)
+from .metric_flow import SolverConfig, _symmetrize, evolve_metric
 from .operator_core import (
+    PATH_CHUNK,
+    _require_hermitian,
     as_operator,
+    continued_eigensystems,
+    eigenframe,
     frobenius,
-    hermiticity_defect,
     spectrum_reality_check,
 )
 from .switching import ExponentialSwitch, SmoothSwitch
@@ -70,46 +68,12 @@ class ScatteringConfig:
     convergence_tol: float = 1e-3
 
 
-# Coupling points per stacked eigvals call in the level continuation: keeps
-# the per-call saving at small dimension and the memory bounded at large.
-_EIGVALS_CHUNK = 256
-
-
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
     if shape == "exp":
         return ExponentialSwitch(h0, h_int, eps)
     if shape == "smooth":
         return SmoothSwitch(h0, h_int, width=horizon_factor / eps)
     raise ValueError(f"unknown switch shape {shape!r}")
-
-
-class _FreeFrame:
-    """Eigen-resolved free generator ``H_0 = V diag(E) V^-1``."""
-
-    def __init__(self, h0):
-        h0 = as_operator(h0)
-        self.dim = h0.shape[0]
-        if hermiticity_defect(h0) <= 1e-10 * max(1.0, frobenius(h0)):
-            vals, vecs = np.linalg.eigh(0.5 * (h0 + h0.conj().T))
-            self.vals = vals.astype(complex)
-            self.vecs = vecs
-            self.vecs_inv = vecs.conj().T
-        else:
-            from .operator_core import biorthogonal_decompose
-
-            sys = biorthogonal_decompose(h0)
-            self.vals = sys.eigenvalues
-            self.vecs = sys.right
-            self.vecs_inv = sys.left.conj().T
-
-
-def _damping(shape, eps, t, horizon_factor):
-    if shape == "exp":
-        return math.exp(-eps * abs(t))
-    width = horizon_factor / eps
-    if abs(t) >= width:
-        return 0.0
-    return math.cos(math.pi * t / (2.0 * width)) ** 2
 
 
 def _dressing(h0, h_int, eps, config, form, direction, shape):
@@ -121,7 +85,8 @@ def _dressing(h0, h_int, eps, config, form, direction, shape):
 
     The state is integrated in the eigenframe of ``H_0 = V diag(E) V^-1``,
     where ``H_I(t)`` is ``V^-1 H_int V`` times the elementwise phases
-    ``exp(i (E_m - E_n) t)``, and mapped back once per output sample.
+    ``exp(i (E_m - E_n) t)`` and the switch factor ``f(t)`` of the
+    schedule for ``shape``, and mapped back once per output sample.
     Returns ``(limit, at_horizon)``: the dressing at twice the horizon when
     the exp-shape convergence check is on (one pass sampled at both times),
     else at the horizon, and the dressing at the single horizon.
@@ -129,9 +94,10 @@ def _dressing(h0, h_int, eps, config, form, direction, shape):
     if eps <= 0.0:
         raise ValueError("switching rate eps must be positive")
     cfg = config or ScatteringConfig()
-    frame = _FreeFrame(h0)
-    h_tilde = frame.vecs_inv @ as_operator(h_int) @ frame.vecs
-    gap = 1j * (frame.vals[:, None] - frame.vals[None, :])
+    factor = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor).factor
+    vals, vecs, vecs_inv = eigenframe(h0)
+    h_tilde = vecs_inv @ as_operator(h_int) @ vecs
+    gap = 1j * (vals[:, None] - vals[None, :])
     horizon = direction * cfg.horizon_factor / eps
     # The smooth switch is exactly free beyond its support: nothing to check.
     doubled = cfg.check_convergence and shape == "exp"
@@ -140,27 +106,23 @@ def _dressing(h0, h_int, eps, config, form, direction, shape):
     if form == "K":
 
         def rhs(t, k):
-            f = _damping(shape, eps, t, cfg.horizon_factor)
-            return 1j * f * (k @ (h_tilde * np.exp(gap * t)))
+            return 1j * factor(t) * (k @ (h_tilde * np.exp(gap * t)))
 
     else:
 
         def rhs(t, g):
-            f = _damping(shape, eps, t, cfg.horizon_factor)
-            return -1j * f * ((h_tilde * np.exp(gap * t)) @ g)
+            return -1j * factor(t) * ((h_tilde * np.exp(gap * t)) @ g)
 
     sol = solve_ode(
         rhs,
         0.0,
         t_eval[-1],
-        np.eye(frame.dim, dtype=complex),
+        np.eye(len(vals), dtype=complex),
         rtol=cfg.rtol,
         atol=cfg.atol,
         t_eval=t_eval,
     )
-    at_horizon, limit = (
-        frame.vecs @ y @ frame.vecs_inv for y in (sol.states[0], sol.states[-1])
-    )
+    at_horizon, limit = (vecs @ y @ vecs_inv for y in (sol.states[0], sol.states[-1]))
     if doubled:
         drift = frobenius(limit - at_horizon)
         if drift > cfg.convergence_tol:
@@ -243,31 +205,6 @@ def adiabatic_metric(
     return traj.final
 
 
-def _matched_levels(h0, h_int, couplings) -> np.ndarray:
-    """Eigenvalues of ``h0 + u h_int`` continued along the coupling path.
-
-    Rows follow ``couplings``; columns keep a fixed level identity by
-    nearest-eigenvalue matching between consecutive couplings, starting
-    from the (real, imag)-sorted spectrum of the free generator.
-    """
-    vals = np.linalg.eigvals(as_operator(h0))
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    couplings = np.asarray(couplings, dtype=float)
-    rows = [vals]
-    for start in range(1, len(couplings), _EIGVALS_CHUNK):
-        chunk = couplings[start : start + _EIGVALS_CHUNK]
-        for w in np.linalg.eigvals(h0 + chunk[:, None, None] * h_int):
-            prev = rows[-1]
-            remaining = list(range(len(w)))
-            perm = []
-            for p in prev:
-                k = min(remaining, key=lambda i: abs(w[i] - p))
-                remaining.remove(k)
-                perm.append(k)
-            rows.append(w[perm])
-    return np.array(rows)
-
-
 def dynamical_phase_integrals(
     h0, h_int, eps, shape="exp", horizon_factor=12.0, npoints=4001
 ) -> np.ndarray:
@@ -277,11 +214,18 @@ def dynamical_phase_integrals(
     S-matrix entries never converge entrywise: each level spins up an
     unbounded dynamical phase.  Multiplying half the counterphase onto
     each side of the S-matrix removes the divergence and leaves a
-    switching-shape-independent limit.  Only the real parts of the matched
+    switching-shape-independent limit.  Levels are followed along the
+    coupling path by :func:`continued_eigensystems`, in the (real, imag)
+    order of the free spectrum, and only the real parts of their
     eigenvalues contribute (real-spectrum paths).
     """
     us = np.linspace(0.0, 1.0, npoints)
-    levels = _matched_levels(as_operator(h0), as_operator(h_int), us).real
+    h0, h_int = as_operator(h0), as_operator(h_int)
+    path = (
+        h0 + us[i : i + PATH_CHUNK, None, None] * h_int
+        for i in range(0, npoints, PATH_CHUNK)
+    )
+    levels = np.concatenate([vals.real for vals, _, _ in continued_eigensystems(path)])
     g = levels - levels[0]
     if shape == "exp":
         # int_R g(exp(-eps|t|)) dt = (2/eps) int_0^1 g(u)/u du
@@ -307,7 +251,6 @@ class ScatteringResult:
 
     s_matrix: np.ndarray
     theta_adiabatic: np.ndarray
-    moller_plus: np.ndarray
     moller_minus: np.ndarray
     eps: float
     unitarity_defect: float
@@ -375,19 +318,18 @@ def s_matrix(
         raise ComplexSpectrum(
             "full generator has complex spectrum; adiabatic metric undefined"
         )
-    theta0 = _require_hermitian_start(
+    theta0 = _require_hermitian(
         np.eye(h0.shape[0], dtype=complex) if theta0 is None else theta0
     )
 
-    frame = _FreeFrame(h0)
-    basis = frame.vecs / np.linalg.norm(frame.vecs, axis=0, keepdims=True)
+    vals, vecs, vecs_inv = eigenframe(h0)
+    basis = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
 
     om_in, k_horizon = _dressing(h0, h_int, eps, cfg, "K", -1, shape)
     om_out = out_dressing(h0, h_int, eps, cfg, shape)
-    om_plus = np.linalg.inv(om_out)
     # U(0, -T)^-1 = W K^-1 with W = U_0(-T, 0) = V diag(exp(i E T)) V^-1
-    phase = np.exp(1j * frame.vals * (cfg.horizon_factor / eps))
-    pull = frame.vecs @ (phase[:, None] * frame.vecs_inv) @ np.linalg.inv(k_horizon)
+    phase = np.exp(1j * vals * (cfg.horizon_factor / eps))
+    pull = vecs @ (phase[:, None] * vecs_inv) @ np.linalg.inv(k_horizon)
     theta = _symmetrize(pull.conj().T @ theta0 @ pull)
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
@@ -396,7 +338,6 @@ def s_matrix(
     return ScatteringResult(
         s_matrix=s,
         theta_adiabatic=theta,
-        moller_plus=om_plus,
         moller_minus=om_in,
         eps=eps,
         unitarity_defect=defect,

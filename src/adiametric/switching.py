@@ -5,7 +5,8 @@ tuple``; the classes here cover the shapes used by the experiments:
 constant generators, exponentially damped interaction switching
 ``H_0 + exp(-eps |t|) H_I``, straight-line ramps between two generators,
 and a smooth compactly supported switch used to demonstrate that adiabatic
-limits do not depend on the switching profile.
+limits do not depend on the switching profile.  The two switches also
+expose their scalar factor: ``at(t) = H_0 + factor(t) H_I``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ExponentialSwitch",
     "LinearRamp",
     "SmoothSwitch",
-    "hamiltonian_at",
     "adiabatic_sweep",
     "extrapolate_to_zero",
     "is_monotone_nonincreasing",
@@ -66,10 +66,11 @@ class ExponentialSwitch:
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "h_int", _freeze(self.h_int))
 
+    def factor(self, t) -> float:
+        return math.exp(-self.eps * abs(t))
+
     def at(self, t) -> np.ndarray:
-        if t == 0.0:
-            return self.h0 + self.h_int
-        return self.h0 + math.exp(-self.eps * abs(t)) * self.h_int
+        return self.h0 + self.factor(t) * self.h_int
 
     def breakpoints(self) -> tuple:
         return (0.0,)  # derivative kink of |t|
@@ -117,19 +118,18 @@ class SmoothSwitch:
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "h_int", _freeze(self.h_int))
 
+    def factor(self, t) -> float:
+        if abs(t) >= self.width:
+            return 0.0
+        return math.cos(math.pi * t / (2.0 * self.width)) ** 2
+
     def at(self, t) -> np.ndarray:
         if abs(t) >= self.width:
             return self.h0
-        factor = math.cos(math.pi * t / (2.0 * self.width)) ** 2
-        return self.h0 + factor * self.h_int
+        return self.h0 + self.factor(t) * self.h_int
 
     def breakpoints(self) -> tuple:
         return (-self.width, 0.0, self.width)
-
-
-def hamiltonian_at(schedule, t) -> np.ndarray:
-    """Evaluate a schedule; thin dispatch kept for API symmetry."""
-    return schedule.at(t)
 
 
 def adiabatic_sweep(parameters, experiment):

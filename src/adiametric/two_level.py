@@ -33,7 +33,9 @@ __all__ = [
     "MetricComponents",
     "pauli_compose",
     "pauli_decompose",
+    "component_generator",
     "component_flow",
+    "evolve_components",
     "static_solution",
     "Regime",
     "classify_regime",
@@ -132,14 +134,37 @@ def pauli_decompose(m) -> TwoLevelParams:
     return TwoLevelParams(v=2.0 * h.real, w=2.0 * h.imag)
 
 
+def component_generator(params: TwoLevelParams) -> np.ndarray:
+    """Real 4x4 ``M`` with ``dy/dt = M y`` for ``y = (th_0, th_1, th_2, th_3)``."""
+    v1, v2, v3 = params.v[1:]
+    w0, wv = params.w[0], params.w[1:]
+    m = -w0 * np.eye(4)
+    m[0, 1:] = m[1:, 0] = -wv
+    m[1:, 1:] += np.array([[0.0, -v3, v2], [v3, 0.0, -v1], [-v2, v1, 0.0]])
+    return m
+
+
 def component_flow(theta0, vec, params: TwoLevelParams):
     """Metric-flow right-hand side on Pauli components."""
-    vec = np.asarray(vec, dtype=float)
-    vv = params.v[1:]  # v_0 never enters the flow
-    w0, wv = params.w[0], params.w[1:]
-    dtheta0 = -(theta0 * w0 + vec @ wv)
-    dvec = -theta0 * wv - w0 * vec + np.cross(vv, vec)
-    return dtheta0, dvec
+    dy = component_generator(params) @ np.concatenate(([theta0], vec))
+    return dy[0], dy[1:]
+
+
+def evolve_components(
+    generator_at, y0, t0, t1, config: SolverConfig, t_eval, breakpoints=()
+):
+    """Component flow ``dy/dt = generator_at(t) y``; returns ``(times, rows)``."""
+    sol = solve_ode(
+        lambda t, y: generator_at(t) @ y,
+        t0,
+        t1,
+        np.asarray(y0, dtype=float),
+        rtol=config.rtol,
+        atol=config.atol,
+        t_eval=t_eval,
+        breakpoints=breakpoints,
+    )
+    return sol.times, np.array(sol.states)
 
 
 def _check_pseudo_hermitian(params: TwoLevelParams, tol=_PSEUDO_TOL):
@@ -317,33 +342,17 @@ def ramp_experiment(
         ]
     )
 
-    # flow field inlined for speed (validated against component_flow in the
-    # tests); w = (0, 0, w3) and v = (a s, a (1 - s), 0) along the ramp
-    a, inv_t = amplitude, 1.0 / duration
+    # v is affine in the ramp parameter s and w is fixed, so the generator
+    # is exactly M_0 + s (M_1 - M_0)
+    m_start = component_generator(schedule.params_at(0.0))
+    m_slope = component_generator(schedule.params_at(duration)) - m_start
+    inv_t = 1.0 / duration
 
-    def rhs(t, y):
-        s = t * inv_t
-        s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
-        v1, v2 = a * s, a * (1.0 - s)
-        out = np.empty(4)
-        out[0] = -w3 * y[3]
-        out[1] = v2 * y[3]
-        out[2] = -v1 * y[3]
-        out[3] = -w3 * y[0] + v1 * y[2] - v2 * y[1]
-        return out
+    def generator_at(t):
+        return m_start + min(max(t * inv_t, 0.0), 1.0) * m_slope
 
-    sol = solve_ode(
-        rhs,
-        0.0,
-        t_end,
-        start.four_vector(),
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        t_eval=t_eval,
-        breakpoints=schedule.breakpoints(),
-    )
-    times = sol.times
-    comps = np.array(sol.states)
+    y0, breaks = start.four_vector(), schedule.breakpoints()
+    times, comps = evolve_components(generator_at, y0, 0.0, t_end, cfg, t_eval, breaks)
 
     # Dynamically selected final static solution: one-period time average of
     # the post-ramp trajectory, then projected onto the static family plane

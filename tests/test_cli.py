@@ -6,9 +6,18 @@ import math
 import jsonschema
 import numpy as np
 
+from adiametric import cli
 from adiametric.cli import main
 from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
 from adiametric.ioutil import CSV_HEADER
+from adiametric.metric_flow import SolverConfig
+from adiametric.two_level import hermitian_precession
+
+
+def csv_rows(text):
+    """Data rows of a CSV output, below the version line and the header."""
+    lines = text.strip().splitlines()
+    return np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
 
 
 def run_cli(tmp_path, command, config=None, fmt=None, name="cfg.json"):
@@ -140,6 +149,56 @@ class TestEvolve:
         assert rows.shape[0] == 11
         for col in range(1, rows.shape[1]):
             assert np.ptp(rows[:, col]) < 1e-12
+
+    def test_two_level_static_start_stays_static(self, tmp_path):
+        cfg = {
+            "model": {**TWO_LEVEL_STATIC["model"], "t1": 5.0},
+            "solver": {"samples": 51},
+            "output": {"format": "csv"},
+        }
+        code, text = run_cli(tmp_path, "evolve", cfg)
+        assert code == 0
+        rows = csv_rows(text)
+        assert rows.shape == (51, 5)
+        static = [[1.0, 0.0, 0.75, 0.0]] * 51
+        np.testing.assert_allclose(rows[:, 1:], static, atol=1e-8)
+
+    def test_two_level_hermitian_precession(self, tmp_path):
+        v = [0.3, 1.0, -2.0, 0.5]
+        start = [1.2, 0.3, -0.2, 0.5]
+        cfg = {
+            "model": {
+                "kind": "two-level",
+                "v": v,
+                "w": [0.0, 0.0, 0.0, 0.0],
+                "initial": {"components": start},
+                "t1": 6.0,
+            },
+            "solver": {"rtol": 1e-11, "atol": 1e-13, "samples": 61},
+            "output": {"format": "csv"},
+        }
+        code, text = run_cli(tmp_path, "evolve", cfg)
+        assert code == 0
+        rows = csv_rows(text)
+        np.testing.assert_allclose(rows[:, 1], start[0], atol=1e-8)
+        exact = [hermitian_precession(start[1:], v[1:], t) for t in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 2:], exact, atol=1e-8)
+
+    def test_cubic_takes_solver_section_when_present(self, tmp_path, monkeypatch):
+        seen = []
+        evolve = cli.cubic_linear_switch_evolve
+
+        def spy(g, duration, t_eval=None, config=None):
+            seen.append(config)
+            return evolve(g, duration, t_eval, config)
+
+        monkeypatch.setattr(cli, "cubic_linear_switch_evolve", spy)
+        assert run_cli(tmp_path, "evolve", CUBIC)[0] == 0
+        with_solver = {**CUBIC, "solver": {"rtol": 1e-4}}
+        assert run_cli(tmp_path, "evolve", with_solver)[0] == 0
+        # no section: the model's own tight default, so outputs do not move
+        assert seen == [None, SolverConfig(rtol=1e-4)]
+        assert seen[1] == parse_config(with_solver).solver
 
     def test_deterministic_output(self, tmp_path):
         _, first = run_cli(tmp_path, "evolve", CUBIC)

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from adiametric.errors import (
     ComplexSpectrum,
+    DegenerateSpectrum,
     NonHermitianInput,
     NonpositiveWeight,
     SingularMetric,
@@ -456,3 +457,8 @@ class TestTransportPrediction:
         pred = adiabatic_transport_prediction(path, np.eye(2))
         assert quasi_hermiticity_residual(h0 + h_int, pred) < 1e-8
         assert np.linalg.eigvalsh(pred)[0] > 0
+
+    def test_degenerate_path_point_rejected(self):
+        # the level identity is undefined where two levels coincide
+        with pytest.raises(DegenerateSpectrum):
+            adiabatic_transport_prediction([H_TL, np.eye(2), H_TL], np.eye(2))

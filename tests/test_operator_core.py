@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiametric.errors import (
     DegenerateSpectrum,
@@ -11,9 +13,13 @@ from adiametric.errors import (
     NonHermitianInput,
     NotDiagonalizable,
     NotPositive,
+    SolverError,
 )
 from adiametric.operator_core import (
+    PATH_CHUNK,
     biorthogonal_decompose,
+    continued_eigensystems,
+    eigenframe,
     hermitian_sqrt,
     hermiticity_defect,
     positivity_check,
@@ -21,7 +27,14 @@ from adiametric.operator_core import (
     spectrum_reality_check,
 )
 
-from helpers import I2, SY, SZ, random_quasi_hermitian, two_level_matrix
+from helpers import (
+    I2,
+    SY,
+    SZ,
+    random_hermitian,
+    random_quasi_hermitian,
+    two_level_matrix,
+)
 
 
 class TestHermiticityDefect:
@@ -168,16 +181,83 @@ class TestPropagator:
             lhs = propagator(h, a) @ propagator(h, b)
             np.testing.assert_allclose(lhs, propagator(h, a + b), atol=1e-10)
 
-    def test_spectral_and_pade_paths_agree(self):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        hermitian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.floats(-2.0, 2.0),
+    )
+    def test_spectral_and_pade_paths_agree(self, dim, hermitian, seed, dt):
         rng = np.random.default_rng(13)
         h, _ = random_quasi_hermitian(rng, 4, scale=2.0)
         u_spec = propagator(h, 1.3, method="spectral")
         u_pade = propagator(h, 1.3, method="pade")
         np.testing.assert_allclose(u_spec, u_pade, atol=1e-12)
 
+        rng = np.random.default_rng(seed)
+        if hermitian:
+            h = random_hermitian(rng, dim, 2.0)
+        else:
+            h, _ = random_quasi_hermitian(rng, dim, scale=2.0)
+        vals, vecs, vecs_inv = eigenframe(h)
+        rebuilt = (vecs * vals) @ vecs_inv
+        assert np.linalg.norm(rebuilt - h) <= 1e-10 * np.linalg.norm(h)
+        np.testing.assert_allclose(vecs_inv @ vecs, np.eye(dim), atol=1e-10)
+        if hermitian:  # the unitary eigh path
+            np.testing.assert_array_equal(vecs_inv, vecs.conj().T)
+        np.testing.assert_allclose(
+            propagator(h, dt, method="spectral"),
+            propagator(h, dt, method="pade"),
+            atol=1e-10,
+        )
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             propagator(SZ, 1.0, method="magic")
+
+
+class TestContinuedEigensystems:
+    def test_levels_follow_eigenvectors_across_chunks(self):
+        # diag(u, 1 - u) crosses at u = 0.5; the levels keep their axes
+        us = np.linspace(0.0, 1.0, 8)
+        path = np.array([np.diag([u, 1.0 - u]) for u in us], dtype=complex)
+        pieces = list(continued_eigensystems(path[i : i + 3] for i in range(0, 8, 3)))
+        vals = np.concatenate([v for v, _, _ in pieces])
+        np.testing.assert_allclose(vals, np.stack([us, 1.0 - us], axis=1), atol=1e-15)
+        for _, right, left_h in pieces:
+            np.testing.assert_allclose(left_h @ right, np.broadcast_to(I2, right.shape))
+            np.testing.assert_allclose(np.abs(right), np.broadcast_to(I2, right.shape))
+
+    def test_matches_per_point_overlap_loop(self):
+        # reference: one biorthogonal decomposition per point, overlap argmax
+        rng = np.random.default_rng(21)
+        h_a, s = random_quasi_hermitian(rng, 4, scale=2.0)
+        h_b = np.linalg.solve(s, random_hermitian(rng, 4, 1.5) @ s)
+        path = h_a + np.linspace(0.0, 1.0, 600)[:, None, None] * h_b
+        sys = biorthogonal_decompose(path[0])
+        expected, left = [sys.eigenvalues], sys.left
+        for h in path[1:]:
+            nxt = biorthogonal_decompose(h)
+            perm = np.argmax(np.abs(left.conj().T @ nxt.right), axis=1)
+            expected.append(nxt.eigenvalues[perm])
+            left = nxt.left[:, perm]
+        chunks = (path[i : i + PATH_CHUNK] for i in range(0, len(path), PATH_CHUNK))
+        vals = np.concatenate([v for v, _, _ in continued_eigensystems(chunks)])
+        np.testing.assert_allclose(vals, expected, atol=1e-12)
+
+    def test_starts_in_real_imag_order(self):
+        h = np.diag([2.0, -1.0 + 1j, -1.0 - 1j]).astype(complex)
+        vals, _, _ = next(continued_eigensystems([h[None]]))
+        np.testing.assert_array_equal(vals[0], [-1.0 - 1j, -1.0 + 1j, 2.0])
+
+    def test_coarse_path_rejected(self):
+        # two levels of diag(1, 2, 3) pair best with the same next eigenvector
+        right = np.array([[0.9, 0.1, 0.3], [0.8, 0.2, 0.3], [0.1, 0.5, 0.9]])
+        nxt = right @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(right)
+        path = np.array([np.diag([1.0, 2.0, 3.0]), nxt], dtype=complex)
+        with pytest.raises(SolverError, match="path too coarse"):
+            list(continued_eigensystems([path]))
 
 
 class TestSpectrumReality:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from adiametric.scattering import (
 )
 from adiametric.switching import ExponentialSwitch, extrapolate_to_zero
 
-from helpers import SX, SZ
+from helpers import SX, SZ, random_hermitian
 
 # shipped scattering fixture: Hermitian free part with gap 4, anti-Hermitian
 # interaction of strength 0.75; v^2 = 16 > w^2 = 2.25 all along the switch
@@ -249,6 +250,59 @@ class TestDynamicalPhases:
         # interaction here is traceless, so phases sum to ~0
         phases = dynamical_phase_integrals(H0, HI, 0.1)
         assert abs(phases.sum()) < 1e-8
+
+    def test_crossing_levels_keep_their_phases(self):
+        # decoupled blocks: level A = +-sqrt(4 - 3.61 u^2) (PT-symmetric) and
+        # level B = +-sqrt(0.25 + 2.25 u^2) (Hermitian) cross near u = 0.8;
+        # matching by eigenvalue alone swaps them there
+        h0 = scipy.linalg.block_diag(2.0 * SZ, 0.5 * SZ)
+        h_int = scipy.linalg.block_diag(1.9j * SX, 1.5 * SX)
+        eps = 0.1
+        a = lambda u: np.sqrt(4.0 - 3.61 * u**2)
+        b = lambda u: np.sqrt(0.25 + 2.25 * u**2)
+        # free levels in (real, imag) order: -2 (A), -0.5 (B), 0.5 (B), 2 (A)
+        branches = [lambda u: -a(u), lambda u: -b(u), b, a]
+        reference = [
+            (2.0 / eps)
+            * scipy.integrate.quad(lambda u: (e(u) - e(0.0)) / u, 0.0, 1.0)[0]
+            for e in branches
+        ]
+        np.testing.assert_allclose(
+            reference, [10.654, -14.294, 14.294, -10.654], atol=1e-3
+        )
+        np.testing.assert_allclose(
+            dynamical_phase_integrals(h0, h_int, eps), reference, rtol=1e-6
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rotate=st.booleans(),
+        shape=st.sampled_from(["exp", "smooth"]),
+    )
+    def test_decoupled_blocks_match_per_block_phases(self, seed, rotate, shape):
+        # a PT-symmetric block and a Hermitian block whose levels may cross:
+        # each level of the coupling keeps the phase of its own block
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1.5, 2.5)
+        pt = (a * SZ, 1j * a * rng.uniform(0.0, 0.95) * SX)
+        herm = (rng.uniform(0.2, 1.0) * SZ, random_hermitian(rng, 2, 3.0))
+        h0 = scipy.linalg.block_diag(pt[0], herm[0])
+        h_int = scipy.linalg.block_diag(pt[1], herm[1])
+        if rotate:
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            q, _ = np.linalg.qr(z)
+            h0, h_int = q @ h0 @ q.conj().T, q @ h_int @ q.conj().T
+        eps = 0.1
+        # per-block phases, ordered by free level like the coupled levels
+        free, phases = [], []
+        for block_h0, block_int in (pt, herm):
+            free.extend(np.sort(np.diag(block_h0).real))
+            phases.extend(dynamical_phase_integrals(block_h0, block_int, eps, shape))
+        expected = np.asarray(phases)[np.argsort(free)]
+        np.testing.assert_allclose(
+            dynamical_phase_integrals(h0, h_int, eps, shape), expected, atol=1e-8
+        )
 
 
 def _pt_coupling(dim, levels, ratios, seed):

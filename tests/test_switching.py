@@ -13,7 +13,6 @@ from adiametric.switching import (
     SmoothSwitch,
     adiabatic_sweep,
     extrapolate_to_zero,
-    hamiltonian_at,
     is_monotone_nonincreasing,
 )
 
@@ -26,7 +25,7 @@ HI = 0.75j * SX
 class TestSchedules:
     def test_constant(self):
         sched = Constant(H0)
-        np.testing.assert_array_equal(hamiltonian_at(sched, 3.7), H0)
+        np.testing.assert_array_equal(sched.at(3.7), H0)
         assert sched.breakpoints() == ()
 
     def test_exponential_switch_exact_at_zero(self):
@@ -53,6 +52,13 @@ class TestSchedules:
         np.testing.assert_array_equal(sched.at(0.0), H0 + HI)
         np.testing.assert_array_equal(sched.at(10.0), H0)
         np.testing.assert_array_equal(sched.at(-12.0), H0)
+
+    def test_switch_factor_builds_at(self):
+        for sched in (ExponentialSwitch(H0, HI, 0.3), SmoothSwitch(H0, HI, 5.0)):
+            assert sched.factor(0.0) == 1.0
+            for t in (-7.0, -2.5, 0.0, 1.25, 5.0):
+                np.testing.assert_array_equal(sched.at(t), H0 + sched.factor(t) * HI)
+        assert SmoothSwitch(H0, HI, 5.0).factor(-5.0) == 0.0
 
     def test_schedules_are_lipschitz(self):
         # |H(t) - H(t')| <= L |t - t'| sampled on a fine grid
