@@ -65,8 +65,6 @@ def solve_ode(
     atol=1e-12,
     t_eval=None,
     breakpoints=(),
-    max_step=np.inf,
-    first_step=None,
     post_step=None,
 ):
     """Integrate ``dy/dt = rhs(t, y)`` from t0 to t1 (either direction).
@@ -113,10 +111,7 @@ def solve_ode(
     # t0 itself, when requested in t_eval, is emitted by the stop loop below.
     out_times, out_states = [], []
     h_floor = 1e-14 * max(abs(t0), abs(t1), 1.0)
-    if first_step is None:
-        h = min(span / 100.0, max_step)
-    else:
-        h = min(abs(first_step), max_step)
+    h = span / 100.0
 
     t = float(t0)
     k = [None] * 7
@@ -126,7 +121,7 @@ def solve_ode(
 
     for stop in stops:
         while (stop - t) * direction > 1e-15 * max(abs(stop), 1.0):
-            h = min(h, max_step, abs(stop - t))
+            h = min(h, abs(stop - t))
             if h < h_floor:
                 raise StepSizeUnderflow(
                     f"step size {h:.3e} underflowed at t={t:.6g} (rtol={rtol:.1e})"

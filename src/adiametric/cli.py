@@ -6,14 +6,14 @@ Subcommands: ``evolve`` (metric trajectories to CSV/JSON), ``sweep``
 (exact star-product self-verification).  All state lives in the JSON
 configuration; outputs are deterministic and schema-versioned.  Exit
 codes: 0 success, 2 configuration error, 3 solver failure, 4 violated
-physics precondition (with a structured JSON error report where the
-command emits JSON).
+physics precondition (with a structured JSON error report when JSON
+output is selected).  ``--format`` picks CSV or JSON for ``evolve`` and
+``sweep``; the other commands always write JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -54,32 +54,37 @@ from .moyal import (
 )
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _emit(args, config, result, diagnostics, table=None) -> None:
+    """Write ``table`` as CSV when CSV is selected, else the JSON report.
 
-
-def _emit(args, columns=None, rows=None, payload=None):
-    stream, close = _open_out(args.out)
+    ``table`` is ``(columns, rows)``; commands without one always write JSON.
+    """
+    stream = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
     try:
-        if payload is not None:
-            dump_json(stream, payload)
+        if table is not None and args.format == "csv":
+            write_csv(stream, *table)
         else:
-            write_csv(stream, columns, rows)
+            dump_json(stream, {"config": config.raw if config else {},
+                               "result": result, "diagnostics": diagnostics})
     finally:
-        if close:
+        if stream is not sys.stdout:
             stream.close()
 
 
-def _report(config: ModelConfig, result: dict, diagnostics: dict) -> dict:
-    return {"config": config.raw, "result": result, "diagnostics": diagnostics}
+def _static_start(params, model):
+    """The static solution picked by the model's ``initial`` section."""
+    initial = model.get("initial", {})
+    return static_solution(
+        params,
+        theta0_s=float(initial.get("theta0", 1.0)),
+        alpha=float(initial.get("alpha", 0.0)),
+    )
 
 
 # ---------------------------------------------------------------- evolve
 
 
-def _evolve_two_level(config: ModelConfig, args):
+def _evolve_two_level(config: ModelConfig):
     model = config.model
     if "ramp" in model:
         ramp = model["ramp"]
@@ -93,19 +98,14 @@ def _evolve_two_level(config: ModelConfig, args):
         times, comps = res.times, res.components
         diag = {
             "deviation": res.deviation,
-            "selected_static": list(map(float, res.selected_static.four_vector())),
+            "selected_static": res.selected_static.four_vector().tolist(),
         }
     else:
         params = two_level_params(model)
-        initial = model.get("initial", {})
-        if "components" in initial:
-            comp0 = np.asarray(initial["components"], dtype=float)
+        if "components" in model.get("initial", {}):
+            comp0 = np.asarray(model["initial"]["components"], dtype=float)
         else:
-            comp0 = static_solution(
-                params,
-                theta0_s=float(initial.get("theta0", 1.0)),
-                alpha=float(initial.get("alpha", 0.0)),
-            ).four_vector()
+            comp0 = _static_start(params, model).four_vector()
         generator = component_generator(params)
         t0 = float(model.get("t0", 0.0))
         t1 = float(model.get("t1", 10.0))
@@ -116,22 +116,11 @@ def _evolve_two_level(config: ModelConfig, args):
         diag = {}
 
     columns = ["t", "theta0", "theta1", "theta2", "theta3"]
-    rows = [[t, *c] for t, c in zip(times, comps)]
-    if args.format == "json":
-        payload = _report(
-            config,
-            {
-                "columns": columns,
-                "rows": [[float(x) for x in row] for row in rows],
-            },
-            diag,
-        )
-        _emit(args, payload=payload)
-    else:
-        _emit(args, columns=columns, rows=rows)
+    rows = np.column_stack([times, comps])
+    return {"columns": columns, "rows": rows.tolist()}, diag, (columns, rows)
 
 
-def _evolve_matrix(config: ModelConfig, args):
+def _evolve_matrix(config: ModelConfig):
     model = config.model
     schedule = build_schedule(model.get("schedule") or {"type": "constant", "h": model.get("h")})
     dim = schedule.at(0.0).shape[0]
@@ -142,66 +131,36 @@ def _evolve_matrix(config: ModelConfig, args):
     t1 = float(model.get("t1", 10.0))
     traj = evolve_metric(schedule, theta0, t0, t1, config.solver)
 
-    columns = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            columns += [f"theta_re_{i}_{j}", f"theta_im_{i}_{j}"]
-    rows = []
-    for t, m in zip(traj.times, traj.metrics):
-        row = [t]
-        for i in range(dim):
-            for j in range(dim):
-                row += [m[i, j].real, m[i, j].imag]
-        rows.append(row)
-    if args.format == "json":
-        payload = _report(
-            config,
-            {"times": [float(t) for t in traj.times],
-             "metrics": [matrix_to_json(m) for m in traj.metrics]},
-            {"solver": traj.solver, **traj.stats},
-        )
-        _emit(args, payload=payload)
-    else:
-        _emit(args, columns=columns, rows=rows)
+    columns = ["t"] + [f"theta_{part}_{i}_{j}" for i in range(dim) for j in range(dim)
+                       for part in ("re", "im")]
+    entries = traj.metrics.reshape(len(traj.times), -1).view(float)
+    result = {"times": traj.times.tolist(), "metrics": matrix_to_json(traj.metrics)}
+    diag = {"solver": traj.solver, **traj.stats}
+    return result, diag, (columns, np.column_stack([traj.times, entries]))
 
 
-def _evolve_cubic(config: ModelConfig, args):
+def _evolve_cubic(config: ModelConfig):
     model = config.model
     g = float(model.get("g", 0.1))
     duration = float(model.get("duration", math.pi))
     # without a solver section the model keeps its own tighter default
     solver = config.solver if "solver" in config.raw else None
     traj = cubic_linear_switch_evolve(g, duration, config=solver)
-    columns = ["t"]
-    for name in ANSATZ_NAMES:
-        columns += [f"coeff_{name}_re", f"coeff_{name}_im"]
-    rows = []
-    for t, vals in zip(traj.times, traj.values):
-        row = [t]
-        for v in vals:
-            row += [float(np.real(v)), float(np.imag(v))]
-        rows.append(row)
-    if args.format == "json":
-        payload = _report(
-            config,
-            {"times": [float(t) for t in traj.times],
-             "coefficients": {n: [float(x) for x in traj.coefficient(n).real]
-                              for n in ANSATZ_NAMES}},
-            {"closed_form_at_duration": [float(x) for x in
-                                         linear_switch_closed_form(g, duration, duration)]},
-        )
-        _emit(args, payload=payload)
-    else:
-        _emit(args, columns=columns, rows=rows)
+    columns = ["t"] + [f"coeff_{name}_{part}" for name in ANSATZ_NAMES
+                       for part in ("re", "im")]
+    rows = np.column_stack([traj.times, traj.values.astype(complex).view(float)])
+    result = {"times": traj.times.tolist(),
+              "coefficients": {n: traj.coefficient(n).real.tolist() for n in ANSATZ_NAMES}}
+    diag = {"closed_form_at_duration":
+            linear_switch_closed_form(g, duration, duration).tolist()}
+    return result, diag, (columns, rows)
+
+
+_EVOLVE = {"two-level": _evolve_two_level, "matrix": _evolve_matrix, "cubic": _evolve_cubic}
 
 
 def cmd_evolve(config: ModelConfig, args) -> int:
-    if config.kind == "two-level":
-        _evolve_two_level(config, args)
-    elif config.kind == "matrix":
-        _evolve_matrix(config, args)
-    else:
-        _evolve_cubic(config, args)
+    _emit(args, config, *_EVOLVE[config.kind](config))
     return 0
 
 
@@ -240,26 +199,20 @@ def cmd_sweep(config: ModelConfig, args) -> int:
         param_name = "eps"
 
     table = adiabatic_sweep(ladder, experiment)
-    values = [v for _, v in table]
-    monotone_prefix = [True]
-    for prev, cur in zip(values, values[1:]):
-        monotone_prefix.append(monotone_prefix[-1] and cur <= prev)
+    params = np.array([p for p, _ in table], dtype=float)
+    values = np.array([v for _, v in table], dtype=float)
+    monotone_prefix = np.logical_and.accumulate(np.r_[True, values[1:] <= values[:-1]])
 
+    result = {"parameters": params.tolist(),
+              "values": values.tolist(),
+              "monotone_nonincreasing": is_monotone_nonincreasing(values)}
+    diagnostics = {}
+    if len(ladder) >= 2:
+        abscissa = 1.0 / params if param_name == "duration" else params
+        diagnostics["extrapolated"] = float(extrapolate_to_zero(abscissa, values))
     columns = [param_name, "value", "monotone_nonincreasing_prefix"]
-    rows = [[p, v, float(flag)] for (p, v), flag in zip(table, monotone_prefix)]
-    if args.format == "json":
-        payload = _report(
-            config,
-            {"parameters": [float(p) for p, _ in table],
-             "values": [float(v) for v in values],
-             "monotone_nonincreasing": is_monotone_nonincreasing(values)},
-            {"extrapolated": float(extrapolate_to_zero(
-                [1.0 / p for p, _ in table] if param_name == "duration" else ladder,
-                values))},
-        )
-        _emit(args, payload=payload)
-    else:
-        _emit(args, columns=columns, rows=rows)
+    rows = np.column_stack([params, values, monotone_prefix])
+    _emit(args, config, result, diagnostics, (columns, rows))
     return 0
 
 
@@ -304,7 +257,7 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
             )
             diagnostics["shape_disagreement"] = float(np.max(np.abs(s_ext - s_smooth)))
         diagnostics["smooth_defects"] = [float(r.unitarity_defect) for r in smooth]
-    _emit(args, payload=_report(config, result, diagnostics))
+    _emit(args, config, result, diagnostics)
     return 0
 
 
@@ -315,12 +268,7 @@ def cmd_static(config: ModelConfig, args) -> int:
     model = config.model
     if config.kind == "two-level":
         params = two_level_params(model)
-        initial = model.get("initial", {})
-        comp = static_solution(
-            params,
-            theta0_s=float(initial.get("theta0", 1.0)),
-            alpha=float(initial.get("alpha", 0.0)),
-        )
+        comp = _static_start(params, model)
         theta = comp.matrix()
         h = params.hamiltonian()
         if not spectrum_reality_check(h, 1e-9):
@@ -328,7 +276,7 @@ def cmd_static(config: ModelConfig, args) -> int:
                 "two-level spectrum is complex; no positive static metric exists"
             )
         result = {
-            "components": list(map(float, comp.four_vector())),
+            "components": comp.four_vector().tolist(),
             "theta": matrix_to_json(theta),
         }
     elif config.kind == "matrix":
@@ -340,7 +288,7 @@ def cmd_static(config: ModelConfig, args) -> int:
         weights = np.asarray(model.get("weights", [1.0] * system.dim), dtype=float)
         theta = static_metric(system, weights)
         result = {"theta": matrix_to_json(theta),
-                  "weights": [float(w) for w in weights]}
+                  "weights": weights.tolist()}
     else:
         raise ConfigError("static command supports 'two-level' and 'matrix' models")
 
@@ -350,7 +298,7 @@ def cmd_static(config: ModelConfig, args) -> int:
         "positive_definite": bool(positive),
         "smallest_eigenvalue": float(smallest),
     }
-    _emit(args, payload=_report(config, result, diagnostics))
+    _emit(args, config, result, diagnostics)
     return 0
 
 
@@ -410,16 +358,20 @@ def cmd_moyal_check(config: ModelConfig | None, args) -> int:
            "p^3 coefficient at t = duration = pi")
 
     passed = all(c["passed"] for c in checks)
-    payload = {
-        "config": config.raw if config else {},
-        "result": {"checks": checks, "all_passed": passed},
-        "diagnostics": {},
-    }
-    _emit(args, payload=payload)
+    _emit(args, config, {"checks": checks, "all_passed": passed}, {})
     return 0 if passed else 3
 
 
 # ------------------------------------------------------------------ main
+
+
+_COMMANDS = {
+    "evolve": cmd_evolve,
+    "sweep": cmd_sweep,
+    "smatrix": cmd_smatrix,
+    "static": cmd_static,
+    "moyal-check": cmd_moyal_check,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,29 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in [
-        ("evolve", True),
-        ("sweep", True),
-        ("smatrix", True),
-        ("static", True),
-        ("moyal-check", False),
-    ]:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="JSON configuration path")
+        p.add_argument("--config", required=name != "moyal-check",
+                       help="JSON configuration path")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None,
                        help="override the configured output format")
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
     return parser
-
-
-_DISPATCH = {
-    "evolve": cmd_evolve,
-    "sweep": cmd_sweep,
-    "smatrix": cmd_smatrix,
-    "static": cmd_static,
-    "moyal-check": cmd_moyal_check,
-}
 
 
 def main(argv=None) -> int:
@@ -460,7 +398,7 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else None
         if args.format is None:
             args.format = config.output_format if config else "json"
-        return _DISPATCH[args.command](config, args)
+        return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         if not args.quiet:
             print(f"configuration error: {exc}", file=sys.stderr)
@@ -473,14 +411,8 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"precondition violated: {exc}", file=sys.stderr)
         if args.format == "json":
-            payload = {
-                "config": config.raw if config else {},
-                "result": {},
-                "diagnostics": {
-                    "error": {"type": type(exc).__name__, "message": str(exc)}
-                },
-            }
-            _emit(args, payload=payload)
+            _emit(args, config, {},
+                  {"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 4
 
 

@@ -12,8 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .errors import ConfigError
 from .ioutil import json_to_matrix
@@ -183,12 +184,15 @@ class ModelConfig:
         return self.raw.get(name, {})
 
 
+# built once: ``jsonschema.validate`` would re-check the schema on every call
+_CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+
 def parse_config(document: Any) -> ModelConfig:
     """Validate a configuration document and wrap it."""
-    try:
-        jsonschema.validate(document, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid configuration: {exc.message}") from exc
+    error = best_match(_CONFIG_VALIDATOR.iter_errors(document))
+    if error is not None:
+        raise ConfigError(f"invalid configuration: {error.message}") from error
     solver = document.get("solver", {})
     cfg = SolverConfig(
         rtol=float(solver.get("rtol", 1e-9)),

@@ -16,8 +16,9 @@ CSV_HEADER = "# adiametric-csv v1"
 
 
 def matrix_to_json(m) -> list:
+    """Nested ``[re, im]`` pairs; a stack of matrices gives a list of them."""
     a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def json_to_matrix(data) -> np.ndarray:

@@ -31,6 +31,7 @@ from .errors import (
 from .operator_core import (
     GAP_TOL,
     PATH_CHUNK,
+    SPECTRUM_TOL,
     BiorthogonalSystem,
     _require_hermitian,
     _require_separated,
@@ -70,7 +71,6 @@ class SolverConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
     samples: int = 201
-    max_step: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ def flow_rhs(h, theta) -> np.ndarray:
     return 1j * (theta @ h - h.conj().T @ theta)
 
 
-def static_metric(system: BiorthogonalSystem, weights, spectrum_tol=1e-9) -> np.ndarray:
+def static_metric(system: BiorthogonalSystem, weights) -> np.ndarray:
     """Static metric ``sum_n w_n |left_n><left_n|`` for a real spectrum.
 
     Raises :class:`ComplexSpectrum` when the eigenvalues are not real
-    within ``spectrum_tol`` (no positive static solution exists then) and
+    within ``SPECTRUM_TOL`` (no positive static solution exists then) and
     :class:`NonpositiveWeight` unless every weight is positive.
     """
     w = np.asarray(weights, dtype=float)
@@ -120,7 +120,7 @@ def static_metric(system: BiorthogonalSystem, weights, spectrum_tol=1e-9) -> np.
         raise NonpositiveWeight(f"expected {system.dim} weights, got shape {w.shape}")
     if np.any(w <= 0.0):
         raise NonpositiveWeight("all static-metric weights must be positive")
-    if np.max(np.abs(system.eigenvalues.imag)) >= spectrum_tol:
+    if np.max(np.abs(system.eigenvalues.imag)) >= SPECTRUM_TOL:
         raise ComplexSpectrum(
             "spectrum has imaginary parts; no positive static metric exists"
         )
@@ -153,7 +153,6 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
         atol=cfg.atol,
         t_eval=t_eval,
         breakpoints=breaks,
-        max_step=cfg.max_step,
         post_step=_symmetrize,
     )
     return MetricTrajectory(
@@ -365,25 +364,22 @@ def hermitian_representation(trajectory: MetricTrajectory, schedule):
     """Hermitian counterpart ``Omega H_obs Omega^-1`` at every sample."""
     times = trajectory.times
     omegas, h_ops, defects = [], [], []
-    for t, theta in zip(times, trajectory.metrics):
+    residuals = np.full(len(times), np.nan)
+    for k, (t, theta) in enumerate(zip(times, trajectory.metrics)):
         h_t = schedule.at(t)
-        theta_dot = flow_rhs(h_t, theta)
-        h_obs = observable_hamiltonian(h_t, theta, theta_dot)
+        h_obs = observable_hamiltonian(h_t, theta, flow_rhs(h_t, theta))
         omega = hermitian_sqrt(theta)
         h_rep = omega @ h_obs @ np.linalg.inv(omega)
         omegas.append(omega)
         h_ops.append(h_rep)
         defects.append(hermiticity_defect(h_rep) / max(frobenius(h_rep), 1e-300))
-
-    residuals = np.full(len(times), np.nan)
-    for i in range(1, len(times) - 1):
-        dt = times[i + 1] - times[i - 1]
-        omega_dot = (omegas[i + 1] - omegas[i - 1]) / dt
-        h_t = schedule.at(times[i])
-        theta = trajectory.metrics[i]
-        h_obs = observable_hamiltonian(h_t, theta, flow_rhs(h_t, theta))
-        gen = h_obs - 1j * np.linalg.solve(omegas[i], omega_dot)
-        residuals[i] = frobenius(gen - h_t) / max(frobenius(h_t), 1.0)
+        if k >= 2:
+            # the previous sample's central difference needs this sample's Omega
+            i, (h_i, h_obs_i) = k - 1, previous
+            omega_dot = (omegas[i + 1] - omegas[i - 1]) / (times[i + 1] - times[i - 1])
+            gen = h_obs_i - 1j * np.linalg.solve(omegas[i], omega_dot)
+            residuals[i] = frobenius(gen - h_i) / max(frobenius(h_i), 1.0)
+        previous = h_t, h_obs
 
     return HermitianRepresentation(
         times=times,
@@ -409,6 +405,10 @@ def _accumulate_propagator(schedule, t_from, t_to, rtol, atol):
     return sol.states[-1]
 
 
+# largest gap allowed between the forward and pull-back amplitude forms
+_FORMS_TOL = 1e-10
+
+
 def transition_probability(
     phi,
     psi,
@@ -417,7 +417,6 @@ def transition_probability(
     t_to,
     theta_from,
     config: SolverConfig | None = None,
-    forms_tol=1e-10,
 ) -> float:
     """Probability of finding ``phi`` at ``t_to`` after preparing ``psi``.
 
@@ -426,7 +425,7 @@ def transition_probability(
     value is ``|<phi|Theta(t_to) U(t_to, t_from) psi>|^2``.  The
     algebraically equivalent pull-back form through Theta(t_from) is
     evaluated as well and a :class:`SolverError` is raised if the two
-    disagree beyond ``forms_tol``, which would signal integration failure
+    disagree beyond 1e-10, which would signal integration failure
     of the conservation law.
     """
     cfg = config or SolverConfig(rtol=1e-11, atol=1e-13, samples=2)
@@ -444,7 +443,7 @@ def transition_probability(
     amp_forward = phi_n.conj() @ theta_to @ (u @ psi_n)
     # pull-back form: <phi| U(t_from,t_to)^dagger Theta(t_from) |psi>
     amp_pullback = np.linalg.solve(u, phi_n).conj() @ (theta_from @ psi_n)
-    if abs(amp_forward - amp_pullback) > forms_tol:
+    if abs(amp_forward - amp_pullback) > _FORMS_TOL:
         raise SolverError(
             "transition amplitude forms disagree by "
             f"{abs(amp_forward - amp_pullback):.3e}"

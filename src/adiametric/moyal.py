@@ -113,9 +113,6 @@ class PhasePolynomial:
         re, im = self._terms.get((i, j), (_ZERO, _ZERO))
         return complex(float(re), float(im))
 
-    def coefficient_exact(self, i, j):
-        return self._terms.get((i, j), (_ZERO, _ZERO))
-
     def terms(self):
         """Iterate ``((i, j), complex_coefficient)`` pairs, sorted."""
         for key in sorted(self._terms):
@@ -221,12 +218,6 @@ class PhasePolynomial:
             total = total + pow_p[i].pointwise_mul(pow_q[j]).scale(v)
         return total
 
-    def __call__(self, p, q):
-        """Numeric evaluation at scalar (p, q)."""
-        return sum(
-            self.coefficient(i, j) * p**i * q**j for (i, j) in self._terms
-        )
-
 
 ONE = PhasePolynomial.monomial(0, 0)
 P = PhasePolynomial.monomial(1, 0)
@@ -246,29 +237,28 @@ def moyal_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     stay exact.
     """
     kmax = min(f.degree, g.degree)
-    # i^k cycles (1, i, -1, -i); attach (1/2)^k and the factorial split.
-    result_terms = {}
     fd = {(0, 0): f}
     gd = {(0, 0): g}
 
-    def deriv(cache, base, dp, dq):
+    def deriv(cache, dp, dq):
         key = (dp, dq)
         if key not in cache:
             if dp > 0:
-                cache[key] = deriv(cache, base, dp - 1, dq).diff_p()
+                cache[key] = deriv(cache, dp - 1, dq).diff_p()
             else:
-                cache[key] = deriv(cache, base, 0, dq - 1).diff_q()
+                cache[key] = deriv(cache, 0, dq - 1).diff_q()
         return cache[key]
 
     total = PhasePolynomial()
+    # i^k cycles (1, i, -1, -i); attach (1/2)^k and the factorial split.
     for k in range(kmax + 1):
         ik = (1, 0) if k % 4 == 0 else (0, 1) if k % 4 == 1 else (-1, 0) if k % 4 == 2 else (0, -1)
         half = Fraction(1, 2**k)
         for m in range(k + 1):
             scalar = Fraction((-1) ** m, math.factorial(m) * math.factorial(k - m))
             coeff = (ik[0] * half * scalar, ik[1] * half * scalar)
-            left = deriv(fd, f, m, k - m)
-            right = deriv(gd, g, k - m, m)
+            left = deriv(fd, m, k - m)
+            right = deriv(gd, k - m, m)
             if left.is_zero or right.is_zero:
                 continue
             total = total + left.pointwise_mul(right).scale(coeff)

@@ -47,6 +47,9 @@ HERMITICITY_TOL = 1e-10
 #: Relative eigenvalue-gap floor below which a spectrum counts as degenerate.
 GAP_TOL = 1e-8
 
+#: Largest imaginary eigenvalue part a spectrum may have and still count as real.
+SPECTRUM_TOL = 1e-9
+
 #: Path points per stacked chunk given to :func:`continued_eigensystems`.
 PATH_CHUNK = 256
 
@@ -294,7 +297,7 @@ def propagator(h, dt, method="auto") -> np.ndarray:
     return scipy.linalg.expm(-1j * dt * a)
 
 
-def spectrum_reality_check(h, tol=1e-9) -> bool:
+def spectrum_reality_check(h, tol=SPECTRUM_TOL) -> bool:
     """True when every eigenvalue has imaginary part below ``tol``."""
     a = as_operator(h)
     return bool(np.max(np.abs(np.linalg.eigvals(a).imag)) < tol)

@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+# coupling-path samples of the dynamical-phase quadrature
+_PHASE_POINTS = 4001
+
+
 @dataclass(frozen=True)
 class ScatteringConfig:
     """Horizon and accuracy knobs shared by all scattering operations.
@@ -169,7 +173,6 @@ def adiabatic_metric(
     eps,
     config: ScatteringConfig | None = None,
     shape="exp",
-    spectrum_tol=1e-9,
 ) -> np.ndarray:
     """Metric at t=0 grown from the free metric along the switching.
 
@@ -189,7 +192,7 @@ def adiabatic_metric(
     cfg = config or ScatteringConfig()
     h0 = as_operator(h0)
     h_int = as_operator(h_int)
-    if not spectrum_reality_check(h0 + h_int, spectrum_tol):
+    if not spectrum_reality_check(h0 + h_int):
         raise ComplexSpectrum(
             "full generator has complex spectrum; adiabatic metric undefined"
         )
@@ -205,9 +208,7 @@ def adiabatic_metric(
     return traj.final
 
 
-def dynamical_phase_integrals(
-    h0, h_int, eps, shape="exp", horizon_factor=12.0, npoints=4001
-) -> np.ndarray:
+def dynamical_phase_integrals(h0, h_int, eps, shape="exp", horizon_factor=12.0) -> np.ndarray:
     """Per-level accumulated energy shift ``int (E_n(t) - E_n_free) dt``.
 
     This integral grows like 1/eps under slow switching, which is why raw
@@ -219,11 +220,11 @@ def dynamical_phase_integrals(
     order of the free spectrum, and only the real parts of their
     eigenvalues contribute (real-spectrum paths).
     """
-    us = np.linspace(0.0, 1.0, npoints)
+    us = np.linspace(0.0, 1.0, _PHASE_POINTS)
     h0, h_int = as_operator(h0), as_operator(h_int)
     path = (
         h0 + us[i : i + PATH_CHUNK, None, None] * h_int
-        for i in range(0, npoints, PATH_CHUNK)
+        for i in range(0, _PHASE_POINTS, PATH_CHUNK)
     )
     levels = np.concatenate([vals.real for vals, _, _ in continued_eigensystems(path)])
     g = levels - levels[0]
@@ -236,7 +237,7 @@ def dynamical_phase_integrals(
     if shape == "smooth":
         # f(t) = cos^2(pi t / (2 width)); substitute s = pi t / (2 width)
         width = horizon_factor / eps
-        s_grid = np.linspace(0.0, 0.5 * math.pi, npoints)
+        s_grid = np.linspace(0.0, 0.5 * math.pi, _PHASE_POINTS)
         u_vals = np.cos(s_grid) ** 2
         g_interp = np.stack(
             [np.interp(u_vals, us, g[:, n]) for n in range(g.shape[1])], axis=1

@@ -169,6 +169,6 @@ def extrapolate_to_zero(parameters, values):
     return result if result.ndim else result.item()
 
 
-def is_monotone_nonincreasing(values, slack=0.0) -> bool:
+def is_monotone_nonincreasing(values) -> bool:
     v = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(v) <= slack))
+    return bool(np.all(np.diff(v) <= 0.0))

@@ -5,10 +5,13 @@ import math
 
 import jsonschema
 import numpy as np
+import pytest
+from jsonschema import Draft202012Validator
 
 from adiametric import cli
 from adiametric.cli import main
 from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
+from adiametric.errors import ConfigError
 from adiametric.ioutil import CSV_HEADER
 from adiametric.metric_flow import SolverConfig
 from adiametric.two_level import hermitian_precession
@@ -240,6 +243,17 @@ class TestSweep:
         assert code == 0
         assert len(text.strip().splitlines()) == 3
 
+    def test_single_point_ladder_json_has_no_extrapolation(self, tmp_path):
+        cfg = {
+            "model": {"kind": "two-level"},
+            "sweep": {"kind": "two-level-deviation", "durations": [2.0]},
+        }
+        code, text = run_cli(tmp_path, "sweep", cfg, fmt="json")
+        assert code == 0
+        report = json.loads(text)
+        assert report["result"]["parameters"] == [2.0]
+        assert "extrapolated" not in report["diagnostics"]
+
     def test_smatrix_defect_ladder(self, tmp_path):
         cfg = {
             "model": {"kind": "matrix"},
@@ -336,9 +350,90 @@ class TestExitCodes:
         assert code == 4
 
 
+def csv_table(text):
+    """Column names and data rows of a CSV output."""
+    lines = text.strip().splitlines()
+    return lines[1].split(","), csv_rows(text)
+
+
+class TestFormatsAgree:
+    """CSV and JSON outputs of one run carry the same numbers."""
+
+    def both(self, tmp_path, command, config):
+        code, csv_text = run_cli(tmp_path, command, config, fmt="csv")
+        assert code == 0
+        code, json_text = run_cli(tmp_path, command, config, fmt="json")
+        assert code == 0
+        report = json.loads(json_text)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        return csv_table(csv_text), report["result"]
+
+    @pytest.mark.parametrize("model", [
+        {**TWO_LEVEL_STATIC["model"], "initial": {"alpha": 0.1}, "t1": 2.0},
+        {"kind": "two-level", "ramp": {"duration": 3.0}},
+    ], ids=["constant", "ramp"])
+    def test_two_level(self, tmp_path, model):
+        cfg = {"model": model, "solver": {"samples": 21}}
+        (columns, rows), result = self.both(tmp_path, "evolve", cfg)
+        assert result["columns"] == columns
+        np.testing.assert_array_equal(rows, result["rows"])
+
+    def test_matrix(self, tmp_path):
+        cfg = {"model": {"kind": "matrix",
+                         "schedule": {"type": "smooth-switch",
+                                      "h0": SMATRIX["scattering"]["h0"],
+                                      "h_int": SMATRIX["scattering"]["h_int"],
+                                      "width": 2.0},
+                         "t0": -1.0, "t1": 1.0},
+               "solver": {"samples": 9}}
+        (columns, rows), result = self.both(tmp_path, "evolve", cfg)
+        np.testing.assert_array_equal(rows[:, 0], result["times"])
+        metrics = np.array(result["metrics"])
+        for i in range(2):
+            for j in range(2):
+                for k, part in enumerate(("re", "im")):
+                    col = columns.index(f"theta_{part}_{i}_{j}")
+                    np.testing.assert_array_equal(rows[:, col], metrics[:, i, j, k])
+
+    def test_cubic(self, tmp_path):
+        (columns, rows), result = self.both(tmp_path, "evolve", CUBIC)
+        np.testing.assert_array_equal(rows[:, 0], result["times"])
+        for name, values in result["coefficients"].items():
+            np.testing.assert_array_equal(rows[:, columns.index(f"coeff_{name}_re")], values)
+            assert not rows[:, columns.index(f"coeff_{name}_im")].any()
+
+    def test_sweep(self, tmp_path):
+        cfg = {"model": {"kind": "two-level"},
+               "sweep": {"kind": "two-level-deviation", "durations": [1.0, 3.0]}}
+        (columns, rows), result = self.both(tmp_path, "sweep", cfg)
+        assert columns == ["duration", "value", "monotone_nonincreasing_prefix"]
+        np.testing.assert_array_equal(rows[:, 0], result["parameters"])
+        np.testing.assert_array_equal(rows[:, 1], result["values"])
+        assert rows[-1, 2] == float(result["monotone_nonincreasing"])
+
+
 class TestConfigRoundTrip:
     def test_lossless_json_roundtrip(self):
         doc = json.loads(json.dumps(SMATRIX))
         cfg = parse_config(doc)
         assert cfg.raw == SMATRIX
         jsonschema.validate(cfg.raw, CONFIG_SCHEMA)
+
+    def test_schemas_are_valid(self):
+        for schema in (CONFIG_SCHEMA, REPORT_SCHEMA):
+            Draft202012Validator.check_schema(schema)
+
+    @pytest.mark.parametrize("document", [
+        [],
+        {},
+        {"model": {"kind": "nonsense"}},
+        {"model": {"kind": "two-level", "v": [1.0, 2.0]}},
+        {"model": {"kind": "matrix"}, "solver": {"rtol": -1.0, "samples": 1}},
+        {"model": {"kind": "matrix"}, "output": {"format": "xml"}},
+    ])
+    def test_invalid_config_message_matches_jsonschema(self, document):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(document, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            parse_config(document)
+        assert str(got.value) == f"invalid configuration: {expected.value.message}"

@@ -413,6 +413,28 @@ class TestHermitianRepresentation:
         assert slow < fast
         assert slow < 0.1
 
+    def test_residuals_match_per_sample_recomputation(self):
+        from adiametric.two_level import CrossedRampSchedule, static_solution
+
+        sched = CrossedRampSchedule(duration=3.0)
+        theta0 = static_solution(sched.params_at(0.0)).matrix()
+        traj = evolve_metric(sched, theta0, 0.0, 3.0, SolverConfig(samples=13))
+        rep = hermitian_representation(traj, sched)
+        # reference: every sample rebuilt from the schedule, as two passes would
+        omegas = [hermitian_sqrt(theta) for theta in traj.metrics]
+        for i in range(1, len(traj.times) - 1):
+            h_t = sched.at(traj.times[i])
+            theta = traj.metrics[i]
+            h_obs = observable_hamiltonian(h_t, theta, flow_rhs(h_t, theta))
+            omega_dot = (omegas[i + 1] - omegas[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
+            gen = h_obs - 1j * np.linalg.solve(omegas[i], omega_dot)
+            want = np.linalg.norm(gen - h_t) / max(np.linalg.norm(h_t), 1.0)
+            assert rep.generator_residuals[i] == want
+            np.testing.assert_array_equal(
+                rep.h_ops[i], omegas[i] @ h_obs @ np.linalg.inv(omegas[i])
+            )
+        assert np.isnan(rep.generator_residuals[[0, -1]]).all()
+
 
 class TestTransitionProbability:
     def test_unitary_image_certainty(self):
