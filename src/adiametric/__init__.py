@@ -51,10 +51,8 @@ from .scattering import (
     ScatteringConfig,
     ScatteringResult,
     adiabatic_metric,
-    in_state,
     moller_minus,
     moller_plus,
-    out_state,
     s_matrix,
 )
 from .two_level import (

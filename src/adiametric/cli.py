@@ -249,6 +249,8 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
             ladder, [r.phase_renormalized() for r in results]
         )
         diagnostics["extrapolated_s_phase_renormalized"] = matrix_to_json(s_ext)
+    # per eps: the CF4 counts of each dressing, by switch shape
+    solver = [{"eps": float(eps), "exp": r.solver_stats} for eps, r in zip(ladder, results)]
     if spec.get("compare_shapes"):
         smooth = [s_matrix(h0, h_int, eps, theta0, sc_cfg, shape="smooth") for eps in ladder]
         if len(ladder) >= 2:
@@ -257,6 +259,9 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
             )
             diagnostics["shape_disagreement"] = float(np.max(np.abs(s_ext - s_smooth)))
         diagnostics["smooth_defects"] = [float(r.unitarity_defect) for r in smooth]
+        for entry, r in zip(solver, smooth):
+            entry["smooth"] = r.solver_stats
+    diagnostics["solver"] = solver
     _emit(args, config, result, diagnostics)
     return 0
 
@@ -282,8 +287,9 @@ def cmd_static(config: ModelConfig, args) -> int:
     elif config.kind == "matrix":
         h = matrix_from(model, "h", required=False)
         if h is None:
-            schedule = build_schedule(model["schedule"])
-            h = schedule.at(0.0)
+            if "schedule" not in model:
+                raise ConfigError("static on a 'matrix' model needs 'h' or 'schedule'")
+            h = build_schedule(model["schedule"]).at(0.0)
         system = biorthogonal_decompose(h)
         weights = np.asarray(model.get("weights", [1.0] * system.dim), dtype=float)
         theta = static_metric(system, weights)

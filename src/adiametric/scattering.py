@@ -12,8 +12,9 @@ evaluated on the eigenbasis of the free generator.  At finite switching
 rate the dressed S-matrix is only approximately Theta-unitary; the defect
 decreases with the rate and is extrapolated to zero by the sweep helpers.
 
-Moller operators are accumulated in the interaction picture, where the
-integrand carries the damping factor explicitly and the integration
+Moller operators come from the lab-frame propagator of the switched
+generator, integrated to a finite horizon by the commutator-free Magnus
+method (:func:`magnus_cf4`), which carries the free motion exactly; the
 horizon maps to a quantified truncation error.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import solve_ode
+from ._integrate import magnus_cf4
 from .errors import ComplexSpectrum, NoConvergence
 from .metric_flow import SolverConfig, _symmetrize, evolve_metric
 from .operator_core import (
@@ -45,8 +46,6 @@ __all__ = [
     "moller_plus",
     "out_dressing",
     "adiabatic_metric",
-    "in_state",
-    "out_state",
     "s_matrix",
     "dynamical_phase_integrals",
 ]
@@ -63,6 +62,14 @@ class ScatteringConfig:
     The integration horizon is ``horizon_factor / eps``, where the damping
     factor has decayed to ``exp(-horizon_factor)``; convergence of the
     Moller limits is verified by doubling the horizon and comparing.
+
+    ``rtol``/``atol`` set the accuracy of both integrators.  The dressings
+    use :func:`magnus_cf4`, which accepts a propagator ``U`` of dimension d
+    on one segment when its Richardson error estimate is at most
+    ``d * atol + rtol * ||U||_F`` (the ``solve_ode`` step test applied once
+    to the whole segment with a uniform scale), and returns the
+    extrapolant.  :func:`adiabatic_metric` integrates the metric flow with
+    ``solve_ode`` at the same ``rtol``/``atol`` per step.
     """
 
     rtol: float = 1e-10
@@ -80,70 +87,60 @@ def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
     raise ValueError(f"unknown switch shape {shape!r}")
 
 
-def _dressing(h0, h_int, eps, config, form, direction, shape):
-    """Accumulate an interaction-picture dressing operator.
+def _dressing(h0, h_int, eps, config, form, direction, shape, frame):
+    """A dressing operator from the lab-frame propagator ``U(t, 0)``.
 
-    ``form="K"`` integrates ``K(t) = U(0,t) U_0(t,0)`` (rhs ``i f K H_I(t)``),
-    ``form="G"`` integrates ``G(t) = U_0(0,t) U(t,0)`` (rhs ``-i f H_I(t) G``);
-    ``direction`` picks the far-past (-1) or far-future (+1) horizon.
+    ``form="K"`` gives ``K(t) = U(0,t) U_0(t,0) = U(t,0)^-1 W(t)``,
+    ``form="G"`` gives ``G(t) = U_0(0,t) U(t,0) = W(t)^-1 U(t,0)``, with the
+    free propagator ``W(t) = V diag(exp(-i E t)) V^-1`` from the H_0
+    eigenframe ``frame = (E, V, V^-1)``; ``direction`` picks the far-past
+    (-1) or far-future (+1) horizon T.  ``U(T, 0)`` comes from
+    :func:`magnus_cf4` on ``H_0 + f(t) H_int`` with the switch factor of
+    ``shape``, at the configured ``rtol``/``atol``.  With the exp-shape
+    convergence check on, ``U(2T, T)`` is integrated too and multiplied on.
 
-    The state is integrated in the eigenframe of ``H_0 = V diag(E) V^-1``,
-    where ``H_I(t)`` is ``V^-1 H_int V`` times the elementwise phases
-    ``exp(i (E_m - E_n) t)`` and the switch factor ``f(t)`` of the
-    schedule for ``shape``, and mapped back once per output sample.
-    Returns ``(limit, at_horizon)``: the dressing at twice the horizon when
-    the exp-shape convergence check is on (one pass sampled at both times),
-    else at the horizon, and the dressing at the single horizon.
+    Returns ``(limit, u_horizon, stats)``: the dressing at 2T when checked,
+    else at T; ``U(T, 0)``; and the per-segment integrator counts summed
+    (``error_estimate`` is the sum of the segments' estimates).
     """
     if eps <= 0.0:
         raise ValueError("switching rate eps must be positive")
     cfg = config or ScatteringConfig()
     factor = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor).factor
-    vals, vecs, vecs_inv = eigenframe(h0)
-    h_tilde = vecs_inv @ as_operator(h_int) @ vecs
-    gap = 1j * (vals[:, None] - vals[None, :])
+    a0, a1 = -1j * as_operator(h0), -1j * as_operator(h_int)
+    vals, vecs, vecs_inv = frame
     horizon = direction * cfg.horizon_factor / eps
+
+    def dressed(u, t):
+        if form == "K":
+            return np.linalg.solve(u, (vecs * np.exp(-1j * vals * t)) @ vecs_inv)
+        return (vecs * np.exp(1j * vals * t)) @ vecs_inv @ u
+
+    tols = {"rtol": cfg.rtol, "atol": cfg.atol}
+    u_horizon, stats = magnus_cf4(a0, a1, factor, 0.0, horizon, **tols)
+    at_horizon = dressed(u_horizon, horizon)
     # The smooth switch is exactly free beyond its support: nothing to check.
-    doubled = cfg.check_convergence and shape == "exp"
-    t_eval = [horizon, 2.0 * horizon] if doubled else [horizon]
-
-    if form == "K":
-
-        def rhs(t, k):
-            return 1j * factor(t) * (k @ (h_tilde * np.exp(gap * t)))
-
-    else:
-
-        def rhs(t, g):
-            return -1j * factor(t) * ((h_tilde * np.exp(gap * t)) @ g)
-
-    sol = solve_ode(
-        rhs,
-        0.0,
-        t_eval[-1],
-        np.eye(len(vals), dtype=complex),
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        t_eval=t_eval,
-    )
-    at_horizon, limit = (vecs @ y @ vecs_inv for y in (sol.states[0], sol.states[-1]))
-    if doubled:
-        drift = frobenius(limit - at_horizon)
-        if drift > cfg.convergence_tol:
-            raise NoConvergence(
-                f"Moller limit moved by {drift:.3e} when doubling the horizon"
-            )
-    return limit, at_horizon
+    if not (cfg.check_convergence and shape == "exp"):
+        return at_horizon, u_horizon, stats
+    u_tail, tail_stats = magnus_cf4(a0, a1, factor, horizon, 2.0 * horizon, **tols)
+    stats = {key: stats[key] + tail_stats[key] for key in stats}
+    limit = dressed(u_tail @ u_horizon, 2.0 * horizon)
+    drift = frobenius(limit - at_horizon)
+    if drift > cfg.convergence_tol:
+        raise NoConvergence(
+            f"Moller limit moved by {drift:.3e} when doubling the horizon"
+        )
+    return limit, u_horizon, stats
 
 
 def moller_minus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
     """In-map ``lim_{t -> -inf} U(0, t) U_0(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, "K", -1, shape)[0]
+    return _dressing(h0, h_int, eps, config, "K", -1, shape, eigenframe(h0))[0]
 
 
 def moller_plus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
     """Out-map ``lim_{t -> +inf} U_0(0, t) U(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, "G", +1, shape)[0]
+    return _dressing(h0, h_int, eps, config, "G", +1, shape, eigenframe(h0))[0]
 
 
 def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
@@ -153,17 +150,7 @@ def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="
     pair it against the adiabatic metric, which is what makes the free
     probability-conservation identity carry over to the dressed S-matrix.
     """
-    return _dressing(h0, h_int, eps, config, "K", +1, shape)[0]
-
-
-def in_state(psi, h0, h_int, eps, config=None, shape="exp") -> np.ndarray:
-    """Free state dressed into the interacting in-state."""
-    return moller_minus(h0, h_int, eps, config, shape) @ np.asarray(psi, dtype=complex)
-
-
-def out_state(psi, h0, h_int, eps, config=None, shape="exp") -> np.ndarray:
-    """Free state dressed into the interacting out-state."""
-    return moller_plus(h0, h_int, eps, config, shape) @ np.asarray(psi, dtype=complex)
+    return _dressing(h0, h_int, eps, config, "K", +1, shape, eigenframe(h0))[0]
 
 
 def adiabatic_metric(
@@ -248,7 +235,11 @@ def dynamical_phase_integrals(h0, h_int, eps, shape="exp", horizon_factor=12.0) 
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Dressed S-matrix and the operators it was assembled from."""
+    """Dressed S-matrix and the operators it was assembled from.
+
+    ``solver_stats`` holds the :func:`magnus_cf4` counts of each dressing,
+    ``{"in_dressing": ..., "out_dressing": ...}``; they are deterministic.
+    """
 
     s_matrix: np.ndarray
     theta_adiabatic: np.ndarray
@@ -256,6 +247,7 @@ class ScatteringResult:
     eps: float
     unitarity_defect: float
     phases: np.ndarray
+    solver_stats: dict
 
     def phase_renormalized(self) -> np.ndarray:
         """S-matrix with half the dynamical counterphase on each side.
@@ -304,13 +296,15 @@ def s_matrix(
     reported unitarity defect ``||S^dag S - I||`` extrapolates to zero.
 
     The metric flow conserves ``U^-dag Theta U^-1``, so Theta(0) is the
-    Moller identity ``K^-dag W^dag Theta_0 W K^-1``, with K the in-dressing
-    at the single horizon ``-T`` where the integrated flow would start and
-    ``W = U_0(-T, 0)``.  When ``theta0`` is static for ``h0`` (as the
-    identity is for Hermitian ``h0``) ``W^dag Theta_0 W = Theta_0``.  That
-    leaves one solve per dressing; :func:`adiabatic_metric` integrates the
-    flow and is the oracle for the identity.  Raises
-    :class:`ComplexSpectrum` when ``h0 + h_int`` has no real spectrum.
+    Moller identity ``K^-dag W^dag Theta_0 W K^-1 = U^dag Theta_0 U``, with
+    K the in-dressing at the single horizon ``-T`` where the integrated
+    flow would start, ``W = U_0(-T, 0)`` and ``U = U(-T, 0)`` the
+    propagator the in-dressing is built from.  That leaves one propagator
+    integration per dressing and no ``solve_ode`` call;
+    :func:`adiabatic_metric` integrates the flow and is the oracle for the
+    identity.  The H_0 eigenframe is resolved once and shared by both
+    dressings.  Raises :class:`ComplexSpectrum` when ``h0 + h_int`` has
+    no real spectrum.
     """
     cfg = config or ScatteringConfig()
     h0 = as_operator(h0)
@@ -323,15 +317,13 @@ def s_matrix(
         np.eye(h0.shape[0], dtype=complex) if theta0 is None else theta0
     )
 
-    vals, vecs, vecs_inv = eigenframe(h0)
+    frame = eigenframe(h0)
+    vecs = frame[1]
     basis = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
 
-    om_in, k_horizon = _dressing(h0, h_int, eps, cfg, "K", -1, shape)
-    om_out = out_dressing(h0, h_int, eps, cfg, shape)
-    # U(0, -T)^-1 = W K^-1 with W = U_0(-T, 0) = V diag(exp(i E T)) V^-1
-    phase = np.exp(1j * vals * (cfg.horizon_factor / eps))
-    pull = vecs @ (phase[:, None] * vecs_inv) @ np.linalg.inv(k_horizon)
-    theta = _symmetrize(pull.conj().T @ theta0 @ pull)
+    om_in, u_past, in_stats = _dressing(h0, h_int, eps, cfg, "K", -1, shape, frame)
+    om_out, _, out_stats = _dressing(h0, h_int, eps, cfg, "K", +1, shape, frame)
+    theta = _symmetrize(u_past.conj().T @ theta0 @ u_past)
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
     defect = frobenius(s.conj().T @ s - np.eye(s.shape[0]))
@@ -343,4 +335,5 @@ def s_matrix(
         eps=eps,
         unitarity_defect=defect,
         phases=phases,
+        solver_stats={"in_dressing": in_stats, "out_dressing": out_stats},
     )

@@ -6,7 +6,8 @@ constant generators, exponentially damped interaction switching
 ``H_0 + exp(-eps |t|) H_I``, straight-line ramps between two generators,
 and a smooth compactly supported switch used to demonstrate that adiabatic
 limits do not depend on the switching profile.  The two switches also
-expose their scalar factor: ``at(t) = H_0 + factor(t) H_I``.
+expose their scalar factor: ``at(t) = H_0 + factor(t) H_I``; ``factor``
+also takes an array of times.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class ExponentialSwitch:
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "h_int", _freeze(self.h_int))
 
-    def factor(self, t) -> float:
-        return math.exp(-self.eps * abs(t))
+    def factor(self, t):
+        """``exp(-eps |t|)``, elementwise for an array of times."""
+        return np.exp(-self.eps * np.abs(t))
 
     def at(self, t) -> np.ndarray:
         return self.h0 + self.factor(t) * self.h_int
@@ -118,10 +120,11 @@ class SmoothSwitch:
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "h_int", _freeze(self.h_int))
 
-    def factor(self, t) -> float:
-        if abs(t) >= self.width:
-            return 0.0
-        return math.cos(math.pi * t / (2.0 * self.width)) ** 2
+    def factor(self, t):
+        """``cos^2(pi t / (2 width))`` inside the support, exactly 0 outside;
+        elementwise for an array of times."""
+        inside = np.abs(t) < self.width
+        return inside * np.cos(math.pi * t / (2.0 * self.width)) ** 2
 
     def at(self, t) -> np.ndarray:
         if abs(t) >= self.width:

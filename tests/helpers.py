@@ -41,3 +41,42 @@ def two_level_matrix(v, w):
     from adiametric.two_level import TwoLevelParams, pauli_compose
 
     return pauli_compose(TwoLevelParams(v=np.asarray(v, float), w=np.asarray(w, float)))
+
+
+def dp5_dressing(h0, h_int, eps, config, form, direction, shape):
+    """Interaction-picture DP5 dressing at the horizon: the oracle for CF4.
+
+    ``form="K"`` integrates ``K(t) = U(0,t) U_0(t,0)`` (rhs ``i f K H_I(t)``),
+    ``form="G"`` integrates ``G(t) = U_0(0,t) U(t,0)`` (rhs ``-i f H_I(t) G``)
+    with ``solve_ode`` from 0 to ``direction * horizon_factor / eps``.  The
+    state lives in the eigenframe of ``H_0 = V diag(E) V^-1``, where
+    ``H_I(t)`` is ``V^-1 H_int V`` times the phases ``exp(i (E_m - E_n) t)``
+    and the switch factor of ``shape``, and is mapped back at the end.
+    """
+    from adiametric._integrate import solve_ode
+    from adiametric.operator_core import eigenframe
+    from adiametric.scattering import _switch_schedule
+
+    factor = _switch_schedule(h0, h_int, eps, shape, config.horizon_factor).factor
+    vals, vecs, vecs_inv = eigenframe(h0)
+    h_tilde = vecs_inv @ np.asarray(h_int, dtype=complex) @ vecs
+    gap = 1j * (vals[:, None] - vals[None, :])
+    if form == "K":
+
+        def rhs(t, k):
+            return 1j * factor(t) * (k @ (h_tilde * np.exp(gap * t)))
+
+    else:
+
+        def rhs(t, g):
+            return -1j * factor(t) * ((h_tilde * np.exp(gap * t)) @ g)
+
+    sol = solve_ode(
+        rhs,
+        0.0,
+        direction * config.horizon_factor / eps,
+        np.eye(len(vals), dtype=complex),
+        rtol=config.rtol,
+        atol=config.atol,
+    )
+    return vecs @ sol.states[-1] @ vecs_inv

@@ -281,6 +281,23 @@ class TestSmatrix:
         assert defects[1] < defects[0]
         assert "extrapolated_defect" in report["diagnostics"]
 
+    def test_solver_diagnostics_per_eps(self, tmp_path):
+        cfg = json.loads(json.dumps(SMATRIX))
+        cfg["scattering"]["compare_shapes"] = True
+        code, text = run_cli(tmp_path, "smatrix", cfg)
+        assert code == 0
+        solver = json.loads(text)["diagnostics"]["solver"]
+        assert [entry["eps"] for entry in solver] == [0.4, 0.2]
+        for entry in solver:
+            for shape in ("exp", "smooth"):
+                for side in ("in_dressing", "out_dressing"):
+                    stats = entry[shape][side]
+                    assert set(stats) == {"steps", "exponentials", "error_estimate"}
+                    assert stats["steps"] > 0
+                    assert stats["error_estimate"] < 1e-9
+        _, again = run_cli(tmp_path, "smatrix", cfg, name="cfg2.json")
+        assert again == text
+
     def test_free_theory_identity(self, tmp_path):
         cfg = {
             "model": {"kind": "matrix"},
@@ -321,6 +338,11 @@ class TestExitCodes:
 
     def test_missing_section_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "sweep", {"model": {"kind": "two-level"}})
+        assert code == 2
+
+    def test_static_matrix_without_generator_is_config_error(self, tmp_path):
+        # a matrix model with neither 'h' nor 'schedule', like smatrix configs
+        code, _ = run_cli(tmp_path, "static", SMATRIX)
         assert code == 2
 
     def test_solver_failure_is_exit_3(self, tmp_path):

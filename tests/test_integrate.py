@@ -1,10 +1,16 @@
-"""Stepper sanity: accuracy, direction, forced stops, failure mode."""
+"""Integrator sanity: accuracy, order, direction, forced stops, failure modes."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adiametric._integrate import solve_ode
+from adiametric import _integrate
+from adiametric._integrate import _cf4_propagator, magnus_cf4, solve_ode
 from adiametric.errors import SolverError, StepSizeUnderflow
+
+from helpers import SX, SZ
 
 
 def test_scalar_exponential_accuracy():
@@ -99,3 +105,129 @@ def test_step_underflow_raises():
     # y' = y^2 from y(0)=1 blows up at t=1; no step survives past it
     with pytest.raises(StepSizeUnderflow):
         solve_ode(lambda t, y: y**2, 0.0, 2.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    t1=st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 0.1),
+)
+def test_forward_then_backward_returns_start(seed, dim, t1):
+    # a time-dependent linear rhs with a bounded generator
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim)))
+    y0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    def rhs(t, y):
+        return (a + np.sin(2.0 * t) * b) @ y
+
+    there = solve_ode(rhs, 0.0, t1, y0, rtol=1e-11, atol=1e-13).states[-1]
+    back = solve_ode(rhs, t1, 0.0, there, rtol=1e-11, atol=1e-13).states[-1]
+    scale = max(1.0, np.linalg.norm(there))
+    assert np.linalg.norm(back - y0) < 1e-7 * scale * np.linalg.norm(y0)
+
+
+# ------------------------------------------------------------------ CF4
+
+# H = 2 sigma_z + f(t) 0.75i sigma_x with a factor smooth away from t = 0
+A0, A1 = -2.0j * SZ, 0.75 * SX
+
+
+def _factor(t):
+    return np.exp(-0.3 * np.abs(t)) * (1.0 + 0.5 * np.sin(t))
+
+
+def _dp5_propagator(f, t0, t1, a0=A0, a1=A1, rtol=1e-13, atol=1e-15):
+    return solve_ode(
+        lambda t, u: (a0 + f(t) * a1) @ u, t0, t1, np.eye(len(a0), dtype=complex),
+        rtol=rtol, atol=atol,
+    ).states[-1]
+
+
+def test_cf4_matches_dp5():
+    u, stats = magnus_cf4(A0, A1, _factor, 0.0, 6.0, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(u, _dp5_propagator(_factor, 0.0, 6.0), atol=1e-10)
+    assert stats["error_estimate"] <= 2 * 1e-13 + 1e-10 * np.linalg.norm(u)
+    assert stats["exponentials"] >= 2 * stats["steps"]
+
+
+def test_cf4_backward_is_inverse_of_forward():
+    forward, _ = magnus_cf4(A0, A1, _factor, 0.5, 4.0, rtol=1e-11, atol=1e-14)
+    backward, _ = magnus_cf4(A0, A1, _factor, 4.0, 0.5, rtol=1e-11, atol=1e-14)
+    np.testing.assert_allclose(backward @ forward, np.eye(2), atol=1e-10)
+
+
+def _observed_orders(weights, monkeypatch):
+    monkeypatch.setattr(_integrate, "_CF4_WEIGHTS", weights)
+    ref = _dp5_propagator(_factor, 0.0, 6.0)
+    errors = [
+        np.linalg.norm(_cf4_propagator(A0, A1, _factor, 0.0, 6.0, n) - ref)
+        for n in (20, 40, 80)
+    ]
+    return [errors[i] / errors[i + 1] for i in range(2)]
+
+
+def test_cf4_is_fourth_order(monkeypatch):
+    ratios = _observed_orders(_integrate._CF4_WEIGHTS, monkeypatch)
+    for ratio in ratios:
+        assert 13.0 < ratio < 19.0  # 2^4 per halving of h
+
+
+def test_reversed_exponentials_are_second_order(monkeypatch):
+    # the order test tells the two products apart
+    ratios = _observed_orders(_integrate._CF4_WEIGHTS[::-1], monkeypatch)
+    for ratio in ratios:
+        assert 3.0 < ratio < 5.0  # 2^2 per halving of h
+
+
+@pytest.mark.parametrize("steps", [40, 80])
+def test_cf4_error_estimate_tracks_true_error(steps):
+    ref = _dp5_propagator(_factor, 0.0, 6.0)
+    coarse = _cf4_propagator(A0, A1, _factor, 0.0, 6.0, steps // 2)
+    fine = _cf4_propagator(A0, A1, _factor, 0.0, 6.0, steps)
+    estimate = np.linalg.norm(fine - coarse) / 15.0
+    true = np.linalg.norm(fine - ref)
+    assert 0.5 < estimate / true < 2.0
+
+
+def test_cf4_through_exceptional_point():
+    # H = sigma_z + f i sigma_x is defective at f = 1 (t = 0) and its
+    # eigenvector matrix ill-conditioned nearby; the Taylor exponentials
+    # need no eigenvectors (exponentials taken as V exp(D) V^-1 from eig
+    # miss the reference by 3e-11 here)
+    a0, a1 = -1j * SZ, 1.0 * SX
+    assert np.linalg.cond(np.linalg.eig(SZ + 1j * SX)[1]) > 1e12
+
+    def f(t):
+        return np.cos(0.5 * np.pi * t) ** 2
+
+    u, _ = magnus_cf4(a0, a1, f, -1.0, 0.5, rtol=1e-11, atol=1e-14)
+    np.testing.assert_allclose(u, _dp5_propagator(f, -1.0, 0.5, a0, a1), atol=1e-12)
+
+
+def test_taylor_stack_matches_expm():
+    rng = np.random.default_rng(7)
+    gens = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    gens *= np.array([1e-3, 0.1, 1.0, 5.0, 40.0])[:, None, None]
+    got = _integrate._expm_stack(gens)
+    for g, e in zip(gens, got):
+        expected = scipy.linalg.expm(g)
+        assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
+def test_cf4_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(_integrate, "MAGNUS_MAX_STEPS", 64)
+    with pytest.raises(SolverError, match="CF4 needs more than 64 steps"):
+        magnus_cf4(A0, A1, _factor, 0.0, 6.0, rtol=1e-10, atol=1e-13)
+
+
+def test_cf4_non_finite_factor_raises():
+    with pytest.raises(SolverError, match="non-finite switch factor"):
+        magnus_cf4(A0, A1, lambda t: np.where(t > 1.0, np.nan, 1.0), 0.0, 2.0)
+
+
+def test_cf4_empty_interval_is_identity():
+    u, stats = magnus_cf4(A0, A1, _factor, 1.0, 1.0)
+    np.testing.assert_array_equal(u, np.eye(2))
+    assert stats["steps"] == 0

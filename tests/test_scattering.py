@@ -13,21 +13,20 @@ from adiametric.metric_flow import (
     eigenbasis_coefficients,
     quasi_hermiticity_residual,
 )
-from adiametric.operator_core import biorthogonal_decompose
+from adiametric.operator_core import biorthogonal_decompose, eigenframe
 from adiametric.scattering import (
     ScatteringConfig,
+    _dressing,
     adiabatic_metric,
     dynamical_phase_integrals,
-    in_state,
     moller_minus,
     moller_plus,
     out_dressing,
-    out_state,
     s_matrix,
 )
 from adiametric.switching import ExponentialSwitch, extrapolate_to_zero
 
-from helpers import SX, SZ, random_hermitian
+from helpers import SX, SZ, dp5_dressing, random_hermitian, random_quasi_hermitian
 
 # shipped scattering fixture: Hermitian free part with gap 4, anti-Hermitian
 # interaction of strength 0.75; v^2 = 16 > w^2 = 2.25 all along the switch
@@ -74,19 +73,6 @@ class TestMollerOperators:
         op = moller_minus(H0, HI, 0.1, FAST)
         assert np.all(np.isfinite(op.view(float)))
         assert np.linalg.norm(op) < 10.0
-
-    def test_states_are_dressed_vectors(self):
-        psi = np.array([1.0, 0.0], dtype=complex)
-        np.testing.assert_allclose(
-            in_state(psi, H0, HI, 0.2, FAST),
-            moller_minus(H0, HI, 0.2, FAST) @ psi,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            out_state(psi, H0, HI, 0.2, FAST),
-            moller_plus(H0, HI, 0.2, FAST) @ psi,
-            atol=1e-12,
-        )
 
     def test_no_convergence_detection(self):
         # a horizon far too short cannot have settled the limit
@@ -365,3 +351,75 @@ class TestMollerIdentityMetric:
         result = s_matrix(H0, HI, 0.8, theta0, self.CFG, shape)
         oracle = adiabatic_metric(H0, HI, theta0, 0.8, self.CFG, shape)
         assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
+
+
+class TestCF4Dressings:
+    """The lab-frame CF4 dressings against the interaction-picture DP5 oracle."""
+
+    CFG = ScatteringConfig(check_convergence=False)
+    ORACLE = ScatteringConfig(rtol=1e-12, atol=1e-14, check_convergence=False)
+    REFERENCE = ScatteringConfig(rtol=1e-13, atol=1e-15, check_convergence=False)
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        levels=st.lists(st.floats(0.8, 2.5), min_size=2, max_size=2, unique=True),
+        ratios=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.8, 1.6),
+        shape=st.sampled_from(["smooth", "exp"]),
+        form_direction=st.sampled_from([("K", -1), ("K", +1), ("G", +1), ("G", -1)]),
+    )
+    def test_matches_dp5_oracle(self, dim, levels, ratios, seed, eps, shape, form_direction):
+        _, h0, h_int = _pt_coupling(dim, levels, ratios, seed)
+        form, direction = form_direction
+        cf4 = _dressing(h0, h_int, eps, self.CFG, form, direction, shape, eigenframe(h0))[0]
+        oracle = dp5_dressing(h0, h_int, eps, self.ORACLE, form, direction, shape)
+        assert np.max(np.abs(cf4 - oracle)) < 1e-9
+
+    @pytest.mark.parametrize("shape", ["smooth", "exp"])
+    def test_no_less_accurate_than_dp5_default(self, shape):
+        _, h0, h_int = _pt_coupling(4, [2.0, 1.1], [0.4, 0.3], 3)
+        reference = dp5_dressing(h0, h_int, 0.8, self.REFERENCE, "K", -1, shape)
+        dp5 = dp5_dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape)
+        cf4 = _dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape, eigenframe(h0))[0]
+        assert np.max(np.abs(cf4 - reference)) <= np.max(np.abs(dp5 - reference))
+
+    def test_quasi_hermitian_free_part(self):
+        rng = np.random.default_rng(4)
+        h0, _ = random_quasi_hermitian(rng, 3, 3.0)
+        h_int = 0.3 * random_hermitian(rng, 3) + 0.2j * random_hermitian(rng, 3)
+        for form, direction in (("K", -1), ("G", +1)):
+            cf4 = _dressing(h0, h_int, 1.2, self.CFG, form, direction, "smooth",
+                            eigenframe(h0))[0]
+            oracle = dp5_dressing(h0, h_int, 1.2, self.ORACLE, form, direction, "smooth")
+            assert np.max(np.abs(cf4 - oracle)) < 1e-9
+
+    @pytest.mark.parametrize("shape, integral", [
+        ("exp", lambda eps: (1.0 - np.exp(-24.0)) / eps),  # checked: limit at 2T
+        ("smooth", lambda eps: 6.0 / eps),                  # width / 2
+    ])
+    def test_commuting_interaction_closed_form(self, shape, integral):
+        # [H_0, H_I] = 0: K = U(0,-T) U_0(-T,0) = exp(-i H_I int_{-T}^0 f)
+        h0 = np.diag([2.0, -0.5, 1.0]).astype(complex)
+        h_int = np.diag([0.3 + 0.1j, -0.2j, 0.4])
+        eps = 0.5
+        expected = scipy.linalg.expm(-1j * h_int * integral(eps))
+        np.testing.assert_allclose(
+            moller_minus(h0, h_int, eps, shape=shape), expected, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", ["smooth", "exp"])
+    def test_free_theory_s_is_identity(self, shape):
+        _, h0, _ = _pt_coupling(4, [2.0, 1.1], [0.0, 0.0], 5)
+        result = s_matrix(h0, np.zeros((4, 4)), 0.4, shape=shape)
+        np.testing.assert_allclose(result.s_matrix, np.eye(4), atol=1e-12)
+
+    def test_result_carries_deterministic_solver_stats(self):
+        first = s_matrix(H0, HI, 0.8).solver_stats
+        assert first == s_matrix(H0, HI, 0.8).solver_stats
+        for side in ("in_dressing", "out_dressing"):
+            stats = first[side]
+            assert stats["steps"] > 0
+            assert stats["exponentials"] >= 2 * stats["steps"]
+            assert 0.0 < stats["error_estimate"] < 1e-9
