@@ -11,8 +11,9 @@ accepted step (used for Hermitian symmetrization of evolving metrics).
 :func:`magnus_cf4` returns the propagator of a linear equation whose
 generator is ``A0 + f(t) A1`` with a scalar, vectorized ``f``.  It is the
 4th-order commutator-free Magnus method of Blanes & Moan (Appl. Numer.
-Math. 56 (2006) 1519): two matrix exponentials per step, so the ``A0``
-motion is carried exactly and the step is set by how ``f`` varies.
+Math. 56 (2006) 1519): two matrix exponentials per step, formed by the
+stacked Taylor kernel of :mod:`.operator_core`, so the ``A0`` motion is
+carried exactly and the step is set by how ``f`` varies.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, StepSizeUnderflow
-from .operator_core import PATH_CHUNK
+from .operator_core import PATH_CHUNK, _expm_stack
 
 # Dormand-Prince 5(4) tableau, written out stage by stage in solve_ode.
 # B5 propagates; E = B5 - B4 weighs the embedded error estimate; the last
@@ -201,36 +202,6 @@ MAGNUS_START_STEPS = 16
 
 #: Most steps one segment may take before :func:`magnus_cf4` gives up.
 MAGNUS_MAX_STEPS = 1 << 20
-
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _expm_stack(gens):
-    """``exp`` of each matrix of a ``(n, d, d)`` stack.
-
-    Taylor polynomial with scaling and squaring, evaluated for the whole
-    stack at once: the stack is scaled by ``2^-s`` until its largest
-    1-norm x is at most 1, the degree q is the smallest whose remainder
-    bound ``x^(q+1) / (q+1)! e^x`` is below the unit roundoff, and the
-    result is squared s times.  The bound holds for any matrix, so no
-    eigenvector conditioning enters (exceptional points included).
-    """
-    norm = float(np.abs(gens).sum(axis=1).max())
-    squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    x = norm / 2.0**squarings
-    if squarings:
-        gens = gens / 2.0**squarings
-    degree, bound = 1, 0.5 * x * x * math.exp(x)
-    while bound > _UNIT_ROUNDOFF:
-        degree += 1
-        bound *= x / (degree + 1)
-    eye = np.eye(gens.shape[1])
-    out = eye + gens / degree
-    for k in range(degree - 1, 0, -1):
-        out = eye + (gens @ out) / k
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def _ordered_product(mats):

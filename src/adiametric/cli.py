@@ -58,8 +58,12 @@ def _emit(args, config, result, diagnostics, table=None) -> None:
     """Write ``table`` as CSV when CSV is selected, else the JSON report.
 
     ``table`` is ``(columns, rows)``; commands without one always write JSON.
+    An ``--out`` that cannot be opened raises :class:`ConfigError` (exit 2).
     """
-    stream = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
+    try:
+        stream = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     try:
         if table is not None and args.format == "csv":
             write_csv(stream, *table)
@@ -401,25 +405,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else None
-        if args.format is None:
-            args.format = config.output_format if config else "json"
-        return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
+        try:
+            config = load_config(args.config) if args.config else None
+            if args.format is None:
+                args.format = config.output_format if config else "json"
+            return _COMMANDS[args.command](config, args)
+        except PhysicsError as exc:
+            if args.format == "json":
+                _emit(args, config, {},
+                      {"error": {"type": type(exc).__name__, "message": str(exc)}})
+            raise
+    # an error report that cannot be written ends here as a ConfigError
+    except (ConfigError, SolverError, PhysicsError) as exc:
+        code, label = ((2, "configuration error") if isinstance(exc, ConfigError) else
+                       (3, "solver error") if isinstance(exc, SolverError) else
+                       (4, "precondition violated"))
         if not args.quiet:
-            print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        if not args.quiet:
-            print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    except PhysicsError as exc:
-        if not args.quiet:
-            print(f"precondition violated: {exc}", file=sys.stderr)
-        if args.format == "json":
-            _emit(args, config, {},
-                  {"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 4
+            print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

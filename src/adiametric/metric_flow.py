@@ -7,11 +7,12 @@ A non-Hermitian generator H conserves the redefined inner product
 
 This module integrates that equation (adaptive Runge-Kutta with Hermitian
 symmetrization), provides three alternative solvers that cross-validate it
-(propagator conjugation, Picard iteration, normal-ordered exponential
-series), constructs static metrics from biorthogonal eigensystems, maps
-metrics to and from the left-eigenbasis coefficient picture where the flow
-is diagonal, and derives the quasi-Hermitian "observable" generator along
-with its Hermitian representation.
+(conjugation by midpoint propagators from the stacked Taylor exponential,
+Picard iteration, normal-ordered exponential series), constructs static
+metrics from biorthogonal eigensystems, maps metrics to and from the
+left-eigenbasis coefficient picture where the flow is diagonal, and derives
+the quasi-Hermitian "observable" generator along with its Hermitian
+representation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ._integrate import solve_ode
 from .errors import (
     ComplexSpectrum,
     NonpositiveWeight,
+    NotPositive,
     SingularMetric,
     SolverError,
 )
@@ -33,6 +35,7 @@ from .operator_core import (
     PATH_CHUNK,
     SPECTRUM_TOL,
     BiorthogonalSystem,
+    _expm_stack,
     _require_hermitian,
     _require_separated,
     as_operator,
@@ -40,7 +43,6 @@ from .operator_core import (
     frobenius,
     hermitian_sqrt,
     hermiticity_defect,
-    propagator,
 )
 
 __all__ = [
@@ -170,7 +172,8 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     operator B(t) mapping states at t to states at t0; the metric is then
     ``B^dagger Theta_0 B``, an exact solution of the flow whenever H is
     piecewise constant.  Midpoint sampling makes the accumulation second
-    order in the step for smooth schedules.
+    order in the step for smooth schedules.  The step exponentials are
+    formed ``PATH_CHUNK`` at a time by one stacked Taylor evaluation.
     """
     theta0 = _require_hermitian(theta0)
     dim = theta0.shape[0]
@@ -178,12 +181,15 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     back = np.eye(dim, dtype=complex)
     times, metrics = [t0], [theta0.copy()]
     sample_every = max(1, nsteps // 200)
-    for k in range(nsteps):
-        h_mid = schedule.at(0.5 * (grid[k] + grid[k + 1]))
-        back = back @ propagator(h_mid, -(grid[k + 1] - grid[k]))
-        if (k + 1) % sample_every == 0 or k == nsteps - 1:
-            times.append(grid[k + 1])
-            metrics.append(_symmetrize(back.conj().T @ theta0 @ back))
+    for start in range(0, nsteps, PATH_CHUNK):
+        ks = range(start, min(start + PATH_CHUNK, nsteps))
+        mids = np.array([as_operator(schedule.at(0.5 * (grid[k] + grid[k + 1]))) for k in ks])
+        widths = np.diff(grid[ks.start : ks.stop + 1])[:, None, None]
+        for k, step in zip(ks, _expm_stack(1j * widths * mids)):
+            back = back @ step
+            if (k + 1) % sample_every == 0 or k == nsteps - 1:
+                times.append(grid[k + 1])
+                metrics.append(_symmetrize(back.conj().T @ theta0 @ back))
     return MetricTrajectory(
         times=np.array(times),
         metrics=np.array(metrics),
@@ -409,6 +415,14 @@ def _accumulate_propagator(schedule, t_from, t_to, rtol, atol):
 _FORMS_TOL = 1e-10
 
 
+def _metric_normalized(state, theta):
+    """``state`` scaled to unit norm in the inner product of ``theta``."""
+    norm2 = float(np.real(state.conj() @ theta @ state))
+    if not norm2 > 0.0:
+        raise NotPositive(f"state has metric norm squared {norm2:.3e}, not positive")
+    return state / math.sqrt(norm2)
+
+
 def transition_probability(
     phi,
     psi,
@@ -426,19 +440,18 @@ def transition_probability(
     algebraically equivalent pull-back form through Theta(t_from) is
     evaluated as well and a :class:`SolverError` is raised if the two
     disagree beyond 1e-10, which would signal integration failure
-    of the conservation law.
+    of the conservation law.  A state whose metric norm is not positive
+    (an indefinite ``theta_from``) raises :class:`NotPositive`.
     """
     cfg = config or SolverConfig(rtol=1e-11, atol=1e-13, samples=2)
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     theta_from = _require_hermitian(theta_from)
+    psi_n = _metric_normalized(psi, theta_from)
 
-    traj = evolve_metric(schedule, theta_from, t_from, t_to, cfg)
-    theta_to = traj.final
+    theta_to = evolve_metric(schedule, theta_from, t_from, t_to, cfg).final
+    phi_n = _metric_normalized(phi, theta_to)
     u = _accumulate_propagator(schedule, t_from, t_to, cfg.rtol, cfg.atol)
-
-    psi_n = psi / math.sqrt(float(np.real(psi.conj() @ theta_from @ psi)))
-    phi_n = phi / math.sqrt(float(np.real(phi.conj() @ theta_to @ phi)))
 
     amp_forward = phi_n.conj() @ theta_to @ (u @ psi_n)
     # pull-back form: <phi| U(t_from,t_to)^dagger Theta(t_from) |psi>

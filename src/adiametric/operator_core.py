@@ -4,8 +4,9 @@ Everything downstream (metric evolution, scattering, toy models) builds on
 the operations here: Hermiticity and positivity predicates, the Hermitian
 principal square root, biorthogonal eigendecompositions of diagonalizable
 non-Hermitian matrices, the eigenframe ``H = V diag(E) V^-1`` behind every
-free propagator, eigensystems continued along a path of matrices, and
-matrix-exponential propagators.
+free propagator, eigensystems continued along a path of matrices, and the
+package's one matrix exponential: a stacked Taylor kernel with scaling and
+squaring, behind :func:`propagator` and every exponential integrator.
 
 All functions are pure; matrices are plain ``numpy.ndarray`` values of
 complex dtype and are never mutated.
@@ -13,10 +14,10 @@ complex dtype and are never mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSpectrum,
@@ -50,8 +51,10 @@ GAP_TOL = 1e-8
 #: Largest imaginary eigenvalue part a spectrum may have and still count as real.
 SPECTRUM_TOL = 1e-9
 
-#: Path points per stacked chunk given to :func:`continued_eigensystems`.
+#: Matrices per stacked chunk: path points, or exponentials of one Taylor call.
 PATH_CHUNK = 256
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def as_operator(m) -> np.ndarray:
@@ -271,30 +274,37 @@ def continued_eigensystems(chunks):
         yield vals, right, left_h
 
 
-def propagator(h, dt, method="auto") -> np.ndarray:
-    """Evolution operator ``exp(-i H dt)``.
+def _expm_stack(gens):
+    """``exp`` of each matrix of a ``(n, d, d)`` stack.
 
-    ``method`` selects the evaluation path: ``"spectral"`` exponentiates
-    eigenvalues on the :func:`eigenframe`, ``"pade"`` uses
-    scaling-and-squaring, and ``"auto"`` prefers the spectral route,
-    falling back to Pade when the spectrum is degenerate or defective.
-    The two paths cross-validate each other in the test suite.
+    Taylor polynomial with scaling and squaring, evaluated for the whole
+    stack at once: the stack is scaled by ``2^-s`` until its largest
+    1-norm x is at most 1, the degree q is the smallest whose remainder
+    bound ``x^(q+1) / (q+1)! e^x`` is below the unit roundoff, and the
+    result is squared s times.  The bound holds for any matrix, so no
+    eigenvector conditioning enters (exceptional points included).
     """
-    a = as_operator(h)
-    if dt == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
-    if method not in ("auto", "spectral", "pade"):
-        raise ValueError(f"unknown propagator method {method!r}")
+    norm = float(np.abs(gens).sum(axis=1).max())
+    squarings = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    x = norm / 2.0**squarings
+    if squarings:
+        gens = gens / 2.0**squarings
+    degree, bound = 1, 0.5 * x * x * math.exp(x)
+    while bound > _UNIT_ROUNDOFF:
+        degree += 1
+        bound *= x / (degree + 1)
+    eye = np.eye(gens.shape[1])
+    out = eye + gens / degree
+    for k in range(degree - 1, 0, -1):
+        out = eye + (gens @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
-    if method in ("auto", "spectral"):
-        try:
-            vals, vecs, vecs_inv = eigenframe(a)
-        except (DegenerateSpectrum, NotDiagonalizable):
-            if method == "spectral":
-                raise
-        else:
-            return (vecs * np.exp(-1j * vals * dt)) @ vecs_inv
-    return scipy.linalg.expm(-1j * dt * a)
+
+def propagator(h, dt) -> np.ndarray:
+    """``exp(-i H dt)`` by the stacked Taylor kernel; exceptional points need no special path."""
+    return _expm_stack((-1j * dt) * as_operator(h)[None])[0]
 
 
 def spectrum_reality_check(h, tol=SPECTRUM_TOL) -> bool:

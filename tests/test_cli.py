@@ -371,6 +371,18 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "static", cfg)
         assert code == 4
 
+    @pytest.mark.parametrize("v", [[0.0, 4.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
+                             ids=["result", "error-report"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, v):
+        # v = (0, 2, 0, 0) has a complex spectrum: the exit-4 JSON report
+        # is what fails to open
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TWO_LEVEL_STATIC,
+                                   "model": {**TWO_LEVEL_STATIC["model"], "v": v}}))
+        out = tmp_path / "no" / "such" / "x.json"
+        assert main(["static", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error: cannot write --out" in capsys.readouterr().err
+
 
 def csv_table(text):
     """Column names and data rows of a CSV output."""

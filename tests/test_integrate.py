@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,16 +203,6 @@ def test_cf4_through_exceptional_point():
 
     u, _ = magnus_cf4(a0, a1, f, -1.0, 0.5, rtol=1e-11, atol=1e-14)
     np.testing.assert_allclose(u, _dp5_propagator(f, -1.0, 0.5, a0, a1), atol=1e-12)
-
-
-def test_taylor_stack_matches_expm():
-    rng = np.random.default_rng(7)
-    gens = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    gens *= np.array([1e-3, 0.1, 1.0, 5.0, 40.0])[:, None, None]
-    got = _integrate._expm_stack(gens)
-    for g, e in zip(gens, got):
-        expected = scipy.linalg.expm(g)
-        assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
 
 def test_cf4_step_cap_raises(monkeypatch):

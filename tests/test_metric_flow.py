@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiametric.errors import (
     ComplexSpectrum,
     DegenerateSpectrum,
     NonHermitianInput,
     NonpositiveWeight,
+    NotPositive,
     SingularMetric,
 )
 from adiametric.metric_flow import (
@@ -334,11 +337,13 @@ class TestEigenbasisPicture:
             np.testing.assert_allclose(np.diag(ct), np.diag(coeffs0), atol=1e-10)
             np.testing.assert_allclose(np.abs(ct), np.abs(coeffs0), atol=1e-10)
 
-    def test_matches_evolution_through_coefficients(self):
-        rng = np.random.default_rng(21)
-        h, _ = random_quasi_hermitian(rng, 3)
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_evolution_through_coefficients(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        h, _ = random_quasi_hermitian(rng, dim)
         sys = biorthogonal_decompose(h)
-        theta0 = random_hermitian(rng, 3) + 2 * np.eye(3)
+        theta0 = random_hermitian(rng, dim) + 2 * np.eye(dim)
         t = 2.0
         traj = evolve_metric(
             Constant(h), theta0, 0.0, t, SolverConfig(rtol=1e-11, atol=1e-13)
@@ -463,6 +468,14 @@ class TestTransitionProbability:
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             p = transition_probability(phi, psi, Constant(h), 0.0, 1.5, theta0)
             assert 0.0 <= p <= 1.0 + 1e-12
+
+    def test_indefinite_metric_raises_not_positive(self):
+        # e_2 has metric norm squared -0.5 under diag(1, -0.5)
+        psi = np.array([0.0, 1.0], dtype=complex)
+        with pytest.raises(NotPositive):
+            transition_probability(
+                psi, psi, Constant(SZ), 0.0, 1.0, np.diag([1.0, -0.5])
+            )
 
 
 class TestTransportPrediction:

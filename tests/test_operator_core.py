@@ -1,12 +1,18 @@
 """Linear-algebra primitives against hand and spectral oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adiametric
 from adiametric.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -17,6 +23,7 @@ from adiametric.errors import (
 )
 from adiametric.operator_core import (
     PATH_CHUNK,
+    _expm_stack,
     biorthogonal_decompose,
     continued_eigensystems,
     eigenframe,
@@ -29,6 +36,7 @@ from adiametric.operator_core import (
 
 from helpers import (
     I2,
+    SX,
     SY,
     SZ,
     random_hermitian,
@@ -188,13 +196,56 @@ class TestPropagator:
         seed=st.integers(0, 2**32 - 1),
         dt=st.floats(-2.0, 2.0),
     )
-    def test_spectral_and_pade_paths_agree(self, dim, hermitian, seed, dt):
-        rng = np.random.default_rng(13)
-        h, _ = random_quasi_hermitian(rng, 4, scale=2.0)
-        u_spec = propagator(h, 1.3, method="spectral")
-        u_pade = propagator(h, 1.3, method="pade")
-        np.testing.assert_allclose(u_spec, u_pade, atol=1e-12)
+    def test_matches_scipy_expm(self, dim, hermitian, seed, dt):
+        rng = np.random.default_rng(seed)
+        if hermitian:
+            h = random_hermitian(rng, dim, 2.0)
+        else:
+            h, _ = random_quasi_hermitian(rng, dim, scale=2.0)
+        np.testing.assert_allclose(
+            propagator(h, dt), scipy.linalg.expm(-1j * dt * h), atol=1e-12
+        )
 
+    def test_defective_generator_matches_scipy_expm(self):
+        # sigma_z + i sigma_x is an exceptional point: one eigenvalue (0)
+        # with a single eigenvector, where no spectral formula applies
+        h = SZ + 1j * SX
+        for dt in (-2.5, 0.3, 1.7):
+            np.testing.assert_allclose(
+                propagator(h, dt), scipy.linalg.expm(-1j * dt * h), atol=1e-12
+            )
+        # nilpotent: exp(-i H t) = I - i H t exactly
+        np.testing.assert_allclose(propagator(h, 1.7), I2 - 1.7j * h, atol=1e-13)
+
+
+def test_taylor_stack_matches_expm():
+    rng = np.random.default_rng(7)
+    gens = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    gens *= np.array([1e-3, 0.1, 1.0, 5.0, 40.0])[:, None, None]
+    got = _expm_stack(gens)
+    for g, e in zip(gens, got):
+        expected = scipy.linalg.expm(g)
+        assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package's linear algebra is numpy only; scipy is a test oracle
+    src = str(Path(adiametric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, adiametric, adiametric.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+class TestEigenframe:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        hermitian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reconstructs_generator(self, dim, hermitian, seed):
         rng = np.random.default_rng(seed)
         if hermitian:
             h = random_hermitian(rng, dim, 2.0)
@@ -206,15 +257,6 @@ class TestPropagator:
         np.testing.assert_allclose(vecs_inv @ vecs, np.eye(dim), atol=1e-10)
         if hermitian:  # the unitary eigh path
             np.testing.assert_array_equal(vecs_inv, vecs.conj().T)
-        np.testing.assert_allclose(
-            propagator(h, dt, method="spectral"),
-            propagator(h, dt, method="pade"),
-            atol=1e-10,
-        )
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            propagator(SZ, 1.0, method="magic")
 
 
 class TestContinuedEigensystems:
