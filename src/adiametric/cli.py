@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,6 +53,17 @@ from .moyal import (
     cubic_linear_switch_evolve,
     linear_switch_closed_form,
 )
+
+
+def _check_out(out) -> None:
+    """Raise :class:`ConfigError` (exit 2) for an ``--out`` that cannot be
+    written; called before any work, it opens nothing."""
+    if out in (None, "-"):
+        return
+    parent = os.path.dirname(out) or "."
+    target = out if os.path.exists(out) else parent
+    if os.path.isdir(out) or not (os.path.isdir(parent) and os.access(target, os.W_OK)):
+        raise ConfigError(f"cannot write --out {out!r}: not a writable file path")
 
 
 def _emit(args, config, result, diagnostics, table=None) -> None:
@@ -280,7 +292,7 @@ def cmd_static(config: ModelConfig, args) -> int:
         comp = _static_start(params, model)
         theta = comp.matrix()
         h = params.hamiltonian()
-        if not spectrum_reality_check(h, 1e-9):
+        if not spectrum_reality_check(h):
             raise ComplexSpectrum(
                 "two-level spectrum is complex; no positive static metric exists"
             )
@@ -406,6 +418,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
+            _check_out(args.out)
             config = load_config(args.config) if args.config else None
             if args.format is None:
                 args.format = config.output_format if config else "json"

@@ -15,12 +15,13 @@ decreases with the rate and is extrapolated to zero by the sweep helpers.
 Moller operators come from the lab-frame propagator of the switched
 generator, integrated to a finite horizon by the commutator-free Magnus
 method (:func:`magnus_cf4`), which carries the free motion exactly; the
-horizon maps to a quantified truncation error.
+horizon maps to a quantified truncation error.  The switch enters only
+through its ``factor`` and ``support``; :func:`_switch_schedule` alone
+maps a shape name to a switch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from ._integrate import magnus_cf4
 from .errors import ComplexSpectrum, NoConvergence
 from .metric_flow import SolverConfig, _symmetrize, evolve_metric
 from .operator_core import (
-    PATH_CHUNK,
     _require_hermitian,
     as_operator,
     continued_eigensystems,
@@ -51,17 +51,13 @@ __all__ = [
 ]
 
 
-# coupling-path samples of the dynamical-phase quadrature
-_PHASE_POINTS = 4001
-
-
 @dataclass(frozen=True)
 class ScatteringConfig:
     """Horizon and accuracy knobs shared by all scattering operations.
 
     The integration horizon is ``horizon_factor / eps``, where the damping
     factor has decayed to ``exp(-horizon_factor)``; convergence of the
-    Moller limits is verified by doubling the horizon and comparing.
+    Moller limits is verified by doubling a horizon inside the support.
 
     ``rtol``/``atol`` set the accuracy of both integrators.  The dressings
     use :func:`magnus_cf4`, which accepts a propagator ``U`` of dimension d
@@ -80,6 +76,8 @@ class ScatteringConfig:
 
 
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
+    if eps <= 0.0:
+        raise ValueError("switching rate eps must be positive")
     if shape == "exp":
         return ExponentialSwitch(h0, h_int, eps)
     if shape == "smooth":
@@ -96,18 +94,16 @@ def _dressing(h0, h_int, eps, config, form, direction, shape, frame):
     eigenframe ``frame = (E, V, V^-1)``; ``direction`` picks the far-past
     (-1) or far-future (+1) horizon T.  ``U(T, 0)`` comes from
     :func:`magnus_cf4` on ``H_0 + f(t) H_int`` with the switch factor of
-    ``shape``, at the configured ``rtol``/``atol``.  With the exp-shape
-    convergence check on, ``U(2T, T)`` is integrated too and multiplied on.
+    ``shape``, at the configured ``rtol``/``atol``.  With the convergence
+    check on and |T| < ``support``, ``U(2T, T)`` is multiplied on too.
 
     Returns ``(limit, u_horizon, stats)``: the dressing at 2T when checked,
     else at T; ``U(T, 0)``; and the per-segment integrator counts summed
     (``error_estimate`` is the sum of the segments' estimates).
     """
-    if eps <= 0.0:
-        raise ValueError("switching rate eps must be positive")
     cfg = config or ScatteringConfig()
-    factor = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor).factor
-    a0, a1 = -1j * as_operator(h0), -1j * as_operator(h_int)
+    switch = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
+    a0, a1 = -1j * switch.h0, -1j * switch.h_int
     vals, vecs, vecs_inv = frame
     horizon = direction * cfg.horizon_factor / eps
 
@@ -117,12 +113,12 @@ def _dressing(h0, h_int, eps, config, form, direction, shape, frame):
         return (vecs * np.exp(1j * vals * t)) @ vecs_inv @ u
 
     tols = {"rtol": cfg.rtol, "atol": cfg.atol}
-    u_horizon, stats = magnus_cf4(a0, a1, factor, 0.0, horizon, **tols)
+    u_horizon, stats = magnus_cf4(a0, a1, switch.factor, 0.0, horizon, **tols)
     at_horizon = dressed(u_horizon, horizon)
-    # The smooth switch is exactly free beyond its support: nothing to check.
-    if not (cfg.check_convergence and shape == "exp"):
+    # Beyond its support the switch is free to roundoff: nothing to check.
+    if not (cfg.check_convergence and abs(horizon) < switch.support):
         return at_horizon, u_horizon, stats
-    u_tail, tail_stats = magnus_cf4(a0, a1, factor, horizon, 2.0 * horizon, **tols)
+    u_tail, tail_stats = magnus_cf4(a0, a1, switch.factor, horizon, 2.0 * horizon, **tols)
     stats = {key: stats[key] + tail_stats[key] for key in stats}
     limit = dressed(u_tail @ u_horizon, 2.0 * horizon)
     drift = frobenius(limit - at_horizon)
@@ -195,6 +191,20 @@ def adiabatic_metric(
     return traj.final
 
 
+def _clenshaw_curtis(n):
+    """Clenshaw-Curtis nodes on [0, 1], from 1 down to 0, and weights, n even
+    (closed form of Trefethen, SIAM Rev. 50 (2008) 67)."""
+    angles = np.pi * np.arange(n + 1) / n
+    weights = np.ones(n + 1)
+    for j in range(1, n // 2 + 1):  # one cosine row at a time: O(n) memory
+        weights -= (1.0 if 2 * j == n else 2.0) / (4 * j * j - 1) * np.cos(2 * j * angles)
+    weights[1:-1] *= 2.0
+    return 0.5 * (1.0 + np.cos(angles)), weights / (2 * n)
+
+
+_PHASE_RULE = _clenshaw_curtis(512)  # the dynamical-phase quadrature rule
+
+
 def dynamical_phase_integrals(h0, h_int, eps, shape="exp", horizon_factor=12.0) -> np.ndarray:
     """Per-level accumulated energy shift ``int (E_n(t) - E_n_free) dt``.
 
@@ -202,35 +212,17 @@ def dynamical_phase_integrals(h0, h_int, eps, shape="exp", horizon_factor=12.0) 
     S-matrix entries never converge entrywise: each level spins up an
     unbounded dynamical phase.  Multiplying half the counterphase onto
     each side of the S-matrix removes the divergence and leaves a
-    switching-shape-independent limit.  Levels are followed along the
-    coupling path by :func:`continued_eigensystems`, in the (real, imag)
-    order of the free spectrum, and only the real parts of their
+    switching-shape-independent limit.  It is ``2 int_0^support`` by one
+    Clenshaw-Curtis rule along ``H_0 + f(t) H_I``, with the levels followed
+    from the free end t = support by :func:`continued_eigensystems`, in the
+    (real, imag) order of the free spectrum; only the real parts of their
     eigenvalues contribute (real-spectrum paths).
     """
-    us = np.linspace(0.0, 1.0, _PHASE_POINTS)
-    h0, h_int = as_operator(h0), as_operator(h_int)
-    path = (
-        h0 + us[i : i + PATH_CHUNK, None, None] * h_int
-        for i in range(0, _PHASE_POINTS, PATH_CHUNK)
-    )
-    levels = np.concatenate([vals.real for vals, _, _ in continued_eigensystems(path)])
-    g = levels - levels[0]
-    if shape == "exp":
-        # int_R g(exp(-eps|t|)) dt = (2/eps) int_0^1 g(u)/u du
-        integrand = np.empty_like(g)
-        integrand[1:] = g[1:] / us[1:, None]
-        integrand[0] = 2.0 * integrand[1] - integrand[2]
-        return (2.0 / eps) * np.trapezoid(integrand, us, axis=0)
-    if shape == "smooth":
-        # f(t) = cos^2(pi t / (2 width)); substitute s = pi t / (2 width)
-        width = horizon_factor / eps
-        s_grid = np.linspace(0.0, 0.5 * math.pi, _PHASE_POINTS)
-        u_vals = np.cos(s_grid) ** 2
-        g_interp = np.stack(
-            [np.interp(u_vals, us, g[:, n]) for n in range(g.shape[1])], axis=1
-        )
-        return (4.0 * width / math.pi) * np.trapezoid(g_interp, s_grid, axis=0)
-    raise ValueError(f"unknown switch shape {shape!r}")
+    switch = _switch_schedule(h0, h_int, eps, shape, horizon_factor)
+    nodes, weights = _PHASE_RULE
+    path = switch.h0 + switch.factor(switch.support * nodes)[:, None, None] * switch.h_int
+    ((levels, _, _),) = continued_eigensystems([path])  # 513 nodes: one chunk
+    return 2.0 * switch.support * (weights @ (levels.real - levels[0].real))
 
 
 @dataclass(frozen=True)
@@ -309,7 +301,7 @@ def s_matrix(
     cfg = config or ScatteringConfig()
     h0 = as_operator(h0)
     h_int = as_operator(h_int)
-    if not spectrum_reality_check(h0 + h_int, 1e-9):
+    if not spectrum_reality_check(h0 + h_int):
         raise ComplexSpectrum(
             "full generator has complex spectrum; adiabatic metric undefined"
         )

@@ -383,6 +383,23 @@ class TestExitCodes:
         assert main(["static", "--config", str(cfg), "--out", str(out)]) == 2
         assert "configuration error: cannot write --out" in capsys.readouterr().err
 
+    def test_unwritable_out_stops_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "s_matrix", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMATRIX))
+        for out in (tmp_path / "no" / "such" / "x.json", tmp_path):
+            assert main(["smatrix", "--config", str(cfg), "--out", str(out)]) == 2
+        assert calls == []
+
+    def test_failing_command_keeps_existing_out(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("previous run")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "matrix"}}))
+        assert main(["smatrix", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text() == "previous run"
+
 
 def csv_table(text):
     """Column names and data rows of a CSV output."""

@@ -221,21 +221,51 @@ class TestSMatrix:
         assert disagreement < 1e-3
 
 
+def _phase_closed_form(level, eps, shape, horizon_factor=12.0):
+    """``2 int_0^inf (E(f(t)) - E(0)) dt`` for a level ``E(u)`` of the coupling path.
+
+    exp: ``u = exp(-eps t)`` gives ``(2/eps) int_0^1 g(u)/u du``; smooth:
+    ``u = cos^2 s`` with ``s = pi t / (2 W)`` gives
+    ``(4W/pi) int_0^{pi/2} g(cos^2 s) ds``, where ``g(u) = E(u) - E(0)``.
+    """
+    g = lambda u: level(u) - level(0.0)
+    quad = lambda fn, upper: scipy.integrate.quad(fn, 0.0, upper, epsabs=0.0, epsrel=1e-12)[0]
+    if shape == "exp":
+        return (2.0 / eps) * quad(lambda u: g(u) / u, 1.0)
+    width = horizon_factor / eps
+    return (4.0 * width / np.pi) * quad(lambda s: g(np.cos(s) ** 2), 0.5 * np.pi)
+
+
 class TestDynamicalPhases:
     def test_free_theory_zero(self):
         phases = dynamical_phase_integrals(H0, np.zeros((2, 2)), 0.1)
         np.testing.assert_allclose(phases, 0.0, atol=1e-12)
 
     def test_scaling_with_switching_rate(self):
-        p1 = dynamical_phase_integrals(H0, HI, 0.1)
-        p2 = dynamical_phase_integrals(H0, HI, 0.05)
-        np.testing.assert_allclose(p2, 2.0 * p1, rtol=1e-10)
+        for shape in ("exp", "smooth"):
+            p1 = dynamical_phase_integrals(H0, HI, 0.1, shape)
+            p2 = dynamical_phase_integrals(H0, HI, 0.05, shape)
+            np.testing.assert_allclose(p2, 2.0 * p1, rtol=1e-10)
 
     def test_trace_preserved(self):
         # sum of level shifts equals the integrated trace shift: the
         # interaction here is traceless, so phases sum to ~0
         phases = dynamical_phase_integrals(H0, HI, 0.1)
         assert abs(phases.sum()) < 1e-8
+
+    @pytest.mark.parametrize("shape", ["exp", "smooth"])
+    @pytest.mark.parametrize("ratio", [0.375, 0.95, 0.99])
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    def test_pt_block_matches_closed_form(self, shape, ratio, eps):
+        # levels +-sqrt(a^2 - u^2 b^2) of a sigma_z + i u b sigma_x
+        a, b = 2.0, 2.0 * ratio
+        level = lambda u: np.sqrt(a**2 - (u * b) ** 2)
+        reference = _phase_closed_form(level, eps, shape)
+        np.testing.assert_allclose(
+            dynamical_phase_integrals(a * SZ, 1j * b * SX, eps, shape),
+            [-reference, reference],
+            rtol=1e-10,
+        )
 
     def test_crossing_levels_keep_their_phases(self):
         # decoupled blocks: level A = +-sqrt(4 - 3.61 u^2) (PT-symmetric) and
@@ -248,17 +278,15 @@ class TestDynamicalPhases:
         b = lambda u: np.sqrt(0.25 + 2.25 * u**2)
         # free levels in (real, imag) order: -2 (A), -0.5 (B), 0.5 (B), 2 (A)
         branches = [lambda u: -a(u), lambda u: -b(u), b, a]
-        reference = [
-            (2.0 / eps)
-            * scipy.integrate.quad(lambda u: (e(u) - e(0.0)) / u, 0.0, 1.0)[0]
-            for e in branches
-        ]
-        np.testing.assert_allclose(
-            reference, [10.654, -14.294, 14.294, -10.654], atol=1e-3
-        )
-        np.testing.assert_allclose(
-            dynamical_phase_integrals(h0, h_int, eps), reference, rtol=1e-6
-        )
+        for shape, rounded in (
+            ("exp", [10.654, -14.294, 14.294, -10.654]),
+            ("smooth", [106.369, -111.768, 111.768, -106.369]),
+        ):
+            reference = [_phase_closed_form(e, eps, shape) for e in branches]
+            np.testing.assert_allclose(reference, rounded, atol=1e-3)
+            np.testing.assert_allclose(
+                dynamical_phase_integrals(h0, h_int, eps, shape), reference, rtol=1e-10
+            )
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -414,6 +442,17 @@ class TestCF4Dressings:
         _, h0, _ = _pt_coupling(4, [2.0, 1.1], [0.0, 0.0], 5)
         result = s_matrix(h0, np.zeros((4, 4)), 0.4, shape=shape)
         np.testing.assert_allclose(result.s_matrix, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("shape, tail", [("smooth", False), ("exp", True)])
+    def test_horizon_tail_only_inside_support(self, shape, tail):
+        # the smooth horizon is its support: the doubled-horizon segment
+        # would integrate the free motion, so the dressing skips it
+        frame = eigenframe(H0)
+        checked = _dressing(H0, HI, 0.8, ScatteringConfig(), "K", -1, shape, frame)
+        single = _dressing(H0, HI, 0.8, self.CFG, "K", -1, shape, frame)
+        assert (checked[2]["steps"] > single[2]["steps"]) == tail
+        if not tail:
+            np.testing.assert_array_equal(checked[0], single[0])
 
     def test_result_carries_deterministic_solver_stats(self):
         first = s_matrix(H0, HI, 0.8).solver_stats

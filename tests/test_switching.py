@@ -60,6 +60,13 @@ class TestSchedules:
                 np.testing.assert_array_equal(sched.at(t), H0 + sched.factor(t) * HI)
         assert SmoothSwitch(H0, HI, 5.0).factor(-5.0) == 0.0
 
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 1.6, 7.0])
+    def test_switch_factor_negligible_beyond_support(self, rate):
+        for sched in (ExponentialSwitch(H0, HI, rate), SmoothSwitch(H0, HI, 12.0 / rate)):
+            assert sched.factor(0.999 * sched.support) > 0.0
+            for t in (-sched.support, sched.support, 2.0 * sched.support):
+                assert sched.factor(t) <= 2.0**-53
+
     def test_schedules_are_lipschitz(self):
         # |H(t) - H(t')| <= L |t - t'| sampled on a fine grid
         for sched, rate in [
