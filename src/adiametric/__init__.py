@@ -61,7 +61,6 @@ from .two_level import (
     classify_regime,
     component_flow,
     component_generator,
-    evolve_components,
     hermitian_precession,
     pauli_compose,
     pauli_decompose,

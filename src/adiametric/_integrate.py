@@ -9,11 +9,14 @@ hide inside a step.  An optional ``post_step`` hook runs after every
 accepted step (used for Hermitian symmetrization of evolving metrics).
 
 :func:`magnus_cf4` returns the propagator of a linear equation whose
-generator is ``A0 + f(t) A1`` with a scalar, vectorized ``f``.  It is the
+generator is ``A0 + f(t) A1`` with a scalar, vectorized ``f``, at the
+endpoint or, as dense output, at uniform sample times.  It is the
 4th-order commutator-free Magnus method of Blanes & Moan (Appl. Numer.
 Math. 56 (2006) 1519): two matrix exponentials per step, formed by the
 stacked Taylor kernel of :mod:`.operator_core`, so the ``A0`` motion is
-carried exactly and the step is set by how ``f`` varies.
+carried exactly and the step is set by how ``f`` varies.  It serves the
+scattering dressings and the two-level ramp; the metric flow stays on
+:func:`solve_ode`.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ MAGNUS_MAX_STEPS = 1 << 20
 
 
 def _ordered_product(mats):
-    """``mats[-1] @ ... @ mats[0]`` by pairwise batched products."""
+    """``mats[-1] @ ... @ mats[0]`` along the first axis by pairwise batched products."""
     left = None
     while len(mats) > 1:
         if len(mats) % 2:
@@ -215,22 +218,47 @@ def _ordered_product(mats):
     return mats[0] if left is None else left @ mats[0]
 
 
-def _cf4_propagator(a0, a1, f, t0, t1, steps):
-    """CF4 propagator over ``steps`` uniform steps, ``PATH_CHUNK`` steps at a time."""
+def _prefix_products(mats):
+    """Running products ``mats[k] @ ... @ mats[0]`` for every k, in log2(n) batched passes."""
+    out = mats.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
+    return out
+
+
+def _cf4_propagator(a0, a1, f, t0, t1, steps, samples=1):
+    """``(samples, d, d)`` CF4 propagators from t0 to the ends of ``samples``
+    equal subintervals, by ``steps`` uniform steps (a multiple of ``samples``)
+    taken ``PATH_CHUNK`` at a time: whole subintervals, or part of a long one."""
     h = (t1 - t0) / steps
+    per = steps // samples
     half = 0.5 * a0
-    u = np.eye(len(a0), dtype=complex)
-    for start in range(0, steps, PATH_CHUNK):
-        k = np.arange(start, min(start + PATH_CHUNK, steps), dtype=float)
+    u = np.eye(len(a0), dtype=half.dtype)
+    out = []
+    start = 0
+    while start < steps:
+        if per > PATH_CHUNK:  # a piece of one subinterval
+            stop = min(start + PATH_CHUNK, (start // per + 1) * per)
+        else:  # whole subintervals
+            stop = min(start + per * (PATH_CHUNK // per), steps)
+        k = np.arange(start, stop, dtype=float)
         phi = f(t0 + (k[:, None] + _GAUSS) * h) @ _CF4_WEIGHTS.T
         if not np.all(np.isfinite(phi)):
             raise SolverError(f"non-finite switch factor in [{t0:.6g}, {t1:.6g}]")
-        gens = h * (half + phi.reshape(-1, 1, 1) * a1)
-        u = _ordered_product(_expm_stack(gens)) @ u
-    return u
+        exps = _expm_stack(h * (half + phi.reshape(-1, 1, 1) * a1))
+        # two exponentials per step, grouped by subinterval
+        groups = exps.reshape(-1, 2 * min(per, stop - start), *a0.shape).swapaxes(0, 1)
+        ends = _prefix_products(_ordered_product(groups)) @ u
+        u = ends[-1]
+        if stop % per == 0:
+            out.extend(ends)
+        start = stop
+    return np.array(out)
 
 
-def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12):
+def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
     """Propagator ``Y(t1) Y(t0)^-1`` of ``dY/dt = (A0 + f(t) A1) Y`` by CF4.
 
     ``f`` maps an array of times to the array of scalar factors; it must be
@@ -251,46 +279,61 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12):
     tolerance, between 1.25 and 8 times the last.  The accepted propagator
     is the extrapolant ``U_m + (U_m - U_n) / ((m/n)^4 - 1)``.
 
+    Dense output: with ``samples=k`` both passes take a multiple of ``k``
+    steps, and their partial products at ``t0 + j (t1 - t0) / k`` are
+    tested and extrapolated like the endpoint; the result is the ``(k + 1,
+    d, d)`` stack of propagators from t0 to those times (``j = 0..k``).
+
     Each pass forms its exponentials ``PATH_CHUNK`` steps at a time in one
     stacked Taylor evaluation and reduces them by pairwise batched
-    products, so memory stays O(``PATH_CHUNK`` d^2).
+    products, so memory stays O(``PATH_CHUNK`` d^2).  Real generators give
+    real propagators.
 
     Returns ``(U, stats)`` with ``stats`` counting the accepted ``steps``,
     the ``exponentials`` formed over all passes and the final
-    ``error_estimate``.  Raises :class:`SolverError` when the factor or the
-    propagator turns non-finite or the tolerance needs more than
-    ``MAGNUS_MAX_STEPS`` steps.
+    ``error_estimate`` (the largest over the samples).  Raises
+    :class:`SolverError` when the factor or the propagator turns
+    non-finite or the tolerance needs more than ``MAGNUS_MAX_STEPS`` steps.
     """
-    a0 = np.asarray(a0, dtype=complex)
-    a1 = np.asarray(a1, dtype=complex)
+    a0, a1 = np.asarray(a0), np.asarray(a1)
+    dtype = np.result_type(a0, a1, float)
+    a0, a1 = a0.astype(dtype), a1.astype(dtype)
     dim = len(a0)
-    if t1 == t0:
-        stats = {"steps": 0, "exponentials": 0, "error_estimate": 0.0}
-        return np.eye(dim, dtype=complex), stats
+    count = 1 if samples is None else int(samples)
+    if count < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    eye = np.eye(dim, dtype=dtype)
+    ends = np.repeat(eye[None], count, axis=0)
+    stats = {"steps": 0, "exponentials": 0, "error_estimate": 0.0}
     rate = np.linalg.norm(a0 - np.trace(a0) / dim * np.eye(dim), 2)
     m = max(MAGNUS_START_STEPS, math.ceil(abs(t1 - t0) * rate))
     n = u_n = None
     formed = 0
-    while True:
+    while t1 != t0:
+        m = -(-m // count) * count
         if m > MAGNUS_MAX_STEPS:
             raise SolverError(
                 f"CF4 needs more than {MAGNUS_MAX_STEPS} steps on "
                 f"[{t0:.6g}, {t1:.6g}] (rtol={rtol:.1e}, atol={atol:.1e})"
             )
-        u_m = _cf4_propagator(a0, a1, f, t0, t1, m)
+        u_m = _cf4_propagator(a0, a1, f, t0, t1, m, count)
         formed += m
         if n is None:
             n, u_n, m = m, u_m, 2 * m
             continue
         ratio = (m / n) ** 4 - 1.0
         diff = u_m - u_n
-        estimate = float(np.linalg.norm(diff)) / ratio
-        tol = dim * atol + rtol * float(np.linalg.norm(u_m))
-        if not math.isfinite(estimate):
+        estimates = np.array([np.linalg.norm(d) for d in diff]) / ratio
+        tols = dim * atol + rtol * np.array([np.linalg.norm(u) for u in u_m])
+        if not np.all(np.isfinite(estimates)):
             raise SolverError(f"non-finite CF4 propagator on [{t0:.6g}, {t1:.6g}]")
-        if estimate <= tol:
-            stats = {"steps": m, "exponentials": 2 * formed, "error_estimate": estimate}
-            return u_m + diff / ratio, stats
-        grow = (2.0 * estimate / tol) ** 0.25
+        if np.all(estimates <= tols):
+            stats = {"steps": m, "exponentials": 2 * formed,
+                     "error_estimate": float(estimates.max())}
+            ends = u_m + diff / ratio
+            break
+        grow = float(np.max(2.0 * estimates / tols)) ** 0.25
         n, u_n = m, u_m
         m = min(8 * m, max(math.ceil(1.25 * m), math.ceil(grow * m)))
+    path = np.concatenate([eye[None], ends])
+    return (path[-1] if samples is None else path), stats

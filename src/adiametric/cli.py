@@ -36,6 +36,7 @@ from .metric_flow import (
     static_metric,
 )
 from .operator_core import (
+    _expm_orbit,
     biorthogonal_decompose,
     positivity_check,
     spectrum_reality_check,
@@ -44,7 +45,6 @@ from .scattering import ScatteringConfig, s_matrix
 from .switching import adiabatic_sweep, extrapolate_to_zero, is_monotone_nonincreasing
 from .two_level import (
     component_generator,
-    evolve_components,
     ramp_experiment,
     static_solution,
 )
@@ -115,6 +115,7 @@ def _evolve_two_level(config: ModelConfig):
         diag = {
             "deviation": res.deviation,
             "selected_static": res.selected_static.four_vector().tolist(),
+            "solver": res.solver_stats,
         }
     else:
         params = two_level_params(model)
@@ -122,13 +123,11 @@ def _evolve_two_level(config: ModelConfig):
             comp0 = np.asarray(model["initial"]["components"], dtype=float)
         else:
             comp0 = _static_start(params, model).four_vector()
-        generator = component_generator(params)
         t0 = float(model.get("t0", 0.0))
         t1 = float(model.get("t1", 10.0))
-        t_eval = np.linspace(t0, t1, config.solver.samples)
-        times, comps = evolve_components(
-            lambda t: generator, comp0, t0, t1, config.solver, t_eval
-        )
+        times = np.linspace(t0, t1, config.solver.samples)
+        # constant generator: exact exponentials at the samples
+        comps = _expm_orbit(component_generator(params), times - t0, comp0)
         diag = {}
 
     columns = ["t", "theta0", "theta1", "theta2", "theta3"]
@@ -159,9 +158,7 @@ def _evolve_cubic(config: ModelConfig):
     model = config.model
     g = float(model.get("g", 0.1))
     duration = float(model.get("duration", math.pi))
-    # without a solver section the model keeps its own tighter default
-    solver = config.solver if "solver" in config.raw else None
-    traj = cubic_linear_switch_evolve(g, duration, config=solver)
+    traj = cubic_linear_switch_evolve(g, duration)
     columns = ["t"] + [f"coeff_{name}_{part}" for name in ANSATZ_NAMES
                        for part in ("re", "im")]
     rows = np.column_stack([traj.times, traj.values.astype(complex).view(float)])

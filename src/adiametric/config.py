@@ -22,18 +22,12 @@ from .metric_flow import SolverConfig
 from .switching import Constant, ExponentialSwitch, LinearRamp, SmoothSwitch
 from .two_level import TwoLevelParams
 
-_MATRIX = {
-    "type": "array",
-    "items": {
-        "type": "array",
-        "items": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_POSITIVE_LIST = {"type": "array", "items": _POSITIVE, "minItems": 1}
+_VECTOR4 = {"type": "array", "items": _NUMBER, "minItems": 4, "maxItems": 4}
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+_MATRIX = {"type": "array", "items": {"type": "array", "items": _PAIR}}
 
 _SCHEDULE = {
     "type": "object",
@@ -45,9 +39,9 @@ _SCHEDULE = {
         "h0": _MATRIX,
         "h1": _MATRIX,
         "h_int": _MATRIX,
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "duration": {"type": "number", "exclusiveMinimum": 0},
-        "width": {"type": "number", "exclusiveMinimum": 0},
+        "eps": _POSITIVE,
+        "duration": _POSITIVE,
+        "width": _POSITIVE,
     },
     "required": ["type"],
 }
@@ -65,39 +59,27 @@ CONFIG_SCHEMA = {
                 "h": _MATRIX,
                 "schedule": _SCHEDULE,
                 "theta0": _MATRIX,
-                "t0": {"type": "number"},
-                "t1": {"type": "number"},
+                "t0": _NUMBER,
+                "t1": _NUMBER,
                 # two-level kind
-                "v": {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4},
-                "w": {"type": "array", "items": {"type": "number"}, "minItems": 4, "maxItems": 4},
+                "v": _VECTOR4,
+                "w": _VECTOR4,
                 "ramp": {
                     "type": "object",
-                    "properties": {
-                        "duration": {"type": "number", "exclusiveMinimum": 0},
-                        "amplitude": {"type": "number"},
-                        "w3": {"type": "number"},
-                        "v0": {"type": "number"},
-                    },
+                    "properties": {"duration": _POSITIVE, "amplitude": _NUMBER,
+                                   "w3": _NUMBER, "v0": _NUMBER},
                     "required": ["duration"],
                 },
                 "initial": {
                     "type": "object",
-                    "properties": {
-                        "theta0": {"type": "number"},
-                        "alpha": {"type": "number"},
-                        "components": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 4,
-                            "maxItems": 4,
-                        },
-                    },
+                    "properties": {"theta0": _NUMBER, "alpha": _NUMBER,
+                                   "components": _VECTOR4},
                 },
                 # cubic kind
-                "g": {"type": "number"},
-                "duration": {"type": "number", "exclusiveMinimum": 0},
+                "g": _NUMBER,
+                "duration": _POSITIVE,
                 # static-metric weights (matrix kind)
-                "weights": {"type": "array", "items": {"type": "number"}},
+                "weights": {"type": "array", "items": _NUMBER},
             },
             "required": ["kind"],
         },
@@ -106,33 +88,21 @@ CONFIG_SCHEMA = {
             "properties": {
                 "h0": _MATRIX,
                 "h_int": _MATRIX,
-                "eps": {"type": "number", "exclusiveMinimum": 0},
-                "eps_ladder": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
+                "eps": _POSITIVE,
+                "eps_ladder": _POSITIVE_LIST,
                 "theta0": _MATRIX,
                 "compare_shapes": {"type": "boolean"},
-                "horizon_factor": {"type": "number", "exclusiveMinimum": 0},
+                "horizon_factor": _POSITIVE,
             },
         },
         "sweep": {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["two-level-deviation", "smatrix-defect"]},
-                "durations": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "eps_ladder": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "amplitude": {"type": "number"},
-                "w3": {"type": "number"},
+                "durations": _POSITIVE_LIST,
+                "eps_ladder": _POSITIVE_LIST,
+                "amplitude": _NUMBER,
+                "w3": _NUMBER,
                 "h0": _MATRIX,
                 "h_int": _MATRIX,
             },
@@ -141,8 +111,8 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "properties": {
-                "rtol": {"type": "number", "exclusiveMinimum": 0},
-                "atol": {"type": "number", "exclusiveMinimum": 0},
+                "rtol": _POSITIVE,
+                "atol": _POSITIVE,
                 "samples": {"type": "integer", "minimum": 2},
             },
         },

@@ -22,20 +22,22 @@ which for the quadratic generator p^2 + q^2 reduces identically to the
 rotation field 2 (q dTheta/dp - p dTheta/dq): metrics are transported
 along clockwise phase-space rotations at angular rate 2, hence with
 period pi.  The cubic model adds i g q^3; its order-g metric closes on
-polynomials of degree three, integrated and solved in closed form below.
+polynomials of degree three.  Under a linear switch that system is exact
+exponentials of one constant generator, and it is solved in closed form
+below as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._integrate import solve_ode
-from .errors import OutOfRange
-from .metric_flow import SolverConfig
+from .errors import OutOfRange, SolverError
+from .operator_core import _expm_orbit
 
 __all__ = [
     "PhasePolynomial",
@@ -333,12 +335,13 @@ _H0 = PhasePolynomial({(2, 0): 1, (0, 2): 1})
 _Q3_INDEX = ANSATZ_BASIS.index((0, 3))
 
 
+@functools.cache
 def _ansatz_generator_matrix() -> np.ndarray:
     """Flow generator of the quadratic part projected on the ansatz.
 
-    Built by pushing every basis monomial through the star flow; the
-    result must close on the ansatz (degree is preserved), which is
-    asserted here rather than assumed.
+    Built once, on first use, by pushing every basis monomial through the
+    star flow; the result must close on the ansatz (degree is preserved),
+    which is asserted here rather than assumed.  The array is read-only.
     """
     index = {key: n for n, key in enumerate(ANSATZ_BASIS)}
     gen = np.zeros((len(ANSATZ_BASIS), len(ANSATZ_BASIS)))
@@ -350,6 +353,7 @@ def _ansatz_generator_matrix() -> np.ndarray:
             if abs(coeff.imag) > 0:
                 raise AssertionError("generator must be real on real symbols")
             gen[index[mono], col] = coeff.real
+    gen.setflags(write=False)
     return gen
 
 
@@ -371,48 +375,45 @@ class CoefficientTrajectory:
         return self.values[:, ANSATZ_NAMES.index(name)]
 
 
-def cubic_linear_switch_evolve(
-    g, duration, t_eval=None, config: SolverConfig | None = None
-) -> CoefficientTrajectory:
-    """Integrate the order-g metric of the cubic model under a linear switch.
+def cubic_linear_switch_evolve(g, duration, t_eval=None) -> CoefficientTrajectory:
+    """Evolve the order-g metric of the cubic model under a linear switch.
 
     The generator is ``p^2 + q^2 + i (t g / duration) q^3`` on
     ``[0, duration]`` with the metric symbol starting at 1.  At first
     order in g the flow closes on the degree-3 ansatz: the quadratic part
     contributes the rotation generator and the switched cubic part feeds
-    the q^3 coefficient with strength ``-2 t g / duration``, a linear
-    10-dimensional system integrated here adaptively.
+    the q^3 coefficient with strength ``-2 t g / duration``.  Appending
+    ``(t, 1)`` to the 10 coefficients makes this linear system autonomous,
+    with a constant 12x12 generator G, so the trajectory is ``exp(t G)``
+    applied to the start, exactly, at every ``t_eval`` time (default: a
+    uniform grid of at least 513 points).  Raises :class:`SolverError` for
+    a ``t_eval`` outside ``[0, duration]`` or not strictly increasing.
     """
     if duration <= 0.0:
         raise OutOfRange("switch duration must be positive")
-    cfg = config or SolverConfig(rtol=1e-12, atol=1e-14)
-    gen = _ansatz_generator_matrix()
-    rate = 2.0 * float(g) / float(duration)
-
-    def rhs(t, y):
-        out = gen @ y
-        out[_Q3_INDEX] -= rate * t
-        return out
-
+    duration = float(duration)
     if t_eval is None:
         n = max(513, min(4097, int(64 * duration / math.pi) | 1))
         t_eval = np.linspace(0.0, duration, n)
-    y0 = np.zeros(len(ANSATZ_BASIS))
-    y0[0] = 1.0
-    sol = solve_ode(
-        rhs,
-        0.0,
-        float(duration),
-        y0,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        t_eval=t_eval,
-    )
+    times = np.asarray(t_eval, dtype=float)
+    outside = ~((times >= 0.0) & (times <= duration))
+    if outside.any():
+        raise SolverError(
+            f"t_eval time {times[outside][0]:.6g} lies outside [0, {duration:.6g}]"
+        )
+    if np.any(np.diff(times) <= 0.0):
+        raise SolverError("t_eval must be strictly increasing")
+    size = len(ANSATZ_BASIS)
+    gen = np.zeros((size + 2, size + 2))
+    gen[:size, :size] = _ansatz_generator_matrix()
+    gen[_Q3_INDEX, size] = -2.0 * float(g) / duration  # q^3 source -2 t g / T
+    gen[size, size + 1] = 1.0  # dt/dt = 1
+    z0 = np.r_[1.0, np.zeros(size), 1.0]  # metric symbol 1, t = 0, constant 1
     return CoefficientTrajectory(
-        times=sol.times,
-        values=np.array(sol.states),
+        times=times,
+        values=_expm_orbit(gen, times, z0)[:, :size],
         g=float(g),
-        duration=float(duration),
+        duration=duration,
     )
 
 

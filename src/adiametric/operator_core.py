@@ -302,6 +302,21 @@ def _expm_stack(gens):
     return out
 
 
+def _expm_orbit(gen, times, y0) -> np.ndarray:
+    """Rows ``exp(t G) y0 = y0 + t phi_1(t G) G y0`` for each t of ``times``,
+    from the last column of ``exp(t [[G, G y0], [0, 0]])``, ``PATH_CHUNK`` at a
+    time: a fixed point (``G y0 = 0``) stays fixed exactly."""
+    dim = len(y0)
+    border = np.zeros((dim + 1, dim + 1), dtype=np.result_type(gen, y0))
+    border[:dim, :dim], border[:dim, dim] = gen, gen @ y0
+    times = np.asarray(times, dtype=float)
+    rows = [np.empty((0, dim))]
+    for start in range(0, len(times), PATH_CHUNK):
+        exps = _expm_stack(times[start:start + PATH_CHUNK, None, None] * border)
+        rows.append(y0 + exps[:, :dim, dim])
+    return np.concatenate(rows)
+
+
 def propagator(h, dt) -> np.ndarray:
     """``exp(-i H dt)`` by the stacked Taylor kernel; exceptional points need no special path."""
     return _expm_stack((-1j * dt) * as_operator(h)[None])[0]

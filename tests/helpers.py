@@ -80,3 +80,29 @@ def dp5_dressing(h0, h_int, eps, config, form, direction, shape):
         atol=config.atol,
     )
     return vecs @ sol.states[-1] @ vecs_inv
+
+
+def dp5_ramp(times, y0, duration, amplitude=5.0, w3=3.0, rtol=1e-13, atol=1e-15):
+    """Crossed-ramp component flow by ``solve_ode``: the oracle for CF4.
+
+    Integrates ``dy/dt = M(t) y`` from ``y0`` at 0 with the generator of
+    :class:`CrossedRampSchedule` (constant after ``duration``), landing on
+    ``duration``, and returns the rows at ``times``.
+    """
+    from adiametric._integrate import solve_ode
+    from adiametric.two_level import CrossedRampSchedule, component_generator
+
+    schedule = CrossedRampSchedule(duration, amplitude=amplitude, w3=w3)
+    m_start = component_generator(schedule.params_at(0.0))
+    m_slope = component_generator(schedule.params_at(duration)) - m_start
+    sol = solve_ode(
+        lambda t, y: (m_start + min(t / duration, 1.0) * m_slope) @ y,
+        0.0,
+        float(times[-1]),
+        np.asarray(y0, dtype=float),
+        rtol=rtol,
+        atol=atol,
+        t_eval=times,
+        breakpoints=(duration,),
+    )
+    return np.array(sol.states)

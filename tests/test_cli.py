@@ -13,7 +13,6 @@ from adiametric.cli import main
 from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
 from adiametric.errors import ConfigError
 from adiametric.ioutil import CSV_HEADER
-from adiametric.metric_flow import SolverConfig
 from adiametric.two_level import hermitian_precession
 
 
@@ -177,31 +176,43 @@ class TestEvolve:
                 "initial": {"components": start},
                 "t1": 6.0,
             },
-            "solver": {"rtol": 1e-11, "atol": 1e-13, "samples": 61},
+            "solver": {"samples": 61},
             "output": {"format": "csv"},
         }
         code, text = run_cli(tmp_path, "evolve", cfg)
         assert code == 0
         rows = csv_rows(text)
-        np.testing.assert_allclose(rows[:, 1], start[0], atol=1e-8)
+        # a constant generator takes exact exponentials: roundoff only
+        np.testing.assert_allclose(rows[:, 1], start[0], atol=1e-12)
         exact = [hermitian_precession(start[1:], v[1:], t) for t in rows[:, 0]]
-        np.testing.assert_allclose(rows[:, 2:], exact, atol=1e-8)
+        np.testing.assert_allclose(rows[:, 2:], exact, atol=1e-12)
 
-    def test_cubic_takes_solver_section_when_present(self, tmp_path, monkeypatch):
+    def test_ramp_report_has_solver_counts(self, tmp_path):
+        ramp = {**RAMP, "model": {"kind": "two-level", "ramp": {"duration": 3.0}}}
+        code, text = run_cli(tmp_path, "evolve", ramp, fmt="json")
+        assert code == 0
+        solver = json.loads(text)["diagnostics"]["solver"]
+        assert set(solver) == {"steps", "exponentials", "error_estimate"}
+        assert solver["steps"] % 201 == 0  # whole CF4 steps per ramp sample
+        assert solver["exponentials"] > 2 * solver["steps"]
+        assert 0.0 < solver["error_estimate"] < 1e-8
+
+    def test_cubic_ignores_solver_section(self, tmp_path, monkeypatch):
+        # the cubic flow is exact exponentials: no tolerances to pass on
         seen = []
         evolve = cli.cubic_linear_switch_evolve
 
-        def spy(g, duration, t_eval=None, config=None):
-            seen.append(config)
-            return evolve(g, duration, t_eval, config)
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs))
+            return evolve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "cubic_linear_switch_evolve", spy)
-        assert run_cli(tmp_path, "evolve", CUBIC)[0] == 0
-        with_solver = {**CUBIC, "solver": {"rtol": 1e-4}}
-        assert run_cli(tmp_path, "evolve", with_solver)[0] == 0
-        # no section: the model's own tight default, so outputs do not move
-        assert seen == [None, SolverConfig(rtol=1e-4)]
-        assert seen[1] == parse_config(with_solver).solver
+        code, plain = run_cli(tmp_path, "evolve", CUBIC)
+        assert code == 0
+        code, with_solver = run_cli(tmp_path, "evolve", {**CUBIC, "solver": {"rtol": 1e-4}})
+        assert code == 0
+        assert with_solver == plain
+        assert seen == [((0.1, math.pi), {})] * 2
 
     def test_deterministic_output(self, tmp_path):
         _, first = run_cli(tmp_path, "evolve", CUBIC)

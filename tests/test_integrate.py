@@ -220,3 +220,37 @@ def test_cf4_empty_interval_is_identity():
     u, stats = magnus_cf4(A0, A1, _factor, 1.0, 1.0)
     np.testing.assert_array_equal(u, np.eye(2))
     assert stats["steps"] == 0
+
+
+def test_cf4_dense_output_ends_at_the_endpoint_result():
+    tols = {"rtol": 1e-10, "atol": 1e-13}
+    u, stats = magnus_cf4(A0, A1, _factor, 0.0, 6.0, **tols)
+    one, one_stats = magnus_cf4(A0, A1, _factor, 0.0, 6.0, samples=1, **tols)
+    np.testing.assert_array_equal(one[0], np.eye(2))
+    np.testing.assert_array_equal(one[-1], u)
+    assert one_stats == stats
+    dense, dense_stats = magnus_cf4(A0, A1, _factor, 0.0, 6.0, samples=7, **tols)
+    assert dense.shape == (8, 2, 2)
+    assert dense_stats["steps"] % 7 == 0
+    np.testing.assert_allclose(dense[-1], u, atol=1e-10)
+    for j, t in enumerate(np.linspace(0.0, 6.0, 8)):
+        np.testing.assert_allclose(dense[j], _dp5_propagator(_factor, 0.0, t), atol=1e-10)
+
+
+def test_cf4_dense_output_with_samples_longer_than_a_chunk():
+    # 2 samples over >= 600 steps each: every sample spans several chunks
+    tols = {"rtol": 1e-10, "atol": 1e-13}
+    dense, stats = magnus_cf4(A0, A1, _factor, 0.0, 600.0, samples=2, **tols)
+    assert stats["steps"] // 2 > _integrate.PATH_CHUNK
+    half, _ = magnus_cf4(A0, A1, _factor, 0.0, 300.0, **tols)
+    whole, _ = magnus_cf4(A0, A1, _factor, 0.0, 600.0, **tols)
+    np.testing.assert_allclose(dense[1], half, atol=1e-9)
+    np.testing.assert_allclose(dense[2], whole, atol=1e-9)
+
+
+def test_cf4_keeps_real_generators_real():
+    a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    a1 = np.array([[0.3, 0.0], [1.0, -0.2]])
+    u, _ = magnus_cf4(a0, a1, np.sin, 0.0, 3.0, rtol=1e-11, atol=1e-14)
+    assert u.dtype == np.float64
+    np.testing.assert_allclose(u, _dp5_propagator(np.sin, 0.0, 3.0, a0, a1), atol=1e-10)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiametric.errors import OutOfRange
+from adiametric.errors import OutOfRange, SolverError
 from adiametric.moyal import (
     ANSATZ_NAMES,
     ONE,
@@ -216,3 +216,32 @@ class TestLinearSwitch:
             )
         ratio = envelopes[80.0] / envelopes[40.0]
         assert 0.4 <= ratio <= 0.6
+
+
+class TestLinearSwitchExponentials:
+    """The cubic flow is exact exponentials of a constant 12x12 generator."""
+
+    @pytest.mark.parametrize("g", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("duration", [math.pi, 10.0, 40.0, 100.0])
+    def test_every_sample_matches_closed_form(self, g, duration):
+        traj = cubic_linear_switch_evolve(g, duration)
+        exact = np.array([linear_switch_closed_form(g, duration, t) for t in traj.times])
+        assert np.max(np.abs(traj.values - exact)) < 1e-12
+
+    def test_t_eval_outside_interval_raises(self):
+        with pytest.raises(SolverError, match="outside"):
+            cubic_linear_switch_evolve(0.1, 2.0, t_eval=[0.5, 2.5])
+        with pytest.raises(SolverError, match="outside"):
+            cubic_linear_switch_evolve(0.1, 2.0, t_eval=[-0.1, 1.0])
+
+    def test_non_increasing_t_eval_raises(self):
+        for t_eval in ([0.5, 0.5, 1.0], [1.0, 0.5]):
+            with pytest.raises(SolverError, match="strictly increasing"):
+                cubic_linear_switch_evolve(0.1, 2.0, t_eval=t_eval)
+
+    def test_generator_built_once_read_only(self):
+        from adiametric.moyal import _ansatz_generator_matrix
+
+        gen = _ansatz_generator_matrix()
+        assert _ansatz_generator_matrix() is gen
+        assert not gen.flags.writeable

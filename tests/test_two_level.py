@@ -32,6 +32,8 @@ from adiametric.two_level import (
     static_solution,
 )
 
+from helpers import dp5_ramp
+
 FIXTURE = TwoLevelParams(v=np.array([0.0, 4.0, 0.0, 0.0]), w=np.array([0.0, 0.0, 0.0, 3.0]))
 
 
@@ -308,3 +310,30 @@ class TestRampExperiment:
         end_comp = MetricComponents.from_matrix(traj.final).four_vector()
         idx = np.argmin(np.abs(res.times - 3.0))
         np.testing.assert_allclose(res.components[idx], end_comp, atol=1e-8)
+
+
+ramp_parameters = st.tuples(
+    st.floats(min_value=0.5, max_value=4.0),  # w3
+    st.floats(min_value=1.05, max_value=2.0),  # amplitude / (sqrt(2) w3)
+).map(lambda p: (p[0] * p[1] * math.sqrt(2.0), p[0]))
+
+
+class TestRampAgainstDP5:
+    """The CF4 ramp and its exact tail against the DP5 oracle at rtol 1e-13."""
+
+    @given(st.floats(min_value=0.5, max_value=60.0), ramp_parameters)
+    @settings(max_examples=10, deadline=None)
+    def test_every_sample_matches_oracle(self, duration, params):
+        amplitude, w3 = params  # v^2 - w^2 >= 0.1 w3^2 along the ramp
+        res = ramp_experiment(duration, amplitude=amplitude, w3=w3)
+        ref = dp5_ramp(res.times, res.initial_static.four_vector(), duration, amplitude, w3)
+        err = np.linalg.norm(res.components - ref, axis=1)
+        assert np.all(err <= 1e-8 * np.linalg.norm(ref, axis=1))
+
+    def test_solver_counts(self):
+        stats = ramp_experiment(10.0).solver_stats
+        again = ramp_experiment(10.0).solver_stats
+        assert stats == again
+        assert stats["steps"] % 201 == 0  # default samples: 201 ramp points
+        assert stats["exponentials"] > 2 * stats["steps"]
+        assert 0.0 < stats["error_estimate"] < 1e-8
