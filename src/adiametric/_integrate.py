@@ -14,9 +14,9 @@ endpoint or, as dense output, at uniform sample times.  It is the
 4th-order commutator-free Magnus method of Blanes & Moan (Appl. Numer.
 Math. 56 (2006) 1519): two matrix exponentials per step, formed by the
 stacked Taylor kernel of :mod:`.operator_core`, so the ``A0`` motion is
-carried exactly and the step is set by how ``f`` varies.  It serves the
-scattering dressings and the two-level ramp; the metric flow stays on
-:func:`solve_ode`.
+carried exactly and the step is set by how ``f`` varies.  It serves both
+scattering dressings from one stack, and the two-level ramp; the metric
+flow stays on :func:`solve_ode`.
 """
 
 from __future__ import annotations
@@ -228,14 +228,15 @@ def _prefix_products(mats):
     return out
 
 
-def _cf4_propagator(a0, a1, f, t0, t1, steps, samples=1):
+def _cf4_propagator(a0, a1, f, t0, t1, steps, samples=1, mirror=False):
     """``(samples, d, d)`` CF4 propagators from t0 to the ends of ``samples``
     equal subintervals, by ``steps`` uniform steps (a multiple of ``samples``)
-    taken ``PATH_CHUNK`` at a time: whole subintervals, or part of a long one."""
+    taken ``PATH_CHUNK`` at a time: whole subintervals, or part of a long one;
+    ``mirror`` appends their product in the opposite order."""
     h = (t1 - t0) / steps
     per = steps // samples
     half = 0.5 * a0
-    u = np.eye(len(a0), dtype=half.dtype)
+    u = v = np.eye(len(a0), dtype=half.dtype)
     out = []
     start = 0
     while start < steps:
@@ -248,6 +249,8 @@ def _cf4_propagator(a0, a1, f, t0, t1, steps, samples=1):
         if not np.all(np.isfinite(phi)):
             raise SolverError(f"non-finite switch factor in [{t0:.6g}, {t1:.6g}]")
         exps = _expm_stack(h * (half + phi.reshape(-1, 1, 1) * a1))
+        if mirror:
+            v = v @ _ordered_product(exps[::-1])
         # two exponentials per step, grouped by subinterval
         groups = exps.reshape(-1, 2 * min(per, stop - start), *a0.shape).swapaxes(0, 1)
         ends = _prefix_products(_ordered_product(groups)) @ u
@@ -255,10 +258,10 @@ def _cf4_propagator(a0, a1, f, t0, t1, steps, samples=1):
         if stop % per == 0:
             out.extend(ends)
         start = stop
-    return np.array(out)
+    return np.array(out + [v] if mirror else out)
 
 
-def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
+def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None, mirror=False):
     """Propagator ``Y(t1) Y(t0)^-1`` of ``dY/dt = (A0 + f(t) A1) Y`` by CF4.
 
     ``f`` maps an array of times to the array of scalar factors; it must be
@@ -277,12 +280,19 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
     |y|)``) applied once to the whole propagator with a uniform scale.
     Otherwise the next pass takes the step count predicted to meet half the
     tolerance, between 1.25 and 8 times the last.  The accepted propagator
-    is the extrapolant ``U_m + (U_m - U_n) / ((m/n)^4 - 1)``.
+    is the extrapolant ``U_m + (U_m - U_n) / ((m/n)^4 - 1)``.  The test and
+    ``error_estimate`` refer to the unextrapolated ``U_m``; the returned
+    extrapolant is typically about three orders more accurate, so
+    ``error_estimate`` bounds its error loosely.
 
     Dense output: with ``samples=k`` both passes take a multiple of ``k``
     steps, and their partial products at ``t0 + j (t1 - t0) / k`` are
     tested and extrapolated like the endpoint; the result is the ``(k + 1,
     d, d)`` stack of propagators from t0 to those times (``j = 0..k``).
+    ``mirror=True`` (endpoint only) returns ``[U(t1, t0), U(-t0, -t1)]`` for
+    an even ``f``: a pass from -t0 to -t1 meets the same Gauss-node factors
+    with h negated, so its exponentials invert these, and ``U(-t0, -t1)``
+    is their product in the opposite order.  Both pass the test above.
 
     Each pass forms its exponentials ``PATH_CHUNK`` steps at a time in one
     stacked Taylor evaluation and reduces them by pairwise batched
@@ -291,7 +301,7 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
 
     Returns ``(U, stats)`` with ``stats`` counting the accepted ``steps``,
     the ``exponentials`` formed over all passes and the final
-    ``error_estimate`` (the largest over the samples).  Raises
+    ``error_estimate`` (the largest over the samples and products).  Raises
     :class:`SolverError` when the factor or the propagator turns
     non-finite or the tolerance needs more than ``MAGNUS_MAX_STEPS`` steps.
     """
@@ -302,8 +312,10 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
     count = 1 if samples is None else int(samples)
     if count < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if mirror and samples is not None:
+        raise ValueError("mirror gives endpoints only; it takes no samples")
     eye = np.eye(dim, dtype=dtype)
-    ends = np.repeat(eye[None], count, axis=0)
+    ends = np.repeat(eye[None], count + mirror, axis=0)
     stats = {"steps": 0, "exponentials": 0, "error_estimate": 0.0}
     rate = np.linalg.norm(a0 - np.trace(a0) / dim * np.eye(dim), 2)
     m = max(MAGNUS_START_STEPS, math.ceil(abs(t1 - t0) * rate))
@@ -316,7 +328,7 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
                 f"CF4 needs more than {MAGNUS_MAX_STEPS} steps on "
                 f"[{t0:.6g}, {t1:.6g}] (rtol={rtol:.1e}, atol={atol:.1e})"
             )
-        u_m = _cf4_propagator(a0, a1, f, t0, t1, m, count)
+        u_m = _cf4_propagator(a0, a1, f, t0, t1, m, count, mirror)
         formed += m
         if n is None:
             n, u_n, m = m, u_m, 2 * m
@@ -335,5 +347,6 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None):
         grow = float(np.max(2.0 * estimates / tols)) ** 0.25
         n, u_n = m, u_m
         m = min(8 * m, max(math.ceil(1.25 * m), math.ceil(grow * m)))
-    path = np.concatenate([eye[None], ends])
-    return (path[-1] if samples is None else path), stats
+    if samples is None:
+        return (ends if mirror else ends[0]), stats
+    return np.concatenate([eye[None], ends]), stats

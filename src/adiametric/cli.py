@@ -262,7 +262,7 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
             ladder, [r.phase_renormalized() for r in results]
         )
         diagnostics["extrapolated_s_phase_renormalized"] = matrix_to_json(s_ext)
-    # per eps: the CF4 counts of each dressing, by switch shape
+    # per eps: the CF4 counts of the dressings, by switch shape
     solver = [{"eps": float(eps), "exp": r.solver_stats} for eps, r in zip(ladder, results)]
     if spec.get("compare_shapes"):
         smooth = [s_matrix(h0, h_int, eps, theta0, sc_cfg, shape="smooth") for eps in ladder]

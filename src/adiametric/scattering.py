@@ -14,10 +14,10 @@ decreases with the rate and is extrapolated to zero by the sweep helpers.
 
 Moller operators come from the lab-frame propagator of the switched
 generator, integrated to a finite horizon by the commutator-free Magnus
-method (:func:`magnus_cf4`), which carries the free motion exactly; the
-horizon maps to a quantified truncation error.  The switch enters only
-through its ``factor`` and ``support``; :func:`_switch_schedule` alone
-maps a shape name to a switch.
+method (:func:`magnus_cf4`), which carries the free motion exactly; every
+switch is even, so one exponential stack serves the far past and the far
+future.  The switch enters only through its ``factor`` and ``support``;
+:func:`_switch_schedule` alone maps a shape name to a switch.
 """
 
 from __future__ import annotations
@@ -62,10 +62,11 @@ class ScatteringConfig:
     ``rtol``/``atol`` set the accuracy of both integrators.  The dressings
     use :func:`magnus_cf4`, which accepts a propagator ``U`` of dimension d
     on one segment when its Richardson error estimate is at most
-    ``d * atol + rtol * ||U||_F`` (the ``solve_ode`` step test applied once
-    to the whole segment with a uniform scale), and returns the
-    extrapolant.  :func:`adiabatic_metric` integrates the metric flow with
-    ``solve_ode`` at the same ``rtol``/``atol`` per step.
+    ``d * atol + rtol * ||U||_F``.  That estimate, reported as
+    ``error_estimate``, is the unextrapolated pass's; the returned
+    extrapolant is typically about three orders more accurate.
+    :func:`adiabatic_metric` integrates the metric flow with ``solve_ode``
+    at the same ``rtol``/``atol`` per step.
     """
 
     rtol: float = 1e-10
@@ -85,58 +86,56 @@ def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
     raise ValueError(f"unknown switch shape {shape!r}")
 
 
-def _dressing(h0, h_int, eps, config, form, direction, shape, frame):
-    """A dressing operator from the lab-frame propagator ``U(t, 0)``.
+def _real_spectrum_pair(h0, h_int):
+    h0, h_int = as_operator(h0), as_operator(h_int)
+    if not spectrum_reality_check(h0 + h_int):
+        raise ComplexSpectrum("full generator has complex spectrum; adiabatic metric undefined")
+    return h0, h_int
 
-    ``form="K"`` gives ``K(t) = U(0,t) U_0(t,0) = U(t,0)^-1 W(t)``,
-    ``form="G"`` gives ``G(t) = U_0(0,t) U(t,0) = W(t)^-1 U(t,0)``, with the
-    free propagator ``W(t) = V diag(exp(-i E t)) V^-1`` from the H_0
-    eigenframe ``frame = (E, V, V^-1)``; ``direction`` picks the far-past
-    (-1) or far-future (+1) horizon T.  ``U(T, 0)`` comes from
-    :func:`magnus_cf4` on ``H_0 + f(t) H_int`` with the switch factor of
-    ``shape``, at the configured ``rtol``/``atol``.  With the convergence
-    check on and |T| < ``support``, ``U(2T, T)`` is multiplied on too.
 
-    Returns ``(limit, u_horizon, stats)``: the dressing at 2T when checked,
-    else at T; ``U(T, 0)``; and the per-segment integrator counts summed
-    (``error_estimate`` is the sum of the segments' estimates).
+def _dressing(h0, h_int, eps, config, shape, frame):
+    """Dressings ``K(t) = U(0,t) U_0(t,0)`` at the far past and future.
+
+    ``K(-T) = U(0,-T) W(-T)`` and ``K(T) = U(T,0)^-1 W(T)``, with ``W(t) = V
+    diag(exp(-i E t)) V^-1`` from ``frame = (E, V, V^-1)``.  The switch is
+    even, so one mirrored :func:`magnus_cf4` pass from 0 to T gives both
+    ``U(T, 0)`` and ``U(0, -T)``.  With the convergence check on and T <
+    ``support``, the tail to 2T is taken the same way, and the limits at 2T.
+    Returns ``(k_in, k_out, U(0, -T), stats)``, counts summed over segments.
     """
     cfg = config or ScatteringConfig()
     switch = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
     a0, a1 = -1j * switch.h0, -1j * switch.h_int
     vals, vecs, vecs_inv = frame
-    horizon = direction * cfg.horizon_factor / eps
+    horizon = cfg.horizon_factor / eps
 
-    def dressed(u, t):
-        if form == "K":
-            return np.linalg.solve(u, (vecs * np.exp(-1j * vals * t)) @ vecs_inv)
-        return (vecs * np.exp(1j * vals * t)) @ vecs_inv @ u
+    def dressings(u_out, u_in, t):
+        free = [(vecs * np.exp(-1j * vals * s)) @ vecs_inv for s in (-t, t)]
+        return u_in @ free[0], np.linalg.solve(u_out, free[1])
 
-    tols = {"rtol": cfg.rtol, "atol": cfg.atol}
-    u_horizon, stats = magnus_cf4(a0, a1, switch.factor, 0.0, horizon, **tols)
-    at_horizon = dressed(u_horizon, horizon)
+    tols = {"rtol": cfg.rtol, "atol": cfg.atol, "mirror": True}
+    (u_out, u_in), stats = magnus_cf4(a0, a1, switch.factor, 0.0, horizon, **tols)
+    at_horizon = dressings(u_out, u_in, horizon)
     # Beyond its support the switch is free to roundoff: nothing to check.
-    if not (cfg.check_convergence and abs(horizon) < switch.support):
-        return at_horizon, u_horizon, stats
-    u_tail, tail_stats = magnus_cf4(a0, a1, switch.factor, horizon, 2.0 * horizon, **tols)
-    stats = {key: stats[key] + tail_stats[key] for key in stats}
-    limit = dressed(u_tail @ u_horizon, 2.0 * horizon)
-    drift = frobenius(limit - at_horizon)
+    if not (cfg.check_convergence and horizon < switch.support):
+        return (*at_horizon, u_in, stats)
+    (tail_out, tail_in), more = magnus_cf4(a0, a1, switch.factor, horizon, 2 * horizon, **tols)
+    stats = {key: stats[key] + more[key] for key in stats}
+    limits = dressings(tail_out @ u_out, u_in @ tail_in, 2.0 * horizon)
+    drift = max(frobenius(lim - at) for lim, at in zip(limits, at_horizon))
     if drift > cfg.convergence_tol:
-        raise NoConvergence(
-            f"Moller limit moved by {drift:.3e} when doubling the horizon"
-        )
-    return limit, u_horizon, stats
+        raise NoConvergence(f"Moller limit moved by {drift:.3e} when doubling the horizon")
+    return (*limits, u_in, stats)
 
 
 def moller_minus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
     """In-map ``lim_{t -> -inf} U(0, t) U_0(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, "K", -1, shape, eigenframe(h0))[0]
+    return _dressing(h0, h_int, eps, config, shape, eigenframe(h0))[0]
 
 
 def moller_plus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
-    """Out-map ``lim_{t -> +inf} U_0(0, t) U(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, "G", +1, shape, eigenframe(h0))[0]
+    """Out-map ``lim_{t -> +inf} U_0(0, t) U(t, 0)``, the inverse of :func:`out_dressing`."""
+    return np.linalg.inv(out_dressing(h0, h_int, eps, config, shape))
 
 
 def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
@@ -146,7 +145,7 @@ def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="
     pair it against the adiabatic metric, which is what makes the free
     probability-conservation identity carry over to the dressed S-matrix.
     """
-    return _dressing(h0, h_int, eps, config, "K", +1, shape, eigenframe(h0))[0]
+    return _dressing(h0, h_int, eps, config, shape, eigenframe(h0))[1]
 
 
 def adiabatic_metric(
@@ -173,12 +172,7 @@ def adiabatic_metric(
     against.
     """
     cfg = config or ScatteringConfig()
-    h0 = as_operator(h0)
-    h_int = as_operator(h_int)
-    if not spectrum_reality_check(h0 + h_int):
-        raise ComplexSpectrum(
-            "full generator has complex spectrum; adiabatic metric undefined"
-        )
+    h0, h_int = _real_spectrum_pair(h0, h_int)
     schedule = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
     horizon = cfg.horizon_factor / eps
     traj = evolve_metric(
@@ -229,8 +223,9 @@ def dynamical_phase_integrals(h0, h_int, eps, shape="exp", horizon_factor=12.0) 
 class ScatteringResult:
     """Dressed S-matrix and the operators it was assembled from.
 
-    ``solver_stats`` holds the :func:`magnus_cf4` counts of each dressing,
-    ``{"in_dressing": ..., "out_dressing": ...}``; they are deterministic.
+    ``solver_stats`` holds the :func:`magnus_cf4` counts of the one
+    integration both dressings come from, ``{"dressings": {"steps": ...,
+    "exponentials": ..., "error_estimate": ...}}``; they are deterministic.
     """
 
     s_matrix: np.ndarray
@@ -290,31 +285,20 @@ def s_matrix(
     The metric flow conserves ``U^-dag Theta U^-1``, so Theta(0) is the
     Moller identity ``K^-dag W^dag Theta_0 W K^-1 = U^dag Theta_0 U``, with
     K the in-dressing at the single horizon ``-T`` where the integrated
-    flow would start, ``W = U_0(-T, 0)`` and ``U = U(-T, 0)`` the
-    propagator the in-dressing is built from.  That leaves one propagator
-    integration per dressing and no ``solve_ode`` call;
-    :func:`adiabatic_metric` integrates the flow and is the oracle for the
-    identity.  The H_0 eigenframe is resolved once and shared by both
-    dressings.  Raises :class:`ComplexSpectrum` when ``h0 + h_int`` has
-    no real spectrum.
+    flow would start, ``W = U_0(-T, 0)`` and ``U = U(-T, 0)``.  Both
+    dressings and U come from one propagator integration (:func:`_dressing`)
+    and no ``solve_ode`` call; :func:`adiabatic_metric` integrates the flow
+    and is the oracle for the identity.  Raises :class:`ComplexSpectrum`
+    when ``h0 + h_int`` has no real spectrum.
     """
     cfg = config or ScatteringConfig()
-    h0 = as_operator(h0)
-    h_int = as_operator(h_int)
-    if not spectrum_reality_check(h0 + h_int):
-        raise ComplexSpectrum(
-            "full generator has complex spectrum; adiabatic metric undefined"
-        )
-    theta0 = _require_hermitian(
-        np.eye(h0.shape[0], dtype=complex) if theta0 is None else theta0
-    )
-
+    h0, h_int = _real_spectrum_pair(h0, h_int)
+    theta0 = _require_hermitian(np.eye(len(h0), dtype=complex) if theta0 is None else theta0)
     frame = eigenframe(h0)
-    vecs = frame[1]
-    basis = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    basis = frame[1] / np.linalg.norm(frame[1], axis=0, keepdims=True)
 
-    om_in, u_past, in_stats = _dressing(h0, h_int, eps, cfg, "K", -1, shape, frame)
-    om_out, _, out_stats = _dressing(h0, h_int, eps, cfg, "K", +1, shape, frame)
+    om_in, om_out, u_in, stats = _dressing(h0, h_int, eps, cfg, shape, frame)
+    u_past = np.linalg.inv(u_in)  # U(-T, 0)
     theta = _symmetrize(u_past.conj().T @ theta0 @ u_past)
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
@@ -327,5 +311,5 @@ def s_matrix(
         eps=eps,
         unitarity_defect=defect,
         phases=phases,
-        solver_stats={"in_dressing": in_stats, "out_dressing": out_stats},
+        solver_stats={"dressings": stats},
     )

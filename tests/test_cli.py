@@ -301,11 +301,11 @@ class TestSmatrix:
         assert [entry["eps"] for entry in solver] == [0.4, 0.2]
         for entry in solver:
             for shape in ("exp", "smooth"):
-                for side in ("in_dressing", "out_dressing"):
-                    stats = entry[shape][side]
-                    assert set(stats) == {"steps", "exponentials", "error_estimate"}
-                    assert stats["steps"] > 0
-                    assert stats["error_estimate"] < 1e-9
+                assert set(entry[shape]) == {"dressings"}
+                stats = entry[shape]["dressings"]
+                assert set(stats) == {"steps", "exponentials", "error_estimate"}
+                assert stats["steps"] > 0
+                assert stats["error_estimate"] < 1e-9
         _, again = run_cli(tmp_path, "smatrix", cfg, name="cfg2.json")
         assert again == text
 

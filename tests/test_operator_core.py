@@ -219,13 +219,26 @@ class TestPropagator:
 
 
 def test_taylor_stack_matches_expm():
-    rng = np.random.default_rng(7)
-    gens = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    gens *= np.array([1e-3, 0.1, 1.0, 5.0, 40.0])[:, None, None]
-    got = _expm_stack(gens)
-    for g, e in zip(gens, got):
-        expected = scipy.linalg.expm(g)
-        assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+    # d = 1-13, real and complex, 1-norms just below and above every power
+    # of two in [1e-3, 50]: every squaring count and block layout
+    norms = [n for k in range(-10, 6) for n in (0.97 * 2.0**k, 1.03 * 2.0**k)]
+    norms = np.array([n for n in norms if 1e-3 <= n <= 50.0])
+    ep = SZ + 1j * SX  # the exceptional point: defective, nilpotent
+    for dim in range(1, 14):
+        for dtype in (float, complex):
+            rng = np.random.default_rng(dim)
+            gens = rng.standard_normal((len(norms), dim, dim)).astype(dtype)
+            if dtype is complex:
+                gens += 1j * rng.standard_normal((len(norms), dim, dim))
+                if dim == 2:
+                    gens = np.concatenate([gens, [ep, -3.0j * ep]])
+            scaled = gens[:len(norms)]  # the exceptional points keep their norm
+            scaled *= (norms / np.abs(scaled).sum(axis=1).max(axis=1))[:, None, None]
+            got = _expm_stack(gens)
+            assert got.dtype == gens.dtype
+            for g, e in zip(gens, got):
+                expected = scipy.linalg.expm(g)
+                assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
 
 def test_import_leaves_scipy_unloaded():

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiametric._integrate import magnus_cf4
 from adiametric.errors import ComplexSpectrum, NoConvergence
 from adiametric.metric_flow import (
     adiabatic_transport_prediction,
@@ -17,6 +18,7 @@ from adiametric.operator_core import biorthogonal_decompose, eigenframe
 from adiametric.scattering import (
     ScatteringConfig,
     _dressing,
+    _switch_schedule,
     adiabatic_metric,
     dynamical_phase_integrals,
     moller_minus,
@@ -381,6 +383,13 @@ class TestMollerIdentityMetric:
         assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
 
 
+def _cf4_dressing(h0, h_int, eps, config, form, direction, shape):
+    """The CF4 dressing in :func:`helpers.dp5_dressing`'s terms: ``K`` at the
+    far past (-1) or future (+1) horizon, or ``G = K^-1``."""
+    k = _dressing(h0, h_int, eps, config, shape, eigenframe(h0))[0 if direction < 0 else 1]
+    return k if form == "K" else np.linalg.inv(k)
+
+
 class TestCF4Dressings:
     """The lab-frame CF4 dressings against the interaction-picture DP5 oracle."""
 
@@ -401,16 +410,38 @@ class TestCF4Dressings:
     def test_matches_dp5_oracle(self, dim, levels, ratios, seed, eps, shape, form_direction):
         _, h0, h_int = _pt_coupling(dim, levels, ratios, seed)
         form, direction = form_direction
-        cf4 = _dressing(h0, h_int, eps, self.CFG, form, direction, shape, eigenframe(h0))[0]
+        cf4 = _cf4_dressing(h0, h_int, eps, self.CFG, form, direction, shape)
         oracle = dp5_dressing(h0, h_int, eps, self.ORACLE, form, direction, shape)
         assert np.max(np.abs(cf4 - oracle)) < 1e-9
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        levels=st.lists(st.floats(0.8, 2.5), min_size=2, max_size=2, unique=True),
+        ratios=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.2, 1.6),
+        shape=st.sampled_from(["smooth", "exp"]),
+    )
+    def test_mirrored_product_is_the_backward_pass(self, dim, levels, ratios, seed, eps, shape):
+        # U(0, -T) from the forward stack in reverse order against the
+        # inverse of a direct CF4 pass from 0 to -T
+        _, h0, h_int = _pt_coupling(dim, levels, ratios, seed)
+        switch = _switch_schedule(h0, h_int, eps, shape, self.CFG.horizon_factor)
+        a0, a1 = -1j * switch.h0, -1j * switch.h_int
+        horizon = self.CFG.horizon_factor / eps
+        tols = {"rtol": self.CFG.rtol, "atol": self.CFG.atol}
+        (_, mirrored), _ = magnus_cf4(a0, a1, switch.factor, 0.0, horizon, mirror=True, **tols)
+        backward, _ = magnus_cf4(a0, a1, switch.factor, 0.0, -horizon, **tols)
+        direct = np.linalg.inv(backward)
+        assert np.linalg.norm(mirrored - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("shape", ["smooth", "exp"])
     def test_no_less_accurate_than_dp5_default(self, shape):
         _, h0, h_int = _pt_coupling(4, [2.0, 1.1], [0.4, 0.3], 3)
         reference = dp5_dressing(h0, h_int, 0.8, self.REFERENCE, "K", -1, shape)
         dp5 = dp5_dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape)
-        cf4 = _dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape, eigenframe(h0))[0]
+        cf4 = _cf4_dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape)
         assert np.max(np.abs(cf4 - reference)) <= np.max(np.abs(dp5 - reference))
 
     def test_quasi_hermitian_free_part(self):
@@ -418,8 +449,7 @@ class TestCF4Dressings:
         h0, _ = random_quasi_hermitian(rng, 3, 3.0)
         h_int = 0.3 * random_hermitian(rng, 3) + 0.2j * random_hermitian(rng, 3)
         for form, direction in (("K", -1), ("G", +1)):
-            cf4 = _dressing(h0, h_int, 1.2, self.CFG, form, direction, "smooth",
-                            eigenframe(h0))[0]
+            cf4 = _cf4_dressing(h0, h_int, 1.2, self.CFG, form, direction, "smooth")
             oracle = dp5_dressing(h0, h_int, 1.2, self.ORACLE, form, direction, "smooth")
             assert np.max(np.abs(cf4 - oracle)) < 1e-9
 
@@ -448,17 +478,17 @@ class TestCF4Dressings:
         # the smooth horizon is its support: the doubled-horizon segment
         # would integrate the free motion, so the dressing skips it
         frame = eigenframe(H0)
-        checked = _dressing(H0, HI, 0.8, ScatteringConfig(), "K", -1, shape, frame)
-        single = _dressing(H0, HI, 0.8, self.CFG, "K", -1, shape, frame)
-        assert (checked[2]["steps"] > single[2]["steps"]) == tail
+        checked = _dressing(H0, HI, 0.8, ScatteringConfig(), shape, frame)
+        single = _dressing(H0, HI, 0.8, self.CFG, shape, frame)
+        assert (checked[3]["steps"] > single[3]["steps"]) == tail
         if not tail:
-            np.testing.assert_array_equal(checked[0], single[0])
+            for limit, at_horizon in zip(checked[:2], single[:2]):
+                np.testing.assert_array_equal(limit, at_horizon)
 
     def test_result_carries_deterministic_solver_stats(self):
         first = s_matrix(H0, HI, 0.8).solver_stats
         assert first == s_matrix(H0, HI, 0.8).solver_stats
-        for side in ("in_dressing", "out_dressing"):
-            stats = first[side]
-            assert stats["steps"] > 0
-            assert stats["exponentials"] >= 2 * stats["steps"]
-            assert 0.0 < stats["error_estimate"] < 1e-9
+        stats = first["dressings"]
+        assert stats["steps"] > 0
+        assert stats["exponentials"] >= 2 * stats["steps"]
+        assert 0.0 < stats["error_estimate"] < 1e-9

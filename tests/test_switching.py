@@ -61,6 +61,14 @@ class TestSchedules:
         assert SmoothSwitch(H0, HI, 5.0).factor(-5.0) == 0.0
 
     @pytest.mark.parametrize("rate", [0.05, 0.3, 1.6, 7.0])
+    def test_switches_are_even(self, rate):
+        # one CF4 stack serves both Moller dressings only because f(-t) == f(t)
+        for sched in (ExponentialSwitch(H0, HI, rate), SmoothSwitch(H0, HI, 12.0 / rate)):
+            t = np.linspace(0.0, 1.5 * sched.support, 4097)
+            t = np.concatenate([t, t * (1.0 + 1e-9), np.nextafter(t, np.inf)])
+            np.testing.assert_array_equal(sched.factor(-t), sched.factor(t))
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 1.6, 7.0])
     def test_switch_factor_negligible_beyond_support(self, rate):
         for sched in (ExponentialSwitch(H0, HI, rate), SmoothSwitch(H0, HI, 12.0 / rate)):
             assert sched.factor(0.999 * sched.support) > 0.0
