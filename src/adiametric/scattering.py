@@ -93,14 +93,14 @@ def _real_spectrum_pair(h0, h_int):
     return h0, h_int
 
 
-def _dressing(h0, h_int, eps, config, shape, frame):
+def _dressing(h0, h_int, eps, config, shape, frame, sides=(0, 1)):
     """Dressings ``K(t) = U(0,t) U_0(t,0)`` at the far past and future.
 
     ``K(-T) = U(0,-T) W(-T)`` and ``K(T) = U(T,0)^-1 W(T)``, with ``W(t) = V
     diag(exp(-i E t)) V^-1`` from ``frame = (E, V, V^-1)``.  The switch is
-    even, so one mirrored :func:`magnus_cf4` pass from 0 to T gives both
-    ``U(T, 0)`` and ``U(0, -T)``.  With the convergence check on and T <
-    ``support``, the tail to 2T is taken the same way, and the limits at 2T.
+    even, so one mirrored :func:`magnus_cf4` pass from 0 to T gives ``U(T, 0)``
+    and ``U(0, -T)``.  With the check on and T < ``support``, a tail pass gives
+    the limits at 2T, and those in ``sides`` (0 past, 1 future) must settle.
     Returns ``(k_in, k_out, U(0, -T), stats)``, counts summed over segments.
     """
     cfg = config or ScatteringConfig()
@@ -122,7 +122,7 @@ def _dressing(h0, h_int, eps, config, shape, frame):
     (tail_out, tail_in), more = magnus_cf4(a0, a1, switch.factor, horizon, 2 * horizon, **tols)
     stats = {key: stats[key] + more[key] for key in stats}
     limits = dressings(tail_out @ u_out, u_in @ tail_in, 2.0 * horizon)
-    drift = max(frobenius(lim - at) for lim, at in zip(limits, at_horizon))
+    drift = max(frobenius(limits[i] - at_horizon[i]) for i in sides)
     if drift > cfg.convergence_tol:
         raise NoConvergence(f"Moller limit moved by {drift:.3e} when doubling the horizon")
     return (*limits, u_in, stats)
@@ -130,7 +130,7 @@ def _dressing(h0, h_int, eps, config, shape, frame):
 
 def moller_minus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
     """In-map ``lim_{t -> -inf} U(0, t) U_0(t, 0)`` at switching rate eps."""
-    return _dressing(h0, h_int, eps, config, shape, eigenframe(h0))[0]
+    return _dressing(h0, h_int, eps, config, shape, eigenframe(h0), (0,))[0]
 
 
 def moller_plus(h0, h_int, eps, config: ScatteringConfig | None = None, shape="exp"):
@@ -145,7 +145,7 @@ def out_dressing(h0, h_int, eps, config: ScatteringConfig | None = None, shape="
     pair it against the adiabatic metric, which is what makes the free
     probability-conservation identity carry over to the dressed S-matrix.
     """
-    return _dressing(h0, h_int, eps, config, shape, eigenframe(h0))[1]
+    return _dressing(h0, h_int, eps, config, shape, eigenframe(h0), (1,))[1]
 
 
 def adiabatic_metric(

@@ -239,6 +239,14 @@ def test_taylor_stack_matches_expm():
             for g, e in zip(gens, got):
                 expected = scipy.linalg.expm(g)
                 assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+    # beyond the grid: 1-norms up to about 130 (8 squarings), where scipy's
+    # own error on real 2x2 grid matrices already exceeds the bound
+    rng = np.random.default_rng(7)
+    gens = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    gens *= np.array([1e-3, 0.1, 1.0, 5.0, 40.0])[:, None, None]
+    for g, e in zip(gens, _expm_stack(gens)):
+        expected = scipy.linalg.expm(g)
+        assert np.linalg.norm(e - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
 
 def test_import_leaves_scipy_unloaded():

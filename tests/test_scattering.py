@@ -66,10 +66,12 @@ class TestMollerOperators:
         np.testing.assert_allclose(direct, om_p @ om_m, atol=1e-8)
 
     def test_out_dressing_inverts_moller_plus(self):
+        # against G = U_0(0, T) U(T, 0) integrated on its own by DP5, since
+        # moller_plus is inv(out_dressing) by construction
         cfg = ScatteringConfig(rtol=1e-11, atol=1e-13, check_convergence=False)
-        om_p = moller_plus(H0, HI, 0.2, cfg)
-        om_out = out_dressing(H0, HI, 0.2, cfg)
-        np.testing.assert_allclose(om_out @ om_p, np.eye(2), atol=1e-8)
+        om_g = dp5_dressing(H0, HI, 0.2, cfg, "G", +1, "exp")
+        np.testing.assert_allclose(out_dressing(H0, HI, 0.2, cfg) @ om_g, np.eye(2), atol=1e-8)
+        np.testing.assert_allclose(moller_plus(H0, HI, 0.2, cfg), om_g, atol=1e-8)
 
     def test_bounded_for_nonhermitian_fixture(self):
         op = moller_minus(H0, HI, 0.1, FAST)
@@ -81,6 +83,19 @@ class TestMollerOperators:
         cfg = ScatteringConfig(horizon_factor=0.5, convergence_tol=1e-6)
         with pytest.raises(NoConvergence):
             moller_minus(H0, HI, 0.2, cfg)
+
+    def test_each_dressing_checks_only_its_own_limit(self):
+        # doubling the horizon moves K(-T) by 0.245 and K(T) by 0.157 here
+        h0 = np.diag([2.0, 0.5, -1.5]).astype(complex)
+        rng = np.random.default_rng(3)
+        h_int = 0.4 * random_hermitian(rng, 3) + 0.3j * random_hermitian(rng, 3)
+        cfg = ScatteringConfig(horizon_factor=1.0, convergence_tol=0.2)
+        with pytest.raises(NoConvergence):
+            moller_minus(h0, h_int, 0.5, cfg)
+        with pytest.raises(NoConvergence):  # both sides, as s_matrix checks
+            _dressing(h0, h_int, 0.5, cfg, "exp", eigenframe(h0))
+        om_out = out_dressing(h0, h_int, 0.5, cfg)
+        np.testing.assert_allclose(moller_plus(h0, h_int, 0.5, cfg) @ om_out, np.eye(3), atol=1e-12)
 
 
 class TestAdiabaticMetric:
