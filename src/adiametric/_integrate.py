@@ -6,7 +6,8 @@ elementwise.  Step control is the usual embedded error estimate with a
 PI-flavoured limiter, and the stepper lands exactly on requested output
 times and schedule breakpoints, so discontinuous right-hand sides never
 hide inside a step.  An optional ``post_step`` hook runs after every
-accepted step (used for Hermitian symmetrization of evolving metrics).
+accepted step; it costs the first-same-as-last stage, one more rhs call
+per step.
 
 :func:`magnus_cf4` returns the propagator of a linear equation whose
 generator is ``A0 + f(t) A1`` with a scalar, vectorized ``f``, at the

@@ -5,8 +5,9 @@ A non-Hermitian generator H conserves the redefined inner product
 
     dTheta/dt = i (Theta H - H^dagger Theta).
 
-This module integrates that equation (adaptive Runge-Kutta with Hermitian
-symmetrization), provides three alternative solvers that cross-validate it
+This module integrates that equation (adaptive Runge-Kutta on a
+right-hand side that is Hermitian entry by entry), provides three
+alternative solvers that cross-validate it
 (conjugation by midpoint propagators from the stacked Taylor exponential,
 Picard iteration, normal-ordered exponential series), constructs static
 metrics from biorthogonal eigensystems, maps metrics to and from the
@@ -25,6 +26,7 @@ import numpy as np
 from ._integrate import solve_ode
 from .errors import (
     ComplexSpectrum,
+    DimensionMismatch,
     NonpositiveWeight,
     NotPositive,
     SingularMetric,
@@ -32,17 +34,18 @@ from .errors import (
 )
 from .operator_core import (
     GAP_TOL,
+    HERMITICITY_TOL,
     PATH_CHUNK,
     SPECTRUM_TOL,
     BiorthogonalSystem,
     _expm_stack,
+    _frobenius_stack,
     _require_hermitian,
     _require_separated,
     as_operator,
     continued_eigensystems,
     frobenius,
     hermitian_sqrt,
-    hermiticity_defect,
 )
 
 __all__ = [
@@ -89,7 +92,8 @@ class MetricTrajectory:
         return self.metrics[-1]
 
     def hermiticity_defects(self) -> np.ndarray:
-        return np.array([hermiticity_defect(m) for m in self.metrics])
+        m = np.asarray(self.metrics, dtype=complex)
+        return _frobenius_stack(m - m.conj().swapaxes(1, 2))
 
 
 def quasi_hermiticity_residual(h, theta) -> float:
@@ -134,20 +138,32 @@ def _symmetrize(m):
     return 0.5 * (m + m.conj().T)
 
 
+def _hermitian_flow_rhs(h, theta):
+    """:func:`flow_rhs` for a Hermitian ``theta``, from the one product ``Theta H``.
+
+    ``H^dagger Theta = (Theta H)^dagger`` then, and ``i (A - A^dagger)`` is
+    Hermitian bit for bit: entry (j, i) is formed from the same two entries
+    of A as entry (i, j) and comes out as its exact complex conjugate.
+    """
+    a = theta @ h
+    return 1j * (a - a.conj().swapaxes(-1, -2))
+
+
 def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     """Integrate the metric flow along a Hamiltonian schedule.
 
     ``schedule`` provides ``at(t)`` (and optionally ``breakpoints()``).
-    The metric is re-symmetrized after every accepted step, so trajectories
-    started from a Hermitian metric stay Hermitian to roundoff rather than
-    drifting at the integration tolerance.
+    The right-hand side is exactly Hermitian for a Hermitian metric, and
+    every Runge-Kutta stage is a real combination of such terms, so the
+    samples are Hermitian bit for bit and need no re-symmetrization;
+    the stepper keeps its first-same-as-last stage (6 rhs calls a step).
     """
     cfg = config or SolverConfig()
     theta0 = _require_hermitian(theta0)
     t_eval = np.linspace(t0, t1, cfg.samples)
     breaks = getattr(schedule, "breakpoints", tuple)()
     sol = solve_ode(
-        lambda t, y: flow_rhs(schedule.at(t), y),
+        lambda t, y: _hermitian_flow_rhs(schedule.at(t), y),
         t0,
         t1,
         theta0,
@@ -155,7 +171,6 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
         atol=cfg.atol,
         t_eval=t_eval,
         breakpoints=breaks,
-        post_step=_symmetrize,
     )
     return MetricTrajectory(
         times=sol.times,
@@ -330,6 +345,13 @@ def _separated_chunks(hamiltonians):
         yield chunk
 
 
+#: Largest metric condition number :func:`observable_hamiltonian` accepts.
+_MAX_COND = 1e12
+
+#: Samples per block of :func:`hermitian_representation`; bounds its scratch memory.
+_REP_BLOCK = 8
+
+
 def observable_hamiltonian(h, theta, theta_dot) -> np.ndarray:
     """Energy-like generator quasi-Hermitian under the instantaneous metric.
 
@@ -344,7 +366,7 @@ def observable_hamiltonian(h, theta, theta_dot) -> np.ndarray:
     theta = as_operator(theta)
     theta_dot = as_operator(theta_dot)
     cond = np.linalg.cond(theta)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > _MAX_COND:
         raise SingularMetric(f"metric condition number {cond:.3e}")
     return h + 0.5j * np.linalg.solve(theta, theta_dot)
 
@@ -367,32 +389,95 @@ class HermitianRepresentation:
 
 
 def hermitian_representation(trajectory: MetricTrajectory, schedule):
-    """Hermitian counterpart ``Omega H_obs Omega^-1`` at every sample."""
-    times = trajectory.times
-    omegas, h_ops, defects = [], [], []
-    residuals = np.full(len(times), np.nan)
-    for k, (t, theta) in enumerate(zip(times, trajectory.metrics)):
-        h_t = schedule.at(t)
-        h_obs = observable_hamiltonian(h_t, theta, flow_rhs(h_t, theta))
-        omega = hermitian_sqrt(theta)
-        h_rep = omega @ h_obs @ np.linalg.inv(omega)
-        omegas.append(omega)
-        h_ops.append(h_rep)
-        defects.append(hermiticity_defect(h_rep) / max(frobenius(h_rep), 1e-300))
-        if k >= 2:
-            # the previous sample's central difference needs this sample's Omega
-            i, (h_i, h_obs_i) = k - 1, previous
-            omega_dot = (omegas[i + 1] - omegas[i - 1]) / (times[i + 1] - times[i - 1])
-            gen = h_obs_i - 1j * np.linalg.solve(omegas[i], omega_dot)
-            residuals[i] = frobenius(gen - h_i) / max(frobenius(h_i), 1.0)
-        previous = h_t, h_obs
+    """Hermitian counterpart ``Omega H_obs Omega^-1`` at every sample.
+
+    The samples are taken ``_REP_BLOCK`` at a time.  One batched ``eigh``
+    of a block's metrics gives Omega, Omega^-1 and Theta^-1 for
+    ``H_obs = H + (i/2) Theta^-1 dTheta/dt`` (:func:`observable_hamiltonian`
+    with dTheta/dt from the flow), the condition number and the positivity
+    test.  A sample the per-sample path rejects raises the same error:
+    :class:`DimensionMismatch` for non-finite entries,
+    :class:`SingularMetric` past condition number 1e12,
+    :class:`NonHermitianInput` and :class:`NotPositive`.
+    """
+    times = np.asarray(trajectory.times, dtype=float)
+    thetas = np.asarray(trajectory.metrics, dtype=complex)
+    if thetas.ndim != 3 or thetas.shape[1] != thetas.shape[2] or len(thetas) != len(times):
+        raise DimensionMismatch(
+            f"expected {len(times)} square metrics, got shape {thetas.shape}"
+        )
+    n = len(times)
+    h_ops = np.empty_like(thetas)
+    defects = np.empty(n)
+    residuals = np.full(n, np.nan)
+    carry = None  # the previous block's last two samples
+    for start in range(0, n, _REP_BLOCK):
+        stop = min(start + _REP_BLOCK, n)
+        h = np.array([schedule.at(t) for t in times[start:stop]], dtype=complex)
+        omega, omega_inv, h_obs = _representation_factors(h, thetas[start:stop])
+        h_rep = omega @ h_obs @ omega_inv
+        h_ops[start:stop] = h_rep
+        defects[start:stop] = _frobenius_stack(h_rep - h_rep.conj().swapaxes(1, 2)) / (
+            np.maximum(_frobenius_stack(h_rep), 1e-300))
+        # central differences of Omega reach two samples back into the
+        # previous block; the block's last sample waits for the next one
+        window = (omega, omega_inv, h_obs, h)
+        if carry is not None:
+            window = [np.concatenate(pair) for pair in zip(carry, window)]
+        carry = [x[-2:] for x in window]
+        om, om_inv, h_obs, h = window
+        first = stop - len(om)
+        if len(om) >= 3:
+            dt = (times[first + 2 : stop] - times[first : stop - 2])[:, None, None]
+            gen = h_obs[1:-1] - 1j * (om_inv[1:-1] @ ((om[2:] - om[:-2]) / dt))
+            residuals[first + 1 : stop - 1] = _frobenius_stack(gen - h[1:-1]) / (
+                np.maximum(_frobenius_stack(h[1:-1]), 1.0))
 
     return HermitianRepresentation(
         times=times,
-        h_ops=np.array(h_ops),
-        hermiticity_defects=np.array(defects),
+        h_ops=h_ops,
+        hermiticity_defects=defects,
         generator_residuals=residuals,
     )
+
+
+def _representation_factors(h, theta):
+    """``(Omega, Omega^-1, H_obs)`` of a block of samples from one batched ``eigh``.
+
+    Every array is C-contiguous: a stacked ``@`` copies a transposed view.
+    """
+    ok = np.isfinite(h).all(axis=(1, 2)) & np.isfinite(theta).all(axis=(1, 2))
+    ok &= _frobenius_stack(theta - theta.conj().swapaxes(1, 2)) <= (
+        HERMITICITY_TOL * np.maximum(1.0, _frobenius_stack(theta)))
+    if not ok.all():
+        _raise_first_fault(h, theta, ~ok)
+    herm = 0.5 * (theta + theta.conj().swapaxes(1, 2))
+    vals, vecs = np.linalg.eigh(herm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the singular values of a Hermitian matrix are its |eigenvalues|
+        cond = np.abs(vals).max(axis=1) / np.abs(vals).min(axis=1)
+    bad = ~(cond <= _MAX_COND) | (vals[:, 0] <= 0.0)
+    if bad.any():
+        _raise_first_fault(h, theta, bad)
+    vecs_h = np.ascontiguousarray(vecs.conj().swapaxes(1, 2))
+    root = np.sqrt(vals)[:, None, :]
+    theta_inv = (vecs / vals[:, None, :]) @ vecs_h
+    h_obs = h + 0.5j * (theta_inv @ _hermitian_flow_rhs(h, herm))
+    return (vecs * root) @ vecs_h, (vecs / root) @ vecs_h, h_obs
+
+
+def _raise_first_fault(h, theta, flagged):
+    """Raise what the per-sample path raises for the first flagged sample.
+
+    The samples up to it go through the per-sample checks in order, so an
+    earlier sample those checks reject raises first, as it would there.
+    """
+    for k in range(int(np.argmax(flagged)) + 1):
+        observable_hamiltonian(h[k], theta[k], flow_rhs(h[k], theta[k]))
+        hermitian_sqrt(theta[k])
+    # only a condition number that eigh puts just past the limit and the SVD
+    # of the per-sample check does not gets here
+    raise SingularMetric(f"metric condition number at the limit {_MAX_COND:.0e}")
 
 
 def _accumulate_propagator(schedule, t_from, t_to, rtol, atol):

@@ -106,3 +106,58 @@ def dp5_ramp(times, y0, duration, amplitude=5.0, w3=3.0, rtol=1e-13, atol=1e-15)
         breakpoints=(duration,),
     )
     return np.array(sol.states)
+
+
+def evolve_metric_oracle(schedule, theta0, t0, t1, config):
+    """Metric flow on the general two-product ``flow_rhs``, re-symmetrized after
+    every accepted step: the oracle for ``evolve_metric``.
+
+    Returns the samples at ``config.samples`` uniform times and the solver
+    statistics.
+    """
+    from adiametric._integrate import solve_ode
+    from adiametric.metric_flow import _symmetrize, flow_rhs
+
+    sol = solve_ode(
+        lambda t, y: flow_rhs(schedule.at(t), y),
+        t0,
+        t1,
+        theta0,
+        rtol=config.rtol,
+        atol=config.atol,
+        t_eval=np.linspace(t0, t1, config.samples),
+        breakpoints=getattr(schedule, "breakpoints", tuple)(),
+        post_step=_symmetrize,
+    )
+    return np.array(sol.states), sol.stats
+
+
+def hermitian_representation_oracle(trajectory, schedule):
+    """Per-sample Hermitian representation: the oracle for ``hermitian_representation``.
+
+    Every sample on its own: Omega by ``hermitian_sqrt``, ``H_obs`` by
+    ``observable_hamiltonian`` with dTheta/dt from ``flow_rhs``, ``inv`` for
+    Omega^-1 and ``solve`` for Omega^-1 dOmega/dt.  Returns ``(h_ops,
+    hermiticity_defects, generator_residuals)`` and raises what those
+    functions raise, sample by sample.
+    """
+    from adiametric.metric_flow import flow_rhs, observable_hamiltonian
+    from adiametric.operator_core import hermitian_sqrt
+
+    times = trajectory.times
+    hs, h_obs, omegas, h_ops = [], [], [], []
+    for t, theta in zip(times, trajectory.metrics):
+        h = schedule.at(t)
+        hs.append(h)
+        h_obs.append(observable_hamiltonian(h, theta, flow_rhs(h, theta)))
+        omegas.append(hermitian_sqrt(theta))
+        h_ops.append(omegas[-1] @ h_obs[-1] @ np.linalg.inv(omegas[-1]))
+    defects = [
+        np.linalg.norm(h - h.conj().T) / max(np.linalg.norm(h), 1e-300) for h in h_ops
+    ]
+    residuals = np.full(len(times), np.nan)
+    for i in range(1, len(times) - 1):
+        omega_dot = (omegas[i + 1] - omegas[i - 1]) / (times[i + 1] - times[i - 1])
+        gen = h_obs[i] - 1j * np.linalg.solve(omegas[i], omega_dot)
+        residuals[i] = np.linalg.norm(gen - hs[i]) / max(np.linalg.norm(hs[i]), 1.0)
+    return np.array(h_ops), np.array(defects), residuals

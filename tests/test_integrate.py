@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiametric import _integrate
@@ -112,6 +112,7 @@ def test_step_underflow_raises():
     dim=st.integers(1, 4),
     t1=st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 0.1),
 )
+@example(seed=15531, dim=4, t1=-3.0)  # kappa = 2.2e7: err 5.3e-5, 9.8e-13 kappa |y0|
 def test_forward_then_backward_returns_start(seed, dim, t1):
     # a time-dependent linear rhs with a bounded generator
     rng = np.random.default_rng(seed)
@@ -123,8 +124,11 @@ def test_forward_then_backward_returns_start(seed, dim, t1):
 
     there = solve_ode(rhs, 0.0, t1, y0, rtol=1e-11, atol=1e-13).states[-1]
     back = solve_ode(rhs, t1, 0.0, there, rtol=1e-11, atol=1e-13).states[-1]
-    scale = max(1.0, np.linalg.norm(there))
-    assert np.linalg.norm(back - y0) < 1e-7 * scale * np.linalg.norm(y0)
+    # the round trip amplifies the local errors by the condition number of
+    # the propagator, taken here from a separate identity solve
+    u = solve_ode(rhs, 0.0, t1, np.eye(dim, dtype=complex), rtol=1e-11, atol=1e-13)
+    kappa = np.linalg.cond(u.states[-1])
+    assert np.linalg.norm(back - y0) < 1e-9 * kappa * np.linalg.norm(y0)
 
 
 # ------------------------------------------------------------------ CF4

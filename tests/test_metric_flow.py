@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 from adiametric.errors import (
     ComplexSpectrum,
     DegenerateSpectrum,
+    DimensionMismatch,
     NonHermitianInput,
     NonpositiveWeight,
     NotPositive,
     SingularMetric,
 )
 from adiametric.metric_flow import (
+    _REP_BLOCK,
+    MetricTrajectory,
     SolverConfig,
+    _hermitian_flow_rhs,
     adiabatic_transport_prediction,
     eigenbasis_coefficients,
     eigenbasis_evolution,
@@ -39,12 +43,14 @@ from adiametric.operator_core import (
     hermiticity_defect,
     propagator,
 )
-from adiametric.switching import Constant
+from adiametric.switching import Constant, ExponentialSwitch, LinearRamp
 
 from helpers import (
     I2,
     SY,
     SZ,
+    evolve_metric_oracle,
+    hermitian_representation_oracle,
     random_bounded_nonhermitian,
     random_hermitian,
     random_quasi_hermitian,
@@ -55,6 +61,23 @@ from helpers import (
 # static metric I + 0.75 sigma_y
 H_TL = two_level_matrix([0, 4, 0, 0], [0, 0, 0, 3])
 THETA_TL = I2 + 0.75 * SY
+
+
+def random_flow(seed, dim, exp_shape):
+    """A seeded quasi-Hermitian schedule, its span and a Hermitian start metric.
+
+    H_a moves to H_b by a ``LinearRamp`` over [0, 1] or an
+    ``ExponentialSwitch`` of rate 2 over [-1, 0]; the start is the static
+    metric S^2 of H_a.
+    """
+    rng = np.random.default_rng(seed)
+    (ha, sa), (hb, _) = (random_quasi_hermitian(rng, dim, 2.0) for _ in range(2))
+    if exp_shape:
+        schedule, t0, t1 = ExponentialSwitch(ha, hb - ha, 2.0), -1.0, 0.0
+    else:
+        schedule, t0, t1 = LinearRamp(ha, hb, 1.0), 0.0, 1.0
+    theta0 = sa @ sa
+    return schedule, 0.5 * (theta0 + theta0.conj().T), t0, t1
 
 
 def exact_constant_flow(h, theta0, t):
@@ -153,7 +176,34 @@ class TestEvolveMetric:
         h = random_bounded_nonhermitian(rng, 4)
         theta0 = random_hermitian(rng, 4) + 2 * np.eye(4)
         traj = evolve_metric(Constant(h), theta0, 0.0, 10.0)
-        assert traj.hermiticity_defects().max() < 1e-8
+        assert np.all(traj.hermiticity_defects() == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), exp_shape=st.booleans())
+    def test_exactly_hermitian_fsal_and_matches_symmetrizing_oracle(self, seed, dim, exp_shape):
+        schedule, theta0, t0, t1 = random_flow(seed, dim, exp_shape)
+        cfg = SolverConfig(samples=11)
+        traj = evolve_metric(schedule, theta0, t0, t1, cfg)
+        assert np.all(traj.hermiticity_defects() == 0.0)
+        steps = traj.stats["naccept"] + traj.stats["nreject"]
+        assert traj.stats["nfev"] == 6 * steps + 1
+        h = np.asarray(schedule.at(t1), dtype=complex)
+        for theta in traj.metrics:
+            err = np.linalg.norm(_hermitian_flow_rhs(h, theta) - flow_rhs(h, theta))
+            assert err <= 1e-14 * np.linalg.norm(h) * np.linalg.norm(theta)
+        # the embedded error estimate is a difference of stages, so a last-bit
+        # change in them can move a step: the runs then differ by local
+        # truncation errors (up to 4e-13 in 4000 draws), far below rtol
+        want, _ = evolve_metric_oracle(schedule, theta0, t0, t1, cfg)
+        err = np.linalg.norm(traj.metrics - want, axis=(1, 2))
+        assert np.all(err <= 1e-11 * np.linalg.norm(want, axis=(1, 2)))
+
+    def test_hermiticity_defects_match_per_sample_norms(self):
+        rng = np.random.default_rng(10)
+        metrics = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+        traj = MetricTrajectory(times=np.arange(7.0), metrics=metrics, solver="test")
+        want = [hermiticity_defect(m) for m in metrics]
+        np.testing.assert_array_equal(traj.hermiticity_defects(), want)
 
     def test_rejects_nonhermitian_start(self):
         with pytest.raises(NonHermitianInput):
@@ -425,20 +475,71 @@ class TestHermitianRepresentation:
         theta0 = static_solution(sched.params_at(0.0)).matrix()
         traj = evolve_metric(sched, theta0, 0.0, 3.0, SolverConfig(samples=13))
         rep = hermitian_representation(traj, sched)
-        # reference: every sample rebuilt from the schedule, as two passes would
-        omegas = [hermitian_sqrt(theta) for theta in traj.metrics]
-        for i in range(1, len(traj.times) - 1):
-            h_t = sched.at(traj.times[i])
-            theta = traj.metrics[i]
-            h_obs = observable_hamiltonian(h_t, theta, flow_rhs(h_t, theta))
-            omega_dot = (omegas[i + 1] - omegas[i - 1]) / (traj.times[i + 1] - traj.times[i - 1])
-            gen = h_obs - 1j * np.linalg.solve(omegas[i], omega_dot)
-            want = np.linalg.norm(gen - h_t) / max(np.linalg.norm(h_t), 1.0)
-            assert rep.generator_residuals[i] == want
-            np.testing.assert_array_equal(
-                rep.h_ops[i], omegas[i] @ h_obs @ np.linalg.inv(omegas[i])
-            )
+        assert_matches_oracle(rep, traj, sched)
         assert np.isnan(rep.generator_residuals[[0, -1]]).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        samples=st.sampled_from([1, 2, 3, _REP_BLOCK - 1, _REP_BLOCK, _REP_BLOCK + 1]),
+        exp_shape=st.booleans(),
+    )
+    def test_matches_per_sample_oracle(self, seed, dim, samples, exp_shape):
+        schedule, theta0, t0, t1 = random_flow(seed, dim, exp_shape)
+        traj = evolve_metric(schedule, theta0, t0, t1, SolverConfig(samples=samples))
+        assert_matches_oracle(hermitian_representation(traj, schedule), traj, schedule)
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ({9: "nonfinite"}, DimensionMismatch),
+            ({9: "nonfinite_h"}, DimensionMismatch),
+            ({9: "nonhermitian"}, NonHermitianInput),
+            ({9: "indefinite"}, NotPositive),
+            ({9: "ill_conditioned"}, SingularMetric),
+            ({9: "singular"}, SingularMetric),
+            ({0: "nonhermitian_ill_conditioned"}, SingularMetric),
+            ({2: "indefinite", 5: "nonfinite"}, NotPositive),
+            ({3: "ill_conditioned", 10: "nonhermitian"}, SingularMetric),
+        ],
+    )
+    def test_raises_what_the_per_sample_path_raises(self, faults, error):
+        bad = {
+            "nonfinite": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            "nonfinite_h": np.eye(2),
+            "nonhermitian": np.array([[1.0, 1e-6], [0.0, 1.0]]),
+            "indefinite": np.diag([1.0, -1.0]),
+            "ill_conditioned": np.diag([1.0, 1e-13]),
+            "singular": np.diag([1.0, 0.0]),
+            "nonhermitian_ill_conditioned": np.array([[1.0, 1e-6], [0.0, 1e-13]]),
+        }
+        times = np.linspace(0.0, 1.0, 12)
+        metrics = np.array([bad[faults[k]] if k in faults else THETA_TL for k in range(12)])
+        traj = MetricTrajectory(times=times, metrics=metrics.astype(complex), solver="test")
+        nan_at = {times[k] for k, kind in faults.items() if kind == "nonfinite_h"}
+
+        class Schedule:
+            def at(self, t):
+                return np.full((2, 2), np.nan) if t in nan_at else H_TL
+
+        with pytest.raises(error):
+            hermitian_representation_oracle(traj, Schedule())
+        with pytest.raises(error):
+            hermitian_representation(traj, Schedule())
+
+
+def assert_matches_oracle(rep, traj, schedule):
+    """``rep`` against the per-sample oracle, within 1e-12 relative.
+
+    Defects and residuals are already relative quantities; the defects,
+    roundoff in size, are held to 1e-12 absolute.
+    """
+    h_ops, defects, residuals = hermitian_representation_oracle(traj, schedule)
+    err = np.linalg.norm(rep.h_ops - h_ops, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(h_ops, axis=(1, 2)))
+    np.testing.assert_allclose(rep.hermiticity_defects, defects, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rep.generator_residuals, residuals, rtol=1e-12, atol=0.0)
 
 
 class TestTransitionProbability:
