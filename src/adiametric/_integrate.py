@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, StepSizeUnderflow
-from .operator_core import PATH_CHUNK, _expm_stack
+from .operator_core import PATH_CHUNK, _expm_stack, _frobenius_stack
 
 # Dormand-Prince 5(4) tableau, written out stage by stage in solve_ode.
 # B5 propagates; E = B5 - B4 weighs the embedded error estimate; the last
@@ -336,8 +336,8 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None, mirror
             continue
         ratio = (m / n) ** 4 - 1.0
         diff = u_m - u_n
-        estimates = np.array([np.linalg.norm(d) for d in diff]) / ratio
-        tols = dim * atol + rtol * np.array([np.linalg.norm(u) for u in u_m])
+        estimates = _frobenius_stack(diff) / ratio
+        tols = dim * atol + rtol * _frobenius_stack(u_m)
         if not np.all(np.isfinite(estimates)):
             raise SolverError(f"non-finite CF4 propagator on [{t0:.6g}, {t1:.6g}]")
         if np.all(estimates <= tols):

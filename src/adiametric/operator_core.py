@@ -76,12 +76,14 @@ def frobenius(m) -> float:
 def _frobenius_stack(m) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, equal to :func:`frobenius` bit for bit.
 
-    The sums run as :func:`frobenius` runs them, as one real dot product
-    over the real parts plus one over the imaginary parts, so stacked and
-    per-matrix checks agree to the last bit.
+    The sums run as :func:`frobenius` runs them: one real dot product for
+    real input, one over the real parts plus one over the imaginary parts
+    for complex input, so stacked and per-matrix checks agree to the last bit.
     """
-    flat = np.asarray(m, dtype=complex).reshape(len(m), -1)
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    flat = np.asarray(m).reshape(len(m), -1)
+    if np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def hermiticity_defect(m) -> float:

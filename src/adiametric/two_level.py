@@ -258,12 +258,12 @@ class RampResult:
     """Component trajectory of the ramp experiment plus its deviation metric.
 
     ``selected_static`` is the member of the final static family the
-    dynamics actually oscillates around, obtained by averaging the
-    post-ramp trajectory over one full period (the time average of the
-    linear post-ramp flow is exactly its static part).  The free constants
-    of the static family are not adiabatic invariants of the ramp, so the
-    deviation is measured against this dynamically selected member rather
-    than against an arbitrary normalization choice.
+    dynamics actually oscillates around: the end state projected onto the
+    kernel of the final generator ``M_1`` along its oscillating modes, by
+    ``P = I + M_1^2/omega^2``, which is exactly the post-ramp time average.
+    The free constants of the static family are not adiabatic invariants of
+    the ramp, so the deviation is measured against this dynamically
+    selected member rather than against an arbitrary normalization choice.
     """
 
     times: np.ndarray
@@ -280,25 +280,26 @@ def ramp_experiment(
     w3=3.0,
     config: SolverConfig | None = None,
     v0=0.0,
-    allow_complex_spectrum=False,
 ) -> RampResult:
     """Drive the crossed ramp starting from the initial static metric.
 
     Integrates the component flow from the static solution of the initial
-    generator, across the ramp, and through a post-ramp window long enough
-    to capture one full oscillation period.  The deviation metric is the
-    post-ramp supremum of ``|theta(t) - theta_static_final| /
-    |theta_static_final|`` on 4-component vectors: near zero for adiabatic
-    ramps, order one when the ramp is fast.
+    generator across the ramp, and samples the exact post-ramp flow over a
+    window of one and a half oscillation periods.  The selected static
+    metric is the spectral projection of the ramp's end state onto the
+    final static family, which is the exact post-ramp time average.  The
+    deviation metric is the exact post-ramp supremum of ``|theta(t) -
+    theta_static_final| / |theta_static_final|`` on 4-component vectors:
+    near zero for adiabatic ramps, order one when the ramp is fast.
 
     The default amplitude keeps ``v(t)^2 > w^2`` everywhere; amplitudes
     that let the spectrum go complex raise :class:`RealSpectrumViolated`
-    unless ``allow_complex_spectrum`` is set (the metric then has no
-    nearby static solution and the deviation loses its meaning).
+    (the metric then has no nearby static solution and the deviation loses
+    its meaning).
     """
     schedule = CrossedRampSchedule(duration, amplitude=amplitude, w3=w3, v0=v0)
     margin = schedule.min_ramp_margin()
-    if margin <= 0.0 and not allow_complex_spectrum:
+    if margin <= 0.0:
         raise RealSpectrumViolated(
             f"ramp reaches v^2 - w^2 = {margin:.3e}; "
             "metric growth makes the deviation metric meaningless"
@@ -307,11 +308,8 @@ def ramp_experiment(
     cfg = config or SolverConfig()
     start = static_solution(schedule.params_at(0.0))
 
-    final_split = amplitude**2 - w3**2  # post-ramp oscillation frequency^2
-    if final_split > 0.0:
-        period = 2.0 * math.pi / math.sqrt(final_split)
-    else:
-        period = 2.0 * math.pi / max(w3, 1.0)
+    omega = math.sqrt(amplitude**2 - w3**2)  # post-ramp; real since margin > 0
+    period = 2.0 * math.pi / omega
     tail = max(1.5 * period, 1.0)
     t_end = duration + tail
 
@@ -332,28 +330,21 @@ def ramp_experiment(
     ramp = props @ start.four_vector()
     comps = np.concatenate([ramp[:-1], _expm_orbit(m_end, tail_times - duration, ramp[-1])])
 
-    # Dynamically selected final static solution: one-period time average of
-    # the post-ramp trajectory, then projected onto the static family plane
-    # to scrub residual integration error.
-    avg_mask = (times >= duration - 1e-12) & (times <= duration + period + 1e-12)
-    avg = np.trapezoid(comps[avg_mask], times[avg_mask], axis=0) / (
-        times[avg_mask][-1] - times[avg_mask][0]
-    )
-    p_final = schedule.params_at(duration)
-    basis = np.stack([static_solution(p_final).four_vector(),
-                      static_solution(p_final, 0.0, 1.0).four_vector()], axis=1)
-    coeff, *_ = np.linalg.lstsq(basis, avg, rcond=None)
-    ref = basis @ coeff
-    selected = MetricComponents(theta0=float(ref[0]), vec=ref[1:])
-
-    ref_norm = float(np.linalg.norm(ref))
-    mask = times >= duration - 1e-12
-    deviation = float(np.max(np.linalg.norm(comps[mask] - ref, axis=1)) / ref_norm)
+    # After the ramp y(T + t) = exp(t M_1) y(T) with M_1^3 = -omega^2 M_1, so
+    # P = I + M_1^2/omega^2 projects onto ker M_1 (the static family) along
+    # the oscillation: P y(T) is the exact post-ramp time average.  The
+    # remainder a = y(T) - P y(T) turns as cos(omega t) a + sin(omega t) b
+    # with b = M_1 a/omega; its supremum norm is sigma_max([a, b]).
+    y_end = ramp[-1]
+    remainder = -(m_end @ (m_end @ y_end)) / omega**2
+    ref = y_end - remainder
+    orbit = np.stack([remainder, m_end @ remainder / omega], axis=1)
+    deviation = float(np.linalg.norm(orbit, 2) / np.linalg.norm(ref))
     return RampResult(
         times=times,
         components=comps,
         deviation=deviation,
-        selected_static=selected,
+        selected_static=MetricComponents(theta0=float(ref[0]), vec=ref[1:]),
         initial_static=start,
         solver_stats=stats,
     )

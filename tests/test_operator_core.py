@@ -24,9 +24,11 @@ from adiametric.errors import (
 from adiametric.operator_core import (
     PATH_CHUNK,
     _expm_stack,
+    _frobenius_stack,
     biorthogonal_decompose,
     continued_eigensystems,
     eigenframe,
+    frobenius,
     hermitian_sqrt,
     hermiticity_defect,
     positivity_check,
@@ -61,6 +63,22 @@ class TestHermiticityDefect:
     def test_rejects_nonfinite(self):
         with pytest.raises(DimensionMismatch):
             hermiticity_defect(np.array([[np.nan, 0], [0, 1]]))
+
+
+@given(
+    dim=st.integers(1, 13),
+    count=st.integers(1, 5),
+    complex_entries=st.booleans(),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_frobenius_stack_matches_frobenius(dim, count, complex_entries, scale, seed):
+    rng = np.random.default_rng(seed)
+    stack = scale * rng.standard_normal((count, dim, dim))
+    if complex_entries:
+        stack = stack + 1j * scale * rng.standard_normal((count, dim, dim))
+    np.testing.assert_array_equal(_frobenius_stack(stack), [frobenius(m) for m in stack])
 
 
 class TestPositivityCheck:
