@@ -1,13 +1,17 @@
-"""Integrators: adaptive Dormand-Prince 5(4) and a commutator-free Magnus method.
+"""Integrators: adaptive DOP853 with dense output and a commutator-free Magnus method.
 
 :func:`solve_ode` integrates ``dy/dt = rhs(t, y)`` for any ndarray state (a
-complex matrix, a real component vector); all tableau arithmetic is
-elementwise.  Step control is the usual embedded error estimate with a
-PI-flavoured limiter, and the stepper lands exactly on requested output
-times and schedule breakpoints, so discontinuous right-hand sides never
-hide inside a step.  An optional ``post_step`` hook runs after every
-accepted step; it costs the first-same-as-last stage, one more rhs call
-per step.
+complex matrix, a real component vector) by the 8(5,3) Runge-Kutta pair of
+Hairer, Norsett & Wanner (DOP853): 12 rhs calls per accepted step, the last
+one first-same-as-last, and 11 per rejected step.  Step control is the
+pair's combined 5th/3rd-order error estimate with exponent -1/8 and Lund
+stabilization.  The stepper lands exactly on schedule breakpoints and on
+the endpoint, so discontinuous right-hand sides never hide inside a step;
+other output times are read off the 7th-order dense output, which costs
+three more rhs calls on each step that holds one.  Every combination that
+reaches the returned states is formed entry by entry from real
+coefficients, so real combinations of Hermitian stages stay Hermitian bit
+for bit.
 
 :func:`magnus_cf4` returns the propagator of a linear equation whose
 generator is ``A0 + f(t) A1`` with a scalar, vectorized ``f``, at the
@@ -30,28 +34,134 @@ import numpy as np
 from .errors import SolverError, StepSizeUnderflow
 from .operator_core import PATH_CHUNK, _expm_stack, _frobenius_stack
 
-# Dormand-Prince 5(4) tableau, written out stage by stage in solve_ode.
-# B5 propagates; E = B5 - B4 weighs the embedded error estimate; the last
-# stage is FSAL (its nodes are 1 and its weights B5, so it sees y_new).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+# DOP853: the 8(5,3) pair of Hairer, Norsett & Wanner, "Solving Ordinary
+# Differential Equations I" (2nd ed., 1993), Sec. II.5, with the 7th-order
+# dense output of Sec. II.6 (the coefficients of their code dop853.f).  Row
+# s of the tableau holds the nonzero coefficients {column: value} of stage
+# s, taken at node _C[s].  Stage 12 is the first-same-as-last evaluation at
+# the new state, so its row is the propagating weights B; stages 13-15
+# serve only the dense output.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
+])
+_A_ROWS = (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
 )
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1 = _B1 - 5179 / 57600
-_E3 = _B3 - 7571 / 16695
-_E4 = _B4 - 393 / 640
-_E5 = _B5 + 92097 / 339200
-_E6 = _B6 - 187 / 2100
-_E7 = -1 / 40
+# the 3rd-order weights differ from B at stages 0, 8 and 11 (bhh1-bhh3)
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+_E3_ROW = {j: b - _BHH.get(j, 0.0) for j, b in _A_ROWS[12].items()}
+_E5_ROW = {
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1,
+}
+# the dense output's last four coefficient rows, over all 16 stages
+_D_ROWS = (
+    {0: -0.84289382761090128651353491142e1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e1, 7: 0.23846676565120698287728149680e1,
+     8: 0.21170345824450282767155149946e1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e2,
+     14: -0.91946323924783554000451984436e1, 15: -0.44360363875948939664310572000e1},
+    {0: 0.10427508642579134603413151009e2, 5: 0.24228349177525818288430175319e3,
+     6: 0.16520045171727028198505394887e3, 7: -0.37454675472269020279518312152e3,
+     8: -0.22113666853125306036270938578e2, 9: 0.77334326684722638389603898808e1,
+     10: -0.30674084731089398182061213626e2, 11: -0.93321305264302278729567221706e1,
+     12: 0.15697238121770843886131091075e2, 13: -0.31139403219565177677282850411e2,
+     14: -0.93529243588444783865713862664e1, 15: 0.35816841486394083752465898540e2},
+    {0: 0.19985053242002433820987653617e2, 5: -0.38703730874935176555105901742e3,
+     6: -0.18917813819516756882830838328e3, 7: 0.52780815920542364900561016686e3,
+     8: -0.11573902539959630126141871134e2, 9: 0.68812326946963000169666922661e1,
+     10: -0.10006050966910838403183860980e1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e1, 13: -0.60196695231264120758267380846e2,
+     14: 0.84320405506677161018159903784e2, 15: 0.11992291136182789328035130030e2},
+    {0: -0.25693933462703749003312586129e2, 5: -0.15418974869023643374053993627e3,
+     6: -0.23152937917604549567536039109e3, 7: 0.35763911791061412378285349910e3,
+     8: 0.93405324183624310003907691704e2, 9: -0.37458323136451633156875139351e2,
+     10: 0.10409964950896230045147246184e3, 11: 0.29840293426660503123344363579e2,
+     12: -0.43533456590011143754432175058e2, 13: 0.96324553959188282948394950600e2,
+     14: -0.39177261675615439165231486172e2, 15: -0.14972683625798562581422125276e3},
+)
 
-_MAX_FACTOR = 5.0
-_MIN_FACTOR = 0.2
+
+def _tableau(rows, width):
+    """Dense coefficient matrix from rows of ``{column: value}``."""
+    out = np.zeros((len(rows), width))
+    for r, row in enumerate(rows):
+        out[r, list(row)] = list(row.values())
+    return out
+
+
+_A = _tableau(_A_ROWS, 16)
+_B = _A[12, :12]
+_E3 = _tableau([_E3_ROW], 12)[0]
+_E5 = _tableau([_E5_ROW], 12)[0]
+_D = _tableau(_D_ROWS, 16)
+
+# Step control of Hairer's dop853: h_new = h * SAFETY * err^(-1/8 + BETA/5)
+# * err_prev^BETA, between MIN_FACTOR and MAX_FACTOR times h; a rejected
+# step drops the err_prev factor, and the step after it may not grow.
+# BETA > 0 is Lund's stabilization; it also lowers the error the steps
+# settle at, to err^(1.2 BETA - 1/8) = 1/SAFETY.  The 7th-order samples can
+# err by far more than a step's estimate where that estimate is noisy: on
+# the random d = 2 exponential-switch flows of tests/test_metric_flow.py
+# (11 samples), a sample lies further than rtol from a tight reference in
+# 97 draws of 1500 with BETA = 0.04 (dop853's suggested ceiling), 10 with
+# 0.06, 1 with 0.07 and none with 0.08 (worst 0.49 rtol).
 _SAFETY = 0.9
+_BETA = 0.08
+_MIN_FACTOR = 0.333
+_MAX_FACTOR = 6.0
 
 
 @dataclass
@@ -63,11 +173,57 @@ class OdeSolution:
     stats: dict = field(default_factory=dict)
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    """RMS over entries of ``|err| / (atol + rtol max(|y_old|, |y_new|))``."""
-    q = np.abs(err).ravel()
-    q /= atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)).ravel()
-    return math.sqrt(np.dot(q, q) / q.size)
+def _real_rows(stages, count):
+    """The first ``count`` stages as rows of reals (complex entries split in two)."""
+    rows = stages[:count].reshape(count, -1)
+    return rows.view(rows.real.dtype)
+
+
+def _stacked(coeffs, stages):
+    """``sum_j coeffs[j] stages[j]`` by one BLAS product over the stacked stages.
+
+    Stage arguments and error estimates only: the product may round an
+    entry and its conjugate partner differently.
+    """
+    out = coeffs @ _real_rows(stages, len(coeffs))
+    return out.view(stages.dtype).reshape(stages.shape[1:])
+
+
+def _entrywise(coeffs, stages):
+    """``sum_j coeffs[j] stages[j]``, each entry by the same products and sums
+    in the same order, so real combinations of Hermitian stages come out
+    Hermitian bit for bit.  For the state carried forward and the samples."""
+    out = (coeffs[:, None] * _real_rows(stages, len(coeffs))).sum(axis=0)
+    return out.view(stages.dtype).reshape(stages.shape[1:])
+
+
+def _error_norm(hs, stages, y_old, y_new, rtol, atol):
+    """DOP853's error norm: the 5th-order estimate ``err5`` damped by the
+    3rd-order one, ``|h| |err5|^2 / sqrt(n (|err5|^2 + 0.01 |err3|^2))``,
+    each weighted by ``atol + rtol max(|y_old|, |y_new|)`` entry by entry."""
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+    err5 = np.abs(_stacked(_E5, stages) / scale)
+    err3 = np.abs(_stacked(_E3, stages) / scale)
+    sq5 = float(np.vdot(err5, err5))
+    denom = sq5 + 0.01 * float(np.vdot(err3, err3))
+    if denom == 0.0:
+        return 0.0
+    return abs(hs) * sq5 / math.sqrt(denom * scale.size)
+
+
+def _interpolant_weights(x):
+    """Weights of ``y_new - y_old`` and of the 16 stages (times h) in the
+    dense output at ``x`` in [0, 1].
+
+    Hairer's interpolant ``x (F0 + (1-x) (F1 + x (F2 + ... + x F6)))`` with
+    ``F0 = dy``, ``F1 = h k0 - dy``, ``F2 = 2 dy - h (k0 + k12)`` and
+    ``F3..F6 = h D k``, collected on ``dy`` and on each stage.
+    """
+    u, v = x, 1.0 - x
+    w = np.array([u * u * v * v, u**3 * v * v, u**3 * v**3, u**4 * v**3]) @ _D
+    w[0] += u * v - u * u * v
+    w[12] -= u * u * v
+    return u - u * v + 2.0 * u * u * v, w
 
 
 def solve_ode(
@@ -88,8 +244,10 @@ def solve_ode(
     endpoint only).  ``t_eval`` must lie in ``[t0, t1]`` and be strictly
     monotone in the direction of integration; samples come back in that
     order.  ``breakpoints`` are interior times the stepper must land on
-    exactly.  Raises :class:`SolverError` for a ``t_eval`` that breaks
-    these rules or a right-hand side that turns non-finite, and its
+    exactly; so is t1.  Other samples are interpolated, unless one falls
+    on a step end.  ``post_step`` maps each accepted state before the
+    stepper goes on.  Raises :class:`SolverError` for a ``t_eval`` that
+    breaks these rules or a right-hand side that turns non-finite, and its
     subclass :class:`StepSizeUnderflow` when the error controller stalls.
     """
     direction = 1.0 if t1 >= t0 else -1.0
@@ -111,27 +269,25 @@ def solve_ode(
     if t1 == t0:
         return OdeSolution(np.array([t0]), [y], {"naccept": 0, "nreject": 0, "nfev": 0})
 
-    span = abs(t1 - t0)
-
-    # Merge output times and interior breakpoints into one forced-stop grid.
-    stops = set(float(t) for t in t_eval)
-    stops.add(float(t1))
+    stops = {float(t1)}
     for b in breakpoints:
         b = float(b)
         if (b - t0) * direction > 0 and (t1 - b) * direction > 0:
             stops.add(b)
     stops = sorted(stops, reverse=direction < 0)
-    eval_set = {float(t) for t in t_eval}
 
-    # t0 itself, when requested in t_eval, is emitted by the stop loop below.
-    out_times, out_states = [], []
+    out_states = [y.copy() for t in t_eval[:1] if t == t0]
     h_floor = 1e-14 * max(abs(t0), abs(t1), 1.0)
-    h = span / 100.0
+    h = abs(t1 - t0) / 10.0  # the controller shrinks a first step that is too long
 
     t = float(t0)
-    k1 = rhs(t, y)
+    f = rhs(t, y)
+    stages = np.empty((16,) + np.shape(f), np.result_type(y, f))
+    stages[0] = f
     nfev = 1
     naccept = nreject = 0
+    rejected = False
+    err_prev = 1e-4
 
     for stop in stops:
         while (stop - t) * direction > 1e-15 * max(abs(stop), 1.0):
@@ -141,50 +297,54 @@ def solve_ode(
                     f"step size {h:.3e} underflowed at t={t:.6g} (rtol={rtol:.1e})"
                 )
             hs = h * direction
-            k2 = rhs(t + _C2 * hs, y + hs * (_A21 * k1))
-            k3 = rhs(t + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
-            k4 = rhs(t + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = rhs(
-                t + _C5 * hs,
-                y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
-            )
-            k6 = rhs(
-                t + hs,
-                y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-            )
-            y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-            k7 = rhs(t + hs, y_new)
-            nfev += 6
-            err = hs * (
-                _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-            )
-            enorm = _error_norm(err, y, y_new, rtol, atol)
+            for s in range(1, 12):
+                stages[s] = rhs(t + _C[s] * hs, y + _stacked(hs * _A[s, :s], stages))
+            nfev += 11
+            y_new = y + _entrywise(hs * _B, stages)
+            enorm = _error_norm(hs, stages, y, y_new, rtol, atol)
             if not math.isfinite(enorm):
                 raise SolverError(f"non-finite right-hand side near t={t:.6g}")
-
-            if enorm <= 1.0:
-                t = t + hs
-                if abs(stop - t) <= 1e-15 * max(abs(stop), 1.0):
-                    t = stop
-                y = y_new
-                if post_step is not None:
-                    y = post_step(y)
-                    k1 = rhs(t, y)
-                    nfev += 1
-                else:
-                    k1 = k7  # FSAL
-                naccept += 1
-                factor = _MAX_FACTOR if enorm == 0.0 else _SAFETY * enorm ** -0.2
-                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            else:
+            if enorm > 1.0:
                 nreject += 1
-                h *= max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
-        if stop in eval_set:
-            out_times.append(stop)
-            out_states.append(y.copy())
+                rejected = True
+                h *= max(_MIN_FACTOR, _SAFETY * enorm ** (_BETA / 5 - 0.125))
+                continue
+
+            if enorm == 0.0:
+                factor = _MAX_FACTOR
+            else:
+                factor = _SAFETY * enorm ** (_BETA / 5 - 0.125) * err_prev**_BETA
+            err_prev = max(enorm, 1e-4)
+            t_old, y_old = t, y
+            t = t + hs
+            if abs(stop - t) <= 1e-15 * max(abs(stop), 1.0):
+                t = stop
+            y = y_new if post_step is None else post_step(y_new)
+            stages[12] = rhs(t, y)
+            nfev += 1
+            naccept += 1
+            extended = False
+            for sample in t_eval[len(out_states):]:
+                if (t - sample) * direction < 0:
+                    break
+                if sample == t:
+                    out_states.append(y.copy())
+                    continue
+                if not extended:
+                    for s in (13, 14, 15):
+                        stages[s] = rhs(t_old + _C[s] * hs,
+                                        y_old + _stacked(hs * _A[s, :s], stages))
+                    nfev += 3
+                    extended = True
+                c_dy, w = _interpolant_weights((sample - t_old) / hs)
+                dense = _entrywise(hs * w, stages)
+                out_states.append(y_old + c_dy * (y - y_old) + dense)
+            stages[0] = stages[12]
+            h *= min(1.0 if rejected else _MAX_FACTOR, max(_MIN_FACTOR, factor))
+            rejected = False
 
     return OdeSolution(
-        np.array(out_times),
+        t_eval.copy(),
         out_states,
         {"naccept": naccept, "nreject": nreject, "nfev": nfev},
     )

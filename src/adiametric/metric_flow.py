@@ -5,8 +5,9 @@ A non-Hermitian generator H conserves the redefined inner product
 
     dTheta/dt = i (Theta H - H^dagger Theta).
 
-This module integrates that equation (adaptive Runge-Kutta on a
-right-hand side that is Hermitian entry by entry), provides three
+This module integrates that equation (the adaptive DOP853 pair with
+interpolated samples, on a right-hand side that is Hermitian entry by
+entry), provides three
 alternative solvers that cross-validate it
 (conjugation by midpoint propagators from the stacked Taylor exponential,
 Picard iteration, normal-ordered exponential series), constructs static
@@ -152,11 +153,14 @@ def _hermitian_flow_rhs(h, theta):
 def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     """Integrate the metric flow along a Hamiltonian schedule.
 
-    ``schedule`` provides ``at(t)`` (and optionally ``breakpoints()``).
-    The right-hand side is exactly Hermitian for a Hermitian metric, and
-    every Runge-Kutta stage is a real combination of such terms, so the
-    samples are Hermitian bit for bit and need no re-symmetrization;
-    the stepper keeps its first-same-as-last stage (6 rhs calls a step).
+    ``schedule`` provides ``at(t)`` (and optionally ``breakpoints()``),
+    where the stepper lands exactly; the ``config.samples`` uniform
+    samples are read off its dense output.  Every stage ``i (A - A^dagger)``,
+    ``A = Theta H``, is Hermitian bit for bit whatever its argument, and
+    :func:`solve_ode` forms the state it carries and every sample entry by
+    entry from real combinations of stages, so the samples are Hermitian
+    bit for bit and need no re-symmetrization.  A step costs 12 rhs calls
+    (the last first-same-as-last), 3 more when a sample falls inside it.
     """
     cfg = config or SolverConfig()
     theta0 = _require_hermitian(theta0)
@@ -315,23 +319,32 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
     :func:`continued_eigensystems` in the parallel gauge (the pairing of
     consecutive right vectors against the previous left vectors is held at
     unity, which removes the normalization freedom of the biorthogonal
-    family), and the diagonal weights are carried unchanged.  For a
-    real-spectrum path the result is the static metric an infinitely slow
-    traversal of the same path would reach; it serves as an independent
-    oracle for slow-ramp and slow-switching experiments.  Path points
-    :func:`biorthogonal_decompose` would reject raise the same errors.
+    family), and the diagonal weights are carried unchanged.  Each path
+    step takes the pairing at its midpoint, as the geometric mean of the
+    forward and the inverse backward pairing, so the transport is second
+    order in the path spacing.  For a real-spectrum path the result is the
+    static metric an infinitely slow traversal of the same path would
+    reach; it serves as an independent oracle for slow-ramp and
+    slow-switching experiments.  Path points :func:`biorthogonal_decompose`
+    would reject raise the same errors.
     """
     gauge = None
     for _, right, left_h in continued_eigensystems(_separated_chunks(hamiltonians)):
         if gauge is None:
             weights = np.diag(right[0].conj().T @ as_operator(theta0) @ right[0]).real
-            gauge, carry = np.ones(len(weights), dtype=complex), left_h[0]
-        # parallel gauge: the left vectors pick up every pairing
-        # diag(left_{k-1}^dag right_k) of the unit-norm right vectors
-        prev = np.concatenate([carry[None], left_h[:-1]])
-        gauge = gauge * np.prod(np.einsum("kmi,kim->km", prev, right), axis=0)
-        carry = left_h[-1]
-    left = carry.conj().T * gauge.conj()
+            gauge, carry = np.ones(len(weights), dtype=complex), (right[0], left_h[0])
+        # per path step the left vectors pick up p / sqrt(p q) = sqrt(p / q)
+        # from the pairings p = diag(left_{k-1}^dag right_k) and
+        # q = diag(left_k^dag right_{k-1}) of the unit-norm right vectors;
+        # p q = 1 + O(h^2) is free of the arbitrary eigenvector phases, so
+        # its principal root fixes the branch
+        prev_right = np.concatenate([carry[0][None], right[:-1]])
+        prev_left = np.concatenate([carry[1][None], left_h[:-1]])
+        forward = np.einsum("kmi,kim->km", prev_left, right)
+        backward = np.einsum("kmi,kim->km", left_h, prev_right)
+        gauge = gauge * np.prod(forward / np.sqrt(forward * backward), axis=0)
+        carry = (right[-1], left_h[-1])
+    left = carry[1].conj().T * gauge.conj()
     return _symmetrize((left * weights) @ left.conj().T)
 
 

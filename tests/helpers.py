@@ -1,6 +1,11 @@
 """Shared fixture builders for the test suite."""
 
+import math
+
 import numpy as np
+
+from adiametric._integrate import OdeSolution
+from adiametric.errors import SolverError, StepSizeUnderflow
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,17 +48,171 @@ def two_level_matrix(v, w):
     return pauli_compose(TwoLevelParams(v=np.asarray(v, float), w=np.asarray(w, float)))
 
 
+# ------------------------------------------------------------ DP5 oracle
+# The adaptive Dormand-Prince 5(4) stepper the package ran before DOP853,
+# kept as an independent integrator for the oracles below.
+
+# Dormand-Prince 5(4) tableau, written out stage by stage in dp5_solve_ode.
+# B5 propagates; E = B5 - B4 weighs the embedded error estimate; the last
+# stage is FSAL (its nodes are 1 and its weights B5, so it sees y_new).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1 = _B1 - 5179 / 57600
+_E3 = _B3 - 7571 / 16695
+_E4 = _B4 - 393 / 640
+_E5 = _B5 + 92097 / 339200
+_E6 = _B6 - 187 / 2100
+_E7 = -1 / 40
+
+_MAX_FACTOR = 5.0
+_MIN_FACTOR = 0.2
+_SAFETY = 0.9
+
+
+def _error_norm(err, y_old, y_new, rtol, atol):
+    """RMS over entries of ``|err| / (atol + rtol max(|y_old|, |y_new|))``."""
+    q = np.abs(err).ravel()
+    q /= atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)).ravel()
+    return math.sqrt(np.dot(q, q) / q.size)
+
+
+def dp5_solve_ode(
+    rhs,
+    t0,
+    t1,
+    y0,
+    *,
+    rtol=1e-9,
+    atol=1e-12,
+    t_eval=None,
+    breakpoints=(),
+    post_step=None,
+):
+    """Integrate ``dy/dt = rhs(t, y)`` from t0 to t1 (either direction).
+
+    Returns an :class:`OdeSolution` sampled at ``t_eval`` (default: the
+    endpoint only).  ``t_eval`` must lie in ``[t0, t1]`` and be strictly
+    monotone in the direction of integration; samples come back in that
+    order.  ``breakpoints`` are interior times the stepper must land on
+    exactly.  Raises :class:`SolverError` for a ``t_eval`` that breaks
+    these rules or a right-hand side that turns non-finite, and its
+    subclass :class:`StepSizeUnderflow` when the error controller stalls.
+    """
+    direction = 1.0 if t1 >= t0 else -1.0
+    if t_eval is None:
+        t_eval = np.array([t1], dtype=float)
+    else:
+        t_eval = np.asarray(t_eval, dtype=float)
+        outside = ~((t_eval >= min(t0, t1)) & (t_eval <= max(t0, t1)))
+        if outside.any():
+            raise SolverError(
+                f"t_eval time {t_eval[outside][0]:.6g} lies outside [{t0:.6g}, {t1:.6g}]"
+            )
+        if np.any(np.diff(t_eval) * direction <= 0.0):
+            raise SolverError(
+                "t_eval must be strictly monotone in the direction of integration"
+            )
+
+    y = np.array(y0, copy=True)
+    if t1 == t0:
+        return OdeSolution(np.array([t0]), [y], {"naccept": 0, "nreject": 0, "nfev": 0})
+
+    span = abs(t1 - t0)
+
+    # Merge output times and interior breakpoints into one forced-stop grid.
+    stops = set(float(t) for t in t_eval)
+    stops.add(float(t1))
+    for b in breakpoints:
+        b = float(b)
+        if (b - t0) * direction > 0 and (t1 - b) * direction > 0:
+            stops.add(b)
+    stops = sorted(stops, reverse=direction < 0)
+    eval_set = {float(t) for t in t_eval}
+
+    # t0 itself, when requested in t_eval, is emitted by the stop loop below.
+    out_times, out_states = [], []
+    h_floor = 1e-14 * max(abs(t0), abs(t1), 1.0)
+    h = span / 100.0
+
+    t = float(t0)
+    k1 = rhs(t, y)
+    nfev = 1
+    naccept = nreject = 0
+
+    for stop in stops:
+        while (stop - t) * direction > 1e-15 * max(abs(stop), 1.0):
+            h = min(h, abs(stop - t))
+            if h < h_floor:
+                raise StepSizeUnderflow(
+                    f"step size {h:.3e} underflowed at t={t:.6g} (rtol={rtol:.1e})"
+                )
+            hs = h * direction
+            k2 = rhs(t + _C2 * hs, y + hs * (_A21 * k1))
+            k3 = rhs(t + _C3 * hs, y + hs * (_A31 * k1 + _A32 * k2))
+            k4 = rhs(t + _C4 * hs, y + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+            k5 = rhs(
+                t + _C5 * hs,
+                y + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4),
+            )
+            k6 = rhs(
+                t + hs,
+                y + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
+            )
+            y_new = y + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = rhs(t + hs, y_new)
+            nfev += 6
+            err = hs * (
+                _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
+            )
+            enorm = _error_norm(err, y, y_new, rtol, atol)
+            if not math.isfinite(enorm):
+                raise SolverError(f"non-finite right-hand side near t={t:.6g}")
+
+            if enorm <= 1.0:
+                t = t + hs
+                if abs(stop - t) <= 1e-15 * max(abs(stop), 1.0):
+                    t = stop
+                y = y_new
+                if post_step is not None:
+                    y = post_step(y)
+                    k1 = rhs(t, y)
+                    nfev += 1
+                else:
+                    k1 = k7  # FSAL
+                naccept += 1
+                factor = _MAX_FACTOR if enorm == 0.0 else _SAFETY * enorm ** -0.2
+                h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            else:
+                nreject += 1
+                h *= max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
+        if stop in eval_set:
+            out_times.append(stop)
+            out_states.append(y.copy())
+
+    return OdeSolution(
+        np.array(out_times),
+        out_states,
+        {"naccept": naccept, "nreject": nreject, "nfev": nfev},
+    )
+
+
 def dp5_dressing(h0, h_int, eps, config, form, direction, shape):
     """Interaction-picture DP5 dressing at the horizon: the oracle for CF4.
 
     ``form="K"`` integrates ``K(t) = U(0,t) U_0(t,0)`` (rhs ``i f K H_I(t)``),
     ``form="G"`` integrates ``G(t) = U_0(0,t) U(t,0)`` (rhs ``-i f H_I(t) G``)
-    with ``solve_ode`` from 0 to ``direction * horizon_factor / eps``.  The
+    with ``dp5_solve_ode`` from 0 to ``direction * horizon_factor / eps``.  The
     state lives in the eigenframe of ``H_0 = V diag(E) V^-1``, where
     ``H_I(t)`` is ``V^-1 H_int V`` times the phases ``exp(i (E_m - E_n) t)``
     and the switch factor of ``shape``, and is mapped back at the end.
     """
-    from adiametric._integrate import solve_ode
     from adiametric.operator_core import eigenframe
     from adiametric.scattering import _switch_schedule
 
@@ -71,7 +230,7 @@ def dp5_dressing(h0, h_int, eps, config, form, direction, shape):
         def rhs(t, g):
             return -1j * factor(t) * ((h_tilde * np.exp(gap * t)) @ g)
 
-    sol = solve_ode(
+    sol = dp5_solve_ode(
         rhs,
         0.0,
         direction * config.horizon_factor / eps,
@@ -83,19 +242,18 @@ def dp5_dressing(h0, h_int, eps, config, form, direction, shape):
 
 
 def dp5_ramp(times, y0, duration, amplitude=5.0, w3=3.0, rtol=1e-13, atol=1e-15):
-    """Crossed-ramp component flow by ``solve_ode``: the oracle for CF4.
+    """Crossed-ramp component flow by ``dp5_solve_ode``: the oracle for CF4.
 
     Integrates ``dy/dt = M(t) y`` from ``y0`` at 0 with the generator of
     :class:`CrossedRampSchedule` (constant after ``duration``), landing on
     ``duration``, and returns the rows at ``times``.
     """
-    from adiametric._integrate import solve_ode
     from adiametric.two_level import CrossedRampSchedule, component_generator
 
     schedule = CrossedRampSchedule(duration, amplitude=amplitude, w3=w3)
     m_start = component_generator(schedule.params_at(0.0))
     m_slope = component_generator(schedule.params_at(duration)) - m_start
-    sol = solve_ode(
+    sol = dp5_solve_ode(
         lambda t, y: (m_start + min(t / duration, 1.0) * m_slope) @ y,
         0.0,
         float(times[-1]),
@@ -115,10 +273,9 @@ def evolve_metric_oracle(schedule, theta0, t0, t1, config):
     Returns the samples at ``config.samples`` uniform times and the solver
     statistics.
     """
-    from adiametric._integrate import solve_ode
     from adiametric.metric_flow import _symmetrize, flow_rhs
 
-    sol = solve_ode(
+    sol = dp5_solve_ode(
         lambda t, y: flow_rhs(schedule.at(t), y),
         t0,
         t1,

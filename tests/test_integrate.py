@@ -1,5 +1,7 @@
 """Integrator sanity: accuracy, order, direction, forced stops, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,30 +11,40 @@ from adiametric import _integrate
 from adiametric._integrate import _cf4_propagator, magnus_cf4, solve_ode
 from adiametric.errors import SolverError, StepSizeUnderflow
 
-from helpers import SX, SZ
+from helpers import SX, SZ, dp5_solve_ode
+
+# the solve_ode contract holds for the package's DOP853 stepper and for the
+# DP5 stepper the tests keep as an oracle
+steppers = pytest.mark.parametrize(
+    "stepper", [solve_ode, dp5_solve_ode], ids=["dop853", "dp5"]
+)
 
 
-def test_scalar_exponential_accuracy():
-    sol = solve_ode(lambda t, y: -y, 0.0, 5.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
+@steppers
+def test_scalar_exponential_accuracy(stepper):
+    sol = stepper(lambda t, y: -y, 0.0, 5.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
     assert abs(sol.states[-1][0] - np.exp(-5.0)) < 1e-9
 
 
-def test_matrix_rotation_accuracy():
+@steppers
+def test_matrix_rotation_accuracy(stepper):
     # y' = i w y on a matrix state: entrywise phase rotation
     w = 3.0
     y0 = np.array([[1.0 + 0j, 2.0], [0.5j, -1.0]])
-    sol = solve_ode(lambda t, y: 1j * w * y, 0.0, 2.0, y0, rtol=1e-11, atol=1e-13)
+    sol = stepper(lambda t, y: 1j * w * y, 0.0, 2.0, y0, rtol=1e-11, atol=1e-13)
     np.testing.assert_allclose(sol.states[-1], np.exp(1j * w * 2.0) * y0, atol=1e-9)
 
 
-def test_backward_integration():
-    sol = solve_ode(lambda t, y: -y, 0.0, -3.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
+@steppers
+def test_backward_integration(stepper):
+    sol = stepper(lambda t, y: -y, 0.0, -3.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
     assert abs(sol.states[-1][0] - np.exp(3.0)) < 1e-7
 
 
-def test_t_eval_sampling_exact_times():
+@steppers
+def test_t_eval_sampling_exact_times(stepper):
     t_eval = np.linspace(0.0, 1.0, 11)
-    sol = solve_ode(
+    sol = stepper(
         lambda t, y: np.array([2 * t]), 0.0, 1.0, np.array([0.0]),
         t_eval=t_eval, rtol=1e-10, atol=1e-14,
     )
@@ -42,9 +54,10 @@ def test_t_eval_sampling_exact_times():
     )
 
 
-def test_t_eval_backward_order():
+@steppers
+def test_t_eval_backward_order(stepper):
     t_eval = [-0.5, -1.0, -2.0]
-    sol = solve_ode(
+    sol = stepper(
         lambda t, y: -y, 0.0, -2.0, np.array([1.0]),
         t_eval=t_eval, rtol=1e-10, atol=1e-12,
     )
@@ -52,36 +65,40 @@ def test_t_eval_backward_order():
     np.testing.assert_allclose([s[0] for s in sol.states], np.exp(-np.array(t_eval)))
 
 
+@steppers
 @pytest.mark.parametrize("t_eval, bad", [([-1.0, 0.5, 2.0], "-1"), ([0.5, 2.0], "2")])
-def test_t_eval_outside_window_rejected(t_eval, bad):
+def test_t_eval_outside_window_rejected(stepper, t_eval, bad):
     with pytest.raises(SolverError, match=f"t_eval time {bad} lies outside"):
-        solve_ode(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), t_eval=t_eval)
+        stepper(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), t_eval=t_eval)
 
 
+@steppers
 @pytest.mark.parametrize(
     "t1, t_eval",
     [(1.0, [0.5, 0.2, 1.0]), (1.0, [0.5, 0.5]), (-1.0, [-0.2, -0.5, -0.3])],
 )
-def test_t_eval_not_monotone_rejected(t1, t_eval):
+def test_t_eval_not_monotone_rejected(stepper, t1, t_eval):
     with pytest.raises(SolverError, match="strictly monotone"):
-        solve_ode(lambda t, y: -y, 0.0, t1, np.array([1.0]), t_eval=t_eval)
+        stepper(lambda t, y: -y, 0.0, t1, np.array([1.0]), t_eval=t_eval)
 
 
-def test_non_finite_rhs_raises():
+@steppers
+def test_non_finite_rhs_raises(stepper):
     def rhs(t, y):
         return np.array([np.nan if t > 0.3 else 1.0])
 
     with pytest.raises(SolverError, match="non-finite right-hand side near t=") as info:
-        solve_ode(rhs, 0.0, 1.0, np.array([0.0]))
+        stepper(rhs, 0.0, 1.0, np.array([0.0]))
     assert not isinstance(info.value, StepSizeUnderflow)
 
 
-def test_breakpoint_kink_handled():
+@steppers
+def test_breakpoint_kink_handled(stepper):
     # rhs with a corner at t=0.5; hitting it exactly keeps full accuracy
     def rhs(t, y):
         return np.array([1.0 if t < 0.5 else -1.0])
 
-    sol = solve_ode(
+    sol = stepper(
         rhs, 0.0, 1.0, np.array([0.0]), breakpoints=(0.5,), rtol=1e-10, atol=1e-14
     )
     # stages evaluated exactly at the kink see one branch only; accuracy is
@@ -89,23 +106,48 @@ def test_breakpoint_kink_handled():
     assert abs(sol.states[-1][0]) < 1e-9
 
 
-def test_post_step_hook_applied():
+@steppers
+def test_post_step_hook_applied(stepper):
     calls = []
 
     def hook(y):
         calls.append(1)
         return y
 
-    solve_ode(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), post_step=hook)
+    stepper(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), post_step=hook)
     assert len(calls) > 0
 
 
-def test_step_underflow_raises():
+@steppers
+def test_post_step_hook_maps_every_accepted_state(stepper):
+    # a hook that halves the state: each accepted step ends at half of what
+    # the flow y' = 0 carried in, and the endpoint sample is the mapped state
+    calls = []
+
+    def hook(y):
+        calls.append(1)
+        return 0.5 * y
+
+    sol = stepper(lambda t, y: 0.0 * y, 0.0, 1.0, np.array([1.0]), post_step=hook)
+    assert sol.stats["naccept"] == len(calls)
+    assert sol.states[-1][0] == 0.5 ** len(calls)
+
+
+@steppers
+def test_post_step_none_by_keyword(stepper):
+    # the calling form of a tracing wrapper that forwards every keyword
+    sol = stepper(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), post_step=None)
+    assert abs(sol.states[-1][0] - np.exp(-1.0)) < 1e-8
+
+
+@steppers
+def test_step_underflow_raises(stepper):
     # y' = y^2 from y(0)=1 blows up at t=1; no step survives past it
     with pytest.raises(StepSizeUnderflow):
-        solve_ode(lambda t, y: y**2, 0.0, 2.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
+        stepper(lambda t, y: y**2, 0.0, 2.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
 
 
+@steppers
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -113,7 +155,7 @@ def test_step_underflow_raises():
     t1=st.floats(-3.0, 3.0).filter(lambda t: abs(t) > 0.1),
 )
 @example(seed=15531, dim=4, t1=-3.0)  # kappa = 2.2e7: err 5.3e-5, 9.8e-13 kappa |y0|
-def test_forward_then_backward_returns_start(seed, dim, t1):
+def test_forward_then_backward_returns_start(stepper, seed, dim, t1):
     # a time-dependent linear rhs with a bounded generator
     rng = np.random.default_rng(seed)
     a, b = (rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim)))
@@ -122,13 +164,88 @@ def test_forward_then_backward_returns_start(seed, dim, t1):
     def rhs(t, y):
         return (a + np.sin(2.0 * t) * b) @ y
 
-    there = solve_ode(rhs, 0.0, t1, y0, rtol=1e-11, atol=1e-13).states[-1]
-    back = solve_ode(rhs, t1, 0.0, there, rtol=1e-11, atol=1e-13).states[-1]
+    there = stepper(rhs, 0.0, t1, y0, rtol=1e-11, atol=1e-13).states[-1]
+    back = stepper(rhs, t1, 0.0, there, rtol=1e-11, atol=1e-13).states[-1]
     # the round trip amplifies the local errors by the condition number of
     # the propagator, taken here from a separate identity solve
-    u = solve_ode(rhs, 0.0, t1, np.eye(dim, dtype=complex), rtol=1e-11, atol=1e-13)
+    u = stepper(rhs, 0.0, t1, np.eye(dim, dtype=complex), rtol=1e-11, atol=1e-13)
     kappa = np.linalg.cond(u.states[-1])
     assert np.linalg.norm(back - y0) < 1e-9 * kappa * np.linalg.norm(y0)
+
+
+# ------------------------------------------------------------------ DOP853
+
+
+def test_output_times_do_not_force_steps():
+    # y'' = -y as a first-order system: 2 or 201 samples, the same steps;
+    # each step costs 12 rhs calls (11 when rejected: no first-same-as-last
+    # stage), plus 3 for the dense output when a sample falls inside it
+    def rhs(t, y):
+        return np.array([y[1], -y[0]])
+
+    y0 = np.array([1.0, 0.0])
+    coarse = solve_ode(rhs, 0.0, 10.0, y0, t_eval=[0.0, 10.0])
+    dense_times = np.linspace(0.0, 10.0, 201)
+    dense = solve_ode(rhs, 0.0, 10.0, y0, t_eval=dense_times)
+    assert dense.stats["naccept"] == coarse.stats["naccept"]
+    assert dense.stats["nreject"] == coarse.stats["nreject"]
+    np.testing.assert_array_equal(dense.states[-1], coarse.states[-1])
+    steps = 12 * coarse.stats["naccept"] + 11 * coarse.stats["nreject"] + 1
+    assert coarse.stats["nfev"] == steps
+    extra = dense.stats["nfev"] - steps
+    assert extra % 3 == 0 and 0 < extra <= 3 * dense.stats["naccept"]
+    np.testing.assert_allclose(
+        [s[0] for s in dense.states], np.cos(dense_times), rtol=0, atol=1e-8
+    )
+
+
+@pytest.mark.parametrize("degree, exact", [(7, True), (8, False)])
+def test_dense_output_is_seventh_order(degree, exact):
+    # y' = n t^(n-1): a few big steps, most of the 41 samples interpolated;
+    # the 8th-order steps and the 7th-order interpolant reproduce y = t^7 to
+    # rounding, but not y = t^8
+    t_eval = np.linspace(0.0, 2.0, 41)
+    sol = solve_ode(
+        lambda t, y: degree * t ** (degree - 1) + 0.0 * y, 0.0, 2.0, np.array([0.0]),
+        t_eval=t_eval, rtol=1e-3, atol=1e-3,
+    )
+    assert sol.stats["naccept"] < 10
+    err = np.max(np.abs(np.array(sol.states)[:, 0] - t_eval**degree)) / 2.0**degree
+    assert (err < 1e-14) == exact
+
+
+def test_sample_on_a_breakpoint_takes_the_stepped_state():
+    # the stepper lands on the breakpoint, so that sample costs no dense output
+    sol = solve_ode(
+        lambda t, y: -y, 0.0, 1.0, np.array([1.0]), t_eval=[0.0, 0.25, 1.0],
+        breakpoints=(0.25,), rtol=1e-10, atol=1e-12,
+    )
+    stats = sol.stats
+    assert stats["nfev"] == 12 * stats["naccept"] + 11 * stats["nreject"] + 1
+    np.testing.assert_allclose(
+        [s[0] for s in sol.states], np.exp(-sol.times), rtol=1e-9
+    )
+
+
+def test_tableau_matches_scipy_transcription():
+    from scipy.integrate._ivp import dop853_coefficients as coeffs
+
+    n = coeffs.N_STAGES
+    np.testing.assert_allclose(_integrate._A, coeffs.A, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_integrate._C, coeffs.C, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_integrate._B, coeffs.B, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_integrate._E3, coeffs.E3[:n], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_integrate._E5, coeffs.E5[:n], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_integrate._D, coeffs.D, rtol=0, atol=1e-15)
+    # scipy pads the error rows with a zero weight on the FSAL stage
+    assert coeffs.E3[n] == coeffs.E5[n] == 0.0
+
+
+def test_tableau_row_sums_are_nodes():
+    # c = A 1 for every stage, the dense-output ones included, to the
+    # rounding of the transcribed coefficients
+    for row, c in zip(_integrate._A, _integrate._C):
+        assert abs(math.fsum(row) - c) <= 1e-15 * math.fsum(abs(row))
 
 
 # ------------------------------------------------------------------ CF4
@@ -142,7 +259,7 @@ def _factor(t):
 
 
 def _dp5_propagator(f, t0, t1, a0=A0, a1=A1, rtol=1e-13, atol=1e-15):
-    return solve_ode(
+    return dp5_solve_ode(
         lambda t, u: (a0 + f(t) * a1) @ u, t0, t1, np.eye(len(a0), dtype=complex),
         rtol=rtol, atol=atol,
     ).states[-1]

@@ -296,7 +296,9 @@ class TestRampExperiment:
         )
         arrived = res.selected_static.matrix()
         rel = np.linalg.norm(arrived - predicted) / np.linalg.norm(predicted)
-        assert rel < 5e-3
+        # 1.15e-6: the ramp's own distance from the adiabatic limit; the
+        # second-order predictor is exact to rounding on this path
+        assert rel < 3.5e-6
 
     def test_matrix_level_schedule_agrees(self):
         sched = CrossedRampSchedule(duration=3.0)
