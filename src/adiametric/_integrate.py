@@ -8,10 +8,13 @@ pair's combined 5th/3rd-order error estimate with exponent -1/8 and Lund
 stabilization.  The stepper lands exactly on schedule breakpoints and on
 the endpoint, so discontinuous right-hand sides never hide inside a step;
 other output times are read off the 7th-order dense output, which costs
-three more rhs calls on each step that holds one.  Every combination that
-reaches the returned states is formed entry by entry from real
-coefficients, so real combinations of Hermitian stages stay Hermitian bit
-for bit.
+three more rhs calls on each step that holds one.  The state and the 16
+stages sit as rows of one buffer, and the dense output is linear in them
+(Hairer, Norsett & Wanner, Sec. II.6), so each stage argument, the new
+state and all the samples inside a step are each one BLAS product of
+real coefficient rows with that buffer.  Such a product may round an
+entry and its conjugate partner differently; a caller that needs exact
+symmetry, like the metric flow, restores it on the samples.
 
 :func:`magnus_cf4` returns the propagator of a linear equation whose
 generator is ``A0 + f(t) A1`` with a scalar, vectorized ``f``, at the
@@ -144,6 +147,9 @@ def _tableau(rows, width):
 
 _A = _tableau(_A_ROWS, 16)
 _B = _A[12, :12]
+# row s: the weights of [y, k0, ..., k15] in stage s's argument, the k
+# columns still to be scaled by h; row 12 gives the new state
+_Y_A = np.column_stack((np.ones(16), _A))
 _E3 = _tableau([_E3_ROW], 12)[0]
 _E5 = _tableau([_E5_ROW], 12)[0]
 _D = _tableau(_D_ROWS, 16)
@@ -173,28 +179,16 @@ class OdeSolution:
     stats: dict = field(default_factory=dict)
 
 
-def _real_rows(stages, count):
-    """The first ``count`` stages as rows of reals (complex entries split in two)."""
-    rows = stages[:count].reshape(count, -1)
-    return rows.view(rows.real.dtype)
-
-
-def _stacked(coeffs, stages):
-    """``sum_j coeffs[j] stages[j]`` by one BLAS product over the stacked stages.
-
-    Stage arguments and error estimates only: the product may round an
-    entry and its conjugate partner differently.
-    """
-    out = coeffs @ _real_rows(stages, len(coeffs))
-    return out.view(stages.dtype).reshape(stages.shape[1:])
-
-
-def _entrywise(coeffs, stages):
-    """``sum_j coeffs[j] stages[j]``, each entry by the same products and sums
-    in the same order, so real combinations of Hermitian stages come out
-    Hermitian bit for bit.  For the state carried forward and the samples."""
-    out = (coeffs[:, None] * _real_rows(stages, len(coeffs))).sum(axis=0)
-    return out.view(stages.dtype).reshape(stages.shape[1:])
+def _combine(coeffs, rows):
+    """``coeffs @ rows`` over the leading axis of ``rows``, by one BLAS product
+    on its real view (complex entries split in two).  ``coeffs`` holds one
+    combination, or one per row of a 2-d array, of the leading
+    ``coeffs.shape[-1]`` rows.  The product may round an entry and its
+    conjugate partner differently."""
+    count = coeffs.shape[-1]
+    flat = rows[:count].reshape(count, -1)
+    out = coeffs @ flat.view(flat.real.dtype)
+    return out.view(rows.dtype).reshape(coeffs.shape[:-1] + rows.shape[1:])
 
 
 def _error_norm(hs, stages, y_old, y_new, rtol, atol):
@@ -202,8 +196,8 @@ def _error_norm(hs, stages, y_old, y_new, rtol, atol):
     3rd-order one, ``|h| |err5|^2 / sqrt(n (|err5|^2 + 0.01 |err3|^2))``,
     each weighted by ``atol + rtol max(|y_old|, |y_new|)`` entry by entry."""
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    err5 = np.abs(_stacked(_E5, stages) / scale)
-    err3 = np.abs(_stacked(_E3, stages) / scale)
+    err5 = np.abs(_combine(_E5, stages) / scale)
+    err3 = np.abs(_combine(_E3, stages) / scale)
     sq5 = float(np.vdot(err5, err5))
     denom = sq5 + 0.01 * float(np.vdot(err3, err3))
     if denom == 0.0:
@@ -211,19 +205,22 @@ def _error_norm(hs, stages, y_old, y_new, rtol, atol):
     return abs(hs) * sq5 / math.sqrt(denom * scale.size)
 
 
-def _interpolant_weights(x):
-    """Weights of ``y_new - y_old`` and of the 16 stages (times h) in the
-    dense output at ``x`` in [0, 1].
+def _interpolant_weights(x, hs):
+    """Coefficients of the rows ``[y_old, k0, ..., k15, y_new]`` in the dense
+    output of a step ``hs`` at the step fractions ``x`` in [0, 1], one row
+    of 18 per fraction.
 
-    Hairer's interpolant ``x (F0 + (1-x) (F1 + x (F2 + ... + x F6)))`` with
-    ``F0 = dy``, ``F1 = h k0 - dy``, ``F2 = 2 dy - h (k0 + k12)`` and
-    ``F3..F6 = h D k``, collected on ``dy`` and on each stage.
+    Hairer's interpolant ``y_old + x (F0 + (1-x) (F1 + x (F2 + ... + x F6)))``
+    with ``F0 = dy = y_new - y_old``, ``F1 = h k0 - dy``, ``F2 = 2 dy - h (k0
+    + k12)`` and ``F3..F6 = h D k``, collected on each row.
     """
-    u, v = x, 1.0 - x
-    w = np.array([u * u * v * v, u**3 * v * v, u**3 * v**3, u**4 * v**3]) @ _D
-    w[0] += u * v - u * u * v
-    w[12] -= u * u * v
-    return u - u * v + 2.0 * u * u * v, w
+    u = np.asarray(x, dtype=float)[:, None]
+    v = 1.0 - u
+    w = np.hstack([u * u * v * v, u**3 * v * v, u**3 * v**3, u**4 * v**3]) @ _D
+    w[:, :1] += u * v - u * u * v
+    w[:, 12:13] -= u * u * v
+    c_dy = u - u * v + 2.0 * u * u * v
+    return np.hstack([1.0 - c_dy, hs * w, c_dy])
 
 
 def solve_ode(
@@ -246,9 +243,12 @@ def solve_ode(
     order.  ``breakpoints`` are interior times the stepper must land on
     exactly; so is t1.  Other samples are interpolated, unless one falls
     on a step end.  ``post_step`` maps each accepted state before the
-    stepper goes on.  Raises :class:`SolverError` for a ``t_eval`` that
-    breaks these rules or a right-hand side that turns non-finite, and its
-    subclass :class:`StepSizeUnderflow` when the error controller stalls.
+    stepper goes on.  ``stats`` counts the accepted and rejected steps
+    (``naccept``, ``nreject``), the rhs calls (``nfev``) and the steps that
+    formed the three dense-output stages (``ndense``).  Raises
+    :class:`SolverError` for a ``t_eval`` that breaks these rules or a
+    right-hand side that turns non-finite, and its subclass
+    :class:`StepSizeUnderflow` when the error controller stalls.
     """
     direction = 1.0 if t1 >= t0 else -1.0
     if t_eval is None:
@@ -267,7 +267,8 @@ def solve_ode(
 
     y = np.array(y0, copy=True)
     if t1 == t0:
-        return OdeSolution(np.array([t0]), [y], {"naccept": 0, "nreject": 0, "nfev": 0})
+        stats = {"naccept": 0, "nreject": 0, "nfev": 0, "ndense": 0}
+        return OdeSolution(np.array([t0]), [y], stats)
 
     stops = {float(t1)}
     for b in breakpoints:
@@ -276,16 +277,20 @@ def solve_ode(
             stops.add(b)
     stops = sorted(stops, reverse=direction < 0)
 
+    keys = direction * t_eval  # ascending
     out_states = [y.copy() for t in t_eval[:1] if t == t0]
     h_floor = 1e-14 * max(abs(t0), abs(t1), 1.0)
     h = abs(t1 - t0) / 10.0  # the controller shrinks a first step that is too long
 
     t = float(t0)
     f = rhs(t, y)
-    stages = np.empty((16,) + np.shape(f), np.result_type(y, f))
-    stages[0] = f
+    # rows [y, k0, ..., k15, y_new]: a stage argument, the new state and the
+    # samples are each one product of a coefficient row with them.  What goes
+    # to rhs, post_step or the caller is a fresh array, never a row.
+    rows = np.empty((18,) + np.shape(f), np.result_type(y, f))
+    rows[0], rows[1] = y, f
     nfev = 1
-    naccept = nreject = 0
+    naccept = nreject = ndense = 0
     rejected = False
     err_prev = 1e-4
 
@@ -297,11 +302,13 @@ def solve_ode(
                     f"step size {h:.3e} underflowed at t={t:.6g} (rtol={rtol:.1e})"
                 )
             hs = h * direction
+            coeffs = hs * _Y_A
+            coeffs[:, 0] = 1.0
             for s in range(1, 12):
-                stages[s] = rhs(t + _C[s] * hs, y + _stacked(hs * _A[s, :s], stages))
+                rows[1 + s] = rhs(t + _C[s] * hs, _combine(coeffs[s, : s + 1], rows))
             nfev += 11
-            y_new = y + _entrywise(hs * _B, stages)
-            enorm = _error_norm(hs, stages, y, y_new, rtol, atol)
+            y_new = _combine(coeffs[12, :13], rows)
+            enorm = _error_norm(hs, rows[1:], y, y_new, rtol, atol)
             if not math.isfinite(enorm):
                 raise SolverError(f"non-finite right-hand side near t={t:.6g}")
             if enorm > 1.0:
@@ -315,38 +322,35 @@ def solve_ode(
             else:
                 factor = _SAFETY * enorm ** (_BETA / 5 - 0.125) * err_prev**_BETA
             err_prev = max(enorm, 1e-4)
-            t_old, y_old = t, y
+            t_old = t
             t = t + hs
             if abs(stop - t) <= 1e-15 * max(abs(stop), 1.0):
                 t = stop
             y = y_new if post_step is None else post_step(y_new)
-            stages[12] = rhs(t, y)
+            rows[13] = rhs(t, y)
+            rows[17] = y
             nfev += 1
             naccept += 1
-            extended = False
-            for sample in t_eval[len(out_states):]:
-                if (t - sample) * direction < 0:
-                    break
-                if sample == t:
-                    out_states.append(y.copy())
-                    continue
-                if not extended:
-                    for s in (13, 14, 15):
-                        stages[s] = rhs(t_old + _C[s] * hs,
-                                        y_old + _stacked(hs * _A[s, :s], stages))
-                    nfev += 3
-                    extended = True
-                c_dy, w = _interpolant_weights((sample - t_old) / hs)
-                dense = _entrywise(hs * w, stages)
-                out_states.append(y_old + c_dy * (y - y_old) + dense)
-            stages[0] = stages[12]
+            end = np.searchsorted(keys, direction * t, side="right")
+            inside = t_eval[len(out_states) : end]
+            inside = inside[inside != t]
+            if len(inside):
+                for s in (13, 14, 15):
+                    rows[1 + s] = rhs(t_old + _C[s] * hs, _combine(coeffs[s, : s + 1], rows))
+                nfev += 3
+                ndense += 1
+                weights = _interpolant_weights((inside - t_old) / hs, hs)
+                out_states.extend(_combine(weights, rows))
+            if len(out_states) < end:  # a sample on the step end
+                out_states.append(y.copy())
+            rows[0], rows[1] = y, rows[13]
             h *= min(1.0 if rejected else _MAX_FACTOR, max(_MIN_FACTOR, factor))
             rejected = False
 
     return OdeSolution(
         t_eval.copy(),
         out_states,
-        {"naccept": naccept, "nreject": nreject, "nfev": nfev},
+        {"naccept": naccept, "nreject": nreject, "nfev": nfev, "ndense": ndense},
     )
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from ._integrate import solve_ode
 from .errors import (
     ComplexSpectrum,
+    ConfigError,
     DimensionMismatch,
     NonpositiveWeight,
     NotPositive,
@@ -77,6 +78,10 @@ class SolverConfig:
     rtol: float = 1e-9
     atol: float = 1e-12
     samples: int = 201
+
+    def __post_init__(self):
+        if self.samples < 2:  # the samples span [t0, t1], both ends included
+            raise ConfigError(f"solver samples must be at least 2, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -156,11 +161,14 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     ``schedule`` provides ``at(t)`` (and optionally ``breakpoints()``),
     where the stepper lands exactly; the ``config.samples`` uniform
     samples are read off its dense output.  Every stage ``i (A - A^dagger)``,
-    ``A = Theta H``, is Hermitian bit for bit whatever its argument, and
-    :func:`solve_ode` forms the state it carries and every sample entry by
-    entry from real combinations of stages, so the samples are Hermitian
-    bit for bit and need no re-symmetrization.  A step costs 12 rhs calls
-    (the last first-same-as-last), 3 more when a sample falls inside it.
+    ``A = Theta H``, is Hermitian bit for bit whatever its argument, so the
+    anti-Hermitian part that rounding leaves in the carried state is never
+    driven and needs no projection.  :func:`solve_ode` combines stages by
+    BLAS products, which may round an entry and its conjugate partner
+    differently, so each returned sample is made exactly Hermitian: its
+    strict lower triangle is the conjugate of the upper one.  A step
+    costs 12 rhs calls (the last first-same-as-last), 3 more when a sample
+    falls inside it; ``stats["ndense"]`` counts those steps.
     """
     cfg = config or SolverConfig()
     theta0 = _require_hermitian(theta0)
@@ -176,9 +184,12 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
         t_eval=t_eval,
         breakpoints=breaks,
     )
+    metrics = np.array(sol.states)
+    lower = np.tri(len(theta0), k=-1, dtype=bool)
+    np.copyto(metrics, metrics.conj().swapaxes(1, 2), where=lower)
     return MetricTrajectory(
         times=sol.times,
-        metrics=np.array(sol.states),
+        metrics=metrics,
         solver="runge_kutta",
         stats=sol.stats,
     )

@@ -48,6 +48,15 @@ def two_level_matrix(v, w):
     return pauli_compose(TwoLevelParams(v=np.asarray(v, float), w=np.asarray(w, float)))
 
 
+def entrywise_sum(coeffs, rows):
+    """``sum_j coeffs[j] rows[j]`` over the leading ``len(coeffs)`` rows, each
+    real and imaginary part summed row by row in the same order: the oracle
+    for the BLAS combinations of ``solve_ode`` (``_integrate._combine``)."""
+    flat = rows[: len(coeffs)].reshape(len(coeffs), -1)
+    out = (coeffs[:, None] * flat.view(flat.real.dtype)).sum(axis=0)
+    return out.view(rows.dtype).reshape(rows.shape[1:])
+
+
 # ------------------------------------------------------------ DP5 oracle
 # The adaptive Dormand-Prince 5(4) stepper the package ran before DOP853,
 # kept as an independent integrator for the oracles below.

@@ -8,8 +8,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adiametric import _integrate, metric_flow
 from adiametric.errors import (
     ComplexSpectrum,
+    ConfigError,
     DegenerateSpectrum,
     DimensionMismatch,
     NonHermitianInput,
@@ -49,6 +51,7 @@ from helpers import (
     I2,
     SY,
     SZ,
+    entrywise_sum,
     evolve_metric_oracle,
     hermitian_representation_oracle,
     random_bounded_nonhermitian,
@@ -188,8 +191,10 @@ class TestEvolveMetric:
         # 12 rhs calls per accepted step (the last first-same-as-last), 11 per
         # rejected one, the first stage, and 3 per step that interpolates
         stats = traj.stats
-        dense = stats["nfev"] - 12 * stats["naccept"] - 11 * stats["nreject"] - 1
-        assert dense % 3 == 0 and 0 <= dense <= 3 * stats["naccept"]
+        assert 0 <= stats["ndense"] <= stats["naccept"]
+        assert stats["nfev"] == (
+            12 * stats["naccept"] + 11 * stats["nreject"] + 1 + 3 * stats["ndense"]
+        )
         h = np.asarray(schedule.at(t1), dtype=complex)
         for theta in traj.metrics:
             err = np.linalg.norm(_hermitian_flow_rhs(h, theta) - flow_rhs(h, theta))
@@ -201,6 +206,77 @@ class TestEvolveMetric:
         err = np.linalg.norm(traj.metrics - want, axis=(1, 2))
         bound = cfg.rtol * np.linalg.norm(want, axis=(1, 2)) + dim * cfg.atol
         assert np.all(err <= bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.one_of(st.integers(1, 9), st.sampled_from([32, 64])),
+        hs=st.floats(-0.5, 0.5).filter(lambda h: abs(h) > 1e-3),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    @example(seed=0, dim=32, hs=0.1, fractions=[0.5])
+    @example(seed=1, dim=64, hs=-0.1, fractions=[0.25, 0.75])
+    def test_stage_sums_match_entrywise_oracle(self, seed, dim, hs, fractions):
+        # each combination solve_ode forms by one BLAS product (the stage
+        # arguments, the new state, a step's samples) against the entry-by-entry
+        # sum: both are n-term sums, so they differ by at most 2 gamma_n
+        # sum_j |c_j| |r_j| per real entry, gamma_n = n u / (1 - n u)
+        rng = np.random.default_rng(seed)
+        rows = np.array([random_hermitian(rng, dim) for _ in range(18)])
+        real = np.abs(rows.reshape(18, -1).view(float))
+        coeffs = hs * _integrate._Y_A
+        coeffs[:, 0] = 1.0
+        stages = [coeffs[s, : s + 1] for s in range(1, 16)]  # row 12: the new state
+        weights = _integrate._interpolant_weights(np.array(fractions), hs)
+        combos = [(c, _integrate._combine(c, rows)) for c in stages]
+        combos += zip(weights, _integrate._combine(weights, rows))
+        for c, got in combos:
+            n, u = len(c), np.finfo(float).eps / 2
+            bound = 2 * n * u / (1 - n * u) * (np.abs(c) @ real[:n])
+            diff = (got - entrywise_sum(c, rows)).reshape(-1).view(float)
+            assert np.all(np.abs(diff) <= bound)
+        # and the metric flow's samples are exactly Hermitian at this size
+        schedule, theta0, t0, t1 = random_flow(seed, dim, hs > 0)
+        traj = evolve_metric(schedule, theta0, t0, t1, SolverConfig(samples=11))
+        assert np.all(traj.hermiticity_defects() == 0.0)
+
+    def test_samples_exactly_hermitian_however_the_solver_rounds(self, monkeypatch):
+        # a BLAS may round an entry and its conjugate partner differently; the
+        # metric flow, not the solver, makes its samples exactly Hermitian
+        rng = np.random.default_rng(11)
+        solve = metric_flow.solve_ode
+
+        def skewed(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.states = [m + 1e-15 * rng.standard_normal(m.shape) for m in sol.states]
+            return sol
+
+        monkeypatch.setattr(metric_flow, "solve_ode", skewed)
+        schedule, theta0, t0, t1 = random_flow(3, 5, True)
+        traj = evolve_metric(schedule, theta0, t0, t1, SolverConfig(samples=7))
+        assert np.all(traj.hermiticity_defects() == 0.0)
+
+    @pytest.mark.parametrize("exp_shape", [False, True], ids=["ramp", "exp"])
+    def test_flow_dense_step_counts_are_pinned(self, exp_shape):
+        # the flow-dense benchmark's schedules at d = 32, norm scaled by sqrt(d);
+        # any change to the stage sums, the error norm or the step control
+        # that moves a step shows here
+        rng = np.random.default_rng(0)
+        dim = 32
+        ha, hb, hc, hd = (random_quasi_hermitian(rng, dim, math.sqrt(dim))[0] for _ in range(4))
+        if exp_shape:
+            schedule, t0, t1 = ExponentialSwitch(hc, hd - hc, 2.0), -1.0, 0.0
+        else:
+            schedule, t0, t1 = LinearRamp(ha, hb, 1.0), 0.0, 1.0
+        traj = evolve_metric(schedule, np.eye(dim), t0, t1, SolverConfig(rtol=1e-9, samples=51))
+        counts = {key: traj.stats[key] for key in ("nfev", "naccept", "nreject", "ndense")}
+        assert counts == {"nfev": 181, "naccept": 12, "nreject": 0, "ndense": 12}
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        # uniform samples over [t0, t1] include both ends
+        with pytest.raises(ConfigError):
+            SolverConfig(samples=samples)
 
     def test_hermiticity_defects_match_per_sample_norms(self):
         rng = np.random.default_rng(10)
@@ -491,7 +567,9 @@ class TestHermitianRepresentation:
     )
     def test_matches_per_sample_oracle(self, seed, dim, samples, exp_shape):
         schedule, theta0, t0, t1 = random_flow(seed, dim, exp_shape)
-        traj = evolve_metric(schedule, theta0, t0, t1, SolverConfig(samples=samples))
+        traj = evolve_metric(schedule, theta0, t0, t1, SolverConfig(samples=max(samples, 2)))
+        if samples == 1:  # a one-sample trajectory: the end of a two-sample run
+            traj = MetricTrajectory(traj.times[-1:], traj.metrics[-1:], traj.solver)
         assert_matches_oracle(hermitian_representation(traj, schedule), traj, schedule)
 
     @settings(max_examples=30, deadline=None)
