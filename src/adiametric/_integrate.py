@@ -23,8 +23,8 @@ endpoint or, as dense output, at uniform sample times.  It is the
 Math. 56 (2006) 1519): two matrix exponentials per step, formed by the
 stacked Taylor kernel of :mod:`.operator_core`, so the ``A0`` motion is
 carried exactly and the step is set by how ``f`` varies.  It serves both
-scattering dressings from one stack, and the two-level ramp; the metric
-flow stays on :func:`solve_ode`.
+scattering dressings from one stack, the two-level ramp and the propagator
+of ``transition_probability``; the metric flow stays on :func:`solve_ode`.
 """
 
 from __future__ import annotations

@@ -164,11 +164,8 @@ def parse_config(document: Any) -> ModelConfig:
     if error is not None:
         raise ConfigError(f"invalid configuration: {error.message}") from error
     solver = document.get("solver", {})
-    cfg = SolverConfig(
-        rtol=float(solver.get("rtol", 1e-9)),
-        atol=float(solver.get("atol", 1e-12)),
-        samples=int(solver.get("samples", 201)),
-    )
+    kinds = {"rtol": float, "atol": float, "samples": int}
+    cfg = SolverConfig(**{key: kind(solver[key]) for key, kind in kinds.items() if key in solver})
     fmt = document.get("output", {}).get("format", "csv")
     return ModelConfig(
         raw=document,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrate import solve_ode
+from ._integrate import magnus_cf4, solve_ode
 from .errors import (
     ComplexSpectrum,
     ConfigError,
@@ -80,6 +80,9 @@ class SolverConfig:
     samples: int = 201
 
     def __post_init__(self):
+        for name, value in (("rtol", self.rtol), ("atol", self.atol)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"solver {name} must be finite and positive, got {value}")
         if self.samples < 2:  # the samples span [t0, t1], both ends included
             raise ConfigError(f"solver samples must be at least 2, got {self.samples}")
 
@@ -158,8 +161,8 @@ def _hermitian_flow_rhs(h, theta):
 def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     """Integrate the metric flow along a Hamiltonian schedule.
 
-    ``schedule`` provides ``at(t)`` (and optionally ``breakpoints()``),
-    where the stepper lands exactly; the ``config.samples`` uniform
+    ``schedule`` provides ``at(t)`` and ``breakpoints()``, where the
+    stepper lands exactly; the ``config.samples`` uniform
     samples are read off its dense output.  Every stage ``i (A - A^dagger)``,
     ``A = Theta H``, is Hermitian bit for bit whatever its argument, so the
     anti-Hermitian part that rounding leaves in the carried state is never
@@ -173,17 +176,9 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     cfg = config or SolverConfig()
     theta0 = _require_hermitian(theta0)
     t_eval = np.linspace(t0, t1, cfg.samples)
-    breaks = getattr(schedule, "breakpoints", tuple)()
-    sol = solve_ode(
-        lambda t, y: _hermitian_flow_rhs(schedule.at(t), y),
-        t0,
-        t1,
-        theta0,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        t_eval=t_eval,
-        breakpoints=breaks,
-    )
+    sol = solve_ode(lambda t, y: _hermitian_flow_rhs(schedule.at(t), y), t0, t1, theta0,
+                    rtol=cfg.rtol, atol=cfg.atol, t_eval=t_eval,
+                    breakpoints=schedule.breakpoints())
     metrics = np.array(sol.states)
     lower = np.tri(len(theta0), k=-1, dtype=bool)
     np.copyto(metrics, metrics.conj().swapaxes(1, 2), where=lower)
@@ -505,19 +500,16 @@ def _raise_first_fault(h, theta, flagged):
 
 
 def _accumulate_propagator(schedule, t_from, t_to, rtol, atol):
-    """Forward evolution operator U(t_to, t_from) by direct integration."""
-    h0 = as_operator(schedule.at(t_from))
-    eye = np.eye(h0.shape[0], dtype=complex)
-    sol = solve_ode(
-        lambda t, u: -1j * (schedule.at(t) @ u),
-        t_from,
-        t_to,
-        eye,
-        rtol=rtol,
-        atol=atol,
-        breakpoints=getattr(schedule, "breakpoints", tuple)(),
-    )
-    return sol.states[-1]
+    """Evolution operator U(t_to, t_from), either direction in time, by
+    :func:`magnus_cf4` on ``-i (h0 + factor(t) h_int)``, one segment per
+    interval between the schedule's breakpoints, so each sees a smooth factor."""
+    inner = sorted(b for b in schedule.breakpoints() if min(t_from, t_to) < b < max(t_from, t_to))
+    ends = [t_from, *(inner if t_to > t_from else inner[::-1]), t_to]
+    a0, a1 = -1j * schedule.h0, -1j * schedule.h_int
+    u = np.eye(len(a0), dtype=complex)
+    for a, b in zip(ends, ends[1:]):
+        u = magnus_cf4(a0, a1, schedule.factor, a, b, rtol=rtol, atol=atol)[0] @ u
+    return u
 
 
 # largest gap allowed between the forward and pull-back amplitude forms
@@ -545,12 +537,14 @@ def transition_probability(
 
     Both states are normalized in the metric inner product of their own
     time (psi under Theta(t_from), phi under Theta(t_to)); the returned
-    value is ``|<phi|Theta(t_to) U(t_to, t_from) psi>|^2``.  The
-    algebraically equivalent pull-back form through Theta(t_from) is
-    evaluated as well and a :class:`SolverError` is raised if the two
-    disagree beyond 1e-10, which would signal integration failure
-    of the conservation law.  A state whose metric norm is not positive
-    (an indefinite ``theta_from``) raises :class:`NotPositive`.
+    value is ``|<phi|Theta(t_to) U(t_to, t_from) psi>|^2``, with U from
+    :func:`magnus_cf4` on the schedule's ``h0``, ``h_int`` and ``factor``,
+    independent of the metric flow.  The algebraically equivalent pull-back
+    form through Theta(t_from) is evaluated as well and a
+    :class:`SolverError` is raised if the two disagree beyond 1e-10, which
+    would signal integration failure of the conservation law.  A state
+    whose metric norm is not positive (an indefinite ``theta_from``) raises
+    :class:`NotPositive`.
     """
     cfg = config or SolverConfig(rtol=1e-11, atol=1e-13, samples=2)
     phi = np.asarray(phi, dtype=complex)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import magnus_cf4
-from .errors import ComplexSpectrum, NoConvergence
+from .errors import ComplexSpectrum, ConfigError, NoConvergence
 from .metric_flow import SolverConfig, _symmetrize, evolve_metric
 from .operator_core import (
     _require_hermitian,
@@ -78,12 +78,12 @@ class ScatteringConfig:
 
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
     if eps <= 0.0:
-        raise ValueError("switching rate eps must be positive")
+        raise ConfigError("switching rate eps must be positive")
     if shape == "exp":
         return ExponentialSwitch(h0, h_int, eps)
     if shape == "smooth":
         return SmoothSwitch(h0, h_int, width=horizon_factor / eps)
-    raise ValueError(f"unknown switch shape {shape!r}")
+    raise ConfigError(f"unknown switch shape {shape!r}")
 
 
 def _real_spectrum_pair(h0, h_int):
@@ -175,14 +175,8 @@ def adiabatic_metric(
     h0, h_int = _real_spectrum_pair(h0, h_int)
     schedule = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
     horizon = cfg.horizon_factor / eps
-    traj = evolve_metric(
-        schedule,
-        theta0,
-        -horizon,
-        0.0,
-        SolverConfig(rtol=cfg.rtol, atol=cfg.atol, samples=2),
-    )
-    return traj.final
+    cfg_flow = SolverConfig(rtol=cfg.rtol, atol=cfg.atol, samples=2)
+    return evolve_metric(schedule, theta0, -horizon, 0.0, cfg_flow).final
 
 
 def _clenshaw_curtis(n):

@@ -1,19 +1,19 @@
 """Hamiltonian time-dependence schedules and adiabatic parameter sweeps.
 
-A schedule is any object with ``at(t) -> matrix`` and ``breakpoints() ->
-tuple``; the classes here cover the shapes used by the experiments:
-constant generators, exponentially damped interaction switching
-``H_0 + exp(-eps |t|) H_I``, straight-line ramps between two generators,
-and a smooth compactly supported switch used to demonstrate that adiabatic
-limits do not depend on the switching profile.  The two switches also
-expose their scalar factor: ``at(t) = H_0 + factor(t) H_I``; ``factor``
-also takes an array of times and is at most 2^-53 beyond ``support``.
+Every schedule is ``H(t) = h0 + factor(t) h_int``: it carries the read-only
+``h0`` and ``h_int``, a ``factor`` that also takes an array of times, and
+``breakpoints()``, where the factor has kinks; ``at(t)`` is defined once for
+all.  The shapes: constant generators (zero ``h_int``), exponentially damped
+switching ``H_0 + exp(-eps |t|) H_I``, straight-line ramps (``h_int = h1 -
+h0``, factor ``t/T`` clamped to [0, 1]), and a smooth compactly supported
+switch showing that adiabatic limits do not depend on the switching profile.
+The two switches also expose ``support``: their factor is at most 2^-53 beyond.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,23 +37,36 @@ def _freeze(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def _affine_at(self, t) -> np.ndarray:
+    """The generator ``h0 + factor(t) h_int`` at time t."""
+    return self.h0 + self.factor(t) * self.h_int
+
+
+# eq=False: the fields are arrays, so schedules compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class Constant:
-    """Time-independent generator."""
+    """Time-independent generator: ``h0`` is ``h``, ``h_int`` is zero."""
 
     h: np.ndarray
+    h0: np.ndarray = field(init=False, repr=False)
+    h_int: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _freeze(self.h))
+        object.__setattr__(self, "h0", self.h)
+        object.__setattr__(self, "h_int", _freeze(np.zeros_like(self.h)))
 
-    def at(self, t) -> np.ndarray:
-        return self.h
+    def factor(self, t):
+        """0, elementwise for an array of times."""
+        return np.zeros(np.shape(t))
+
+    at = _affine_at
 
     def breakpoints(self) -> tuple:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentialSwitch:
     """``H(t) = H_0 + exp(-eps |t|) H_I``; equals H_0 + H_I exactly at t=0."""
 
@@ -76,36 +89,41 @@ class ExponentialSwitch:
         """37 / eps: 53 ln 2 rounded up, so ``factor`` is below 2^-53 beyond."""
         return math.ceil(53.0 * math.log(2.0)) / self.eps
 
-    def at(self, t) -> np.ndarray:
-        return self.h0 + self.factor(t) * self.h_int
+    at = _affine_at
 
     def breakpoints(self) -> tuple:
         return (0.0,)  # derivative kink of |t|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearRamp:
-    """Straight-line interpolation H_0 -> H_1 over [0, T], clamped outside."""
+    """Straight-line H_0 -> H_1 over [0, T], clamped outside; ``at(T)`` is
+    ``h0 + (h1 - h0)``, which may differ from ``h1`` by rounding."""
 
     h0: np.ndarray
     h1: np.ndarray
     duration: float
+    h_int: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.duration <= 0.0:
             raise ConfigError("ramp duration must be positive")
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "h1", _freeze(self.h1))
+        object.__setattr__(self, "h_int", _freeze(self.h1 - self.h0))
 
-    def at(self, t) -> np.ndarray:
-        s = min(max(t / self.duration, 0.0), 1.0)
-        return (1.0 - s) * self.h0 + s * self.h1
+    def factor(self, t):
+        """``t / T`` clamped to [0, 1], elementwise for an array of times."""
+        # np.minimum/np.maximum: np.clip costs microseconds on a scalar
+        return np.minimum(np.maximum(t / self.duration, 0.0), 1.0)
+
+    at = _affine_at
 
     def breakpoints(self) -> tuple:
         return (0.0, self.duration)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothSwitch:
     """Compactly supported switch ``H_0 + cos^2(pi t / (2 width)) H_I``.
 
@@ -136,8 +154,7 @@ class SmoothSwitch:
         """The width: the factor is exactly 0 beyond."""
         return self.width
 
-    def at(self, t) -> np.ndarray:
-        return self.h0 + self.factor(t) * self.h_int
+    at = _affine_at
 
     def breakpoints(self) -> tuple:
         return (-self.width, 0.0, self.width)

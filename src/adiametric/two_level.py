@@ -28,6 +28,7 @@ from ._integrate import magnus_cf4
 from .errors import DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
 from .metric_flow import SolverConfig
 from .operator_core import _expm_orbit
+from .switching import LinearRamp
 
 __all__ = [
     "SIGMA",
@@ -120,7 +121,8 @@ class MetricComponents:
 def pauli_compose(params: TwoLevelParams) -> np.ndarray:
     """Matrix ``H = h_0 + h_i sigma_i`` with ``h_mu = (v_mu + i w_mu)/2``."""
     h = 0.5 * (params.v + 1j * params.w)
-    return h[0] * np.eye(2, dtype=complex) + np.tensordot(h[1:], SIGMA, axes=1)
+    # the (1, 3) @ (3, 4) product np.tensordot forms, without its reshaping cost
+    return h[0] * np.eye(2, dtype=complex) + np.dot(h[None, 1:], SIGMA.reshape(3, 4)).reshape(2, 2)
 
 
 def pauli_decompose(m) -> TwoLevelParams:
@@ -217,35 +219,28 @@ def hermitian_precession(vec0, v_vec, t) -> np.ndarray:
     )
 
 
-class CrossedRampSchedule:
+class CrossedRampSchedule(LinearRamp):
     """Crossed linear ramp: v_1 rises 0 -> a while v_2 falls a -> 0 on [0, T].
 
     Components v_0, v_3 and the w vector stay fixed; outside the ramp the
-    generator is constant.  Matrix-level counterpart of the component-flow
-    experiment, usable with :func:`adiametric.metric_flow.evolve_metric`.
+    generator is constant.  H is affine in the ramp parameter, so this is
+    the :class:`LinearRamp` between the generators at s = 0 and s = 1: the
+    matrix-level counterpart of the component-flow experiment, usable with
+    :func:`adiametric.metric_flow.evolve_metric`.
     """
 
     def __init__(self, duration, amplitude=5.0, w3=3.0, v0=0.0):
-        if duration <= 0.0:
-            raise ValueError("ramp duration must be positive")
-        self.duration = float(duration)
-        self.amplitude = float(amplitude)
-        self.w3 = float(w3)
-        self.v0 = float(v0)
+        for name, value in (("amplitude", amplitude), ("w3", w3), ("v0", v0)):
+            object.__setattr__(self, name, float(value))
+        super().__init__(*(pauli_compose(self._params(s)) for s in (0.0, 1.0)), float(duration))
+
+    def _params(self, s) -> TwoLevelParams:
+        a = self.amplitude
+        return TwoLevelParams(v=np.array([self.v0, a * s, a * (1.0 - s), 0.0]),
+                              w=np.array([0.0, 0.0, 0.0, self.w3]))
 
     def params_at(self, t) -> TwoLevelParams:
-        s = min(max(t / self.duration, 0.0), 1.0)
-        a = self.amplitude
-        return TwoLevelParams(
-            v=np.array([self.v0, a * s, a * (1.0 - s), 0.0]),
-            w=np.array([0.0, 0.0, 0.0, self.w3]),
-        )
-
-    def at(self, t) -> np.ndarray:
-        return pauli_compose(self.params_at(t))
-
-    def breakpoints(self) -> tuple:
-        return (0.0, self.duration)
+        return self._params(self.factor(t))
 
     def min_ramp_margin(self) -> float:
         """Minimum of v^2 - w^2 along the ramp (worst point is the midpoint)."""
@@ -306,7 +301,8 @@ def ramp_experiment(
         )
 
     cfg = config or SolverConfig()
-    start = static_solution(schedule.params_at(0.0))
+    first = schedule.params_at(0.0)
+    start = static_solution(first)
 
     omega = math.sqrt(amplitude**2 - w3**2)  # post-ramp; real since margin > 0
     period = 2.0 * math.pi / omega
@@ -321,7 +317,7 @@ def ramp_experiment(
     # v is affine in the ramp parameter s = t/T and w is fixed, so the
     # generator is exactly M_0 + s (M_1 - M_0) on the ramp: CF4 with dense
     # output at the ramp samples.  After it the generator is M_1: exact.
-    m_start = component_generator(schedule.params_at(0.0))
+    m_start = component_generator(first)
     m_end = component_generator(schedule.params_at(duration))
     props, stats = magnus_cf4(
         m_start, m_end - m_start, lambda t: t / duration, 0.0, duration,

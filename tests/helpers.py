@@ -275,6 +275,20 @@ def dp5_ramp(times, y0, duration, amplitude=5.0, w3=3.0, rtol=1e-13, atol=1e-15)
     return np.array(sol.states)
 
 
+def dp5_propagator(schedule, t0, t1, rtol, atol):
+    """``U(t1, t0)`` of ``dU/dt = -i H(t) U`` by ``dp5_solve_ode``, landing on
+    the schedule's breakpoints: the oracle for the CF4 propagator."""
+    return dp5_solve_ode(
+        lambda t, u: -1j * (schedule.at(t) @ u),
+        t0,
+        t1,
+        np.eye(len(schedule.at(t0)), dtype=complex),
+        rtol=rtol,
+        atol=atol,
+        breakpoints=schedule.breakpoints(),
+    ).states[-1]
+
+
 def evolve_metric_oracle(schedule, theta0, t0, t1, config):
     """Metric flow on the general two-product ``flow_rhs``, re-symmetrized after
     every accepted step: the oracle for ``evolve_metric``.
@@ -292,7 +306,7 @@ def evolve_metric_oracle(schedule, theta0, t0, t1, config):
         rtol=config.rtol,
         atol=config.atol,
         t_eval=np.linspace(t0, t1, config.samples),
-        breakpoints=getattr(schedule, "breakpoints", tuple)(),
+        breakpoints=schedule.breakpoints(),
         post_step=_symmetrize,
     )
     return np.array(sol.states), sol.stats

@@ -13,6 +13,7 @@ from adiametric.cli import main
 from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
 from adiametric.errors import ConfigError
 from adiametric.ioutil import CSV_HEADER
+from adiametric.metric_flow import SolverConfig
 from adiametric.two_level import hermitian_precession
 
 
@@ -480,6 +481,11 @@ class TestConfigRoundTrip:
         cfg = parse_config(doc)
         assert cfg.raw == SMATRIX
         jsonschema.validate(cfg.raw, CONFIG_SCHEMA)
+
+    def test_solver_defaults_come_from_solver_config(self):
+        assert parse_config({"model": {"kind": "cubic"}}).solver == SolverConfig()
+        partial = {"model": {"kind": "cubic"}, "solver": {"atol": 1e-10, "samples": 7}}
+        assert parse_config(partial).solver == SolverConfig(atol=1e-10, samples=7)
 
     def test_schemas_are_valid(self):
         for schema in (CONFIG_SCHEMA, REPORT_SCHEMA):

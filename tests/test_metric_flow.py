@@ -45,12 +45,14 @@ from adiametric.operator_core import (
     hermiticity_defect,
     propagator,
 )
-from adiametric.switching import Constant, ExponentialSwitch, LinearRamp
+from adiametric.switching import Constant, ExponentialSwitch, LinearRamp, SmoothSwitch
+from adiametric.two_level import CrossedRampSchedule
 
 from helpers import (
     I2,
     SY,
     SZ,
+    dp5_propagator,
     entrywise_sum,
     evolve_metric_oracle,
     hermitian_representation_oracle,
@@ -277,6 +279,14 @@ class TestEvolveMetric:
         # uniform samples over [t0, t1] include both ends
         with pytest.raises(ConfigError):
             SolverConfig(samples=samples)
+
+    @pytest.mark.parametrize("tols", [{"rtol": -1e-9}, {"rtol": 0.0, "atol": 0.0},
+                                      {"atol": math.inf}, {"rtol": math.nan}])
+    def test_nonpositive_or_nonfinite_tolerances_rejected(self, tols):
+        # a negative rtol once returned a trajectory, and rtol = atol = 0
+        # divided by zero in the error norm
+        with pytest.raises(ConfigError):
+            SolverConfig(**tols)
 
     def test_hermiticity_defects_match_per_sample_norms(self):
         rng = np.random.default_rng(10)
@@ -679,6 +689,33 @@ class TestTransitionProbability:
             transition_probability(
                 psi, psi, Constant(SZ), 0.0, 1.0, np.diag([1.0, -0.5])
             )
+
+
+class TestAccumulatedPropagator:
+    """The CF4 propagator behind :func:`transition_probability` against DP5."""
+
+    rng = np.random.default_rng(41)
+    H0 = random_quasi_hermitian(rng, 3, 2.0)[0]
+    HI = random_bounded_nonhermitian(rng, 3, 0.5, 0.3)
+    SPANS = {
+        "constant": (Constant(H0 + HI), 0.0, 2.0),
+        "exp": (ExponentialSwitch(H0, HI, 0.5), -3.0, 2.0),
+        "smooth": (SmoothSwitch(H0, HI, 2.0), -3.0, 2.5),
+        "ramp": (LinearRamp(H0, H0 + HI, 2.0), -0.5, 3.0),
+        "crossed_ramp": (CrossedRampSchedule(2.0), -0.5, 3.0),
+    }
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("name", list(SPANS))
+    def test_matches_dp5_across_breakpoints(self, name, backward):
+        # every span but the constant one crosses all of its breakpoints;
+        # the bound was fixed before the first run
+        schedule, t0, t1 = self.SPANS[name]
+        if backward:
+            t0, t1 = t1, t0
+        want = dp5_propagator(schedule, t0, t1, 1e-13, 1e-15)
+        got = metric_flow._accumulate_propagator(schedule, t0, t1, 1e-11, 1e-13)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 class TestTransportPrediction:

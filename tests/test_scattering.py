@@ -28,7 +28,14 @@ from adiametric.scattering import (
 )
 from adiametric.switching import ExponentialSwitch, extrapolate_to_zero
 
-from helpers import SX, SZ, dp5_dressing, random_hermitian, random_quasi_hermitian
+from helpers import (
+    SX,
+    SZ,
+    dp5_dressing,
+    dp5_propagator,
+    random_hermitian,
+    random_quasi_hermitian,
+)
 
 # shipped scattering fixture: Hermitian free part with gap 4, anti-Hermitian
 # interaction of strength 0.75; v^2 = 16 > w^2 = 2.25 all along the switch
@@ -58,9 +65,7 @@ class TestMollerOperators:
 
         horizon = cfg.horizon_factor / eps
         sched = ExponentialSwitch(H0, HI, eps)
-        from adiametric.metric_flow import _accumulate_propagator
-
-        u_full = _accumulate_propagator(sched, -horizon, horizon, 1e-11, 1e-13)
+        u_full = dp5_propagator(sched, -horizon, horizon, 1e-11, 1e-13)
         u0 = lambda dt: scipy.linalg.expm(-1j * H0 * dt)
         direct = u0(-horizon) @ u_full @ u0(-horizon)
         np.testing.assert_allclose(direct, om_p @ om_m, atol=1e-8)

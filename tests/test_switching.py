@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adiametric.errors import ConfigError
+from adiametric.scattering import s_matrix
 from adiametric.switching import (
     Constant,
     ExponentialSwitch,
@@ -15,6 +16,7 @@ from adiametric.switching import (
     extrapolate_to_zero,
     is_monotone_nonincreasing,
 )
+from adiametric.two_level import CrossedRampSchedule
 
 from helpers import SX, SZ
 
@@ -60,6 +62,23 @@ class TestSchedules:
                 np.testing.assert_array_equal(sched.at(t), H0 + sched.factor(t) * HI)
         assert SmoothSwitch(H0, HI, 5.0).factor(-5.0) == 0.0
 
+    def test_every_schedule_is_affine_with_a_vectorized_factor(self):
+        ts = np.array([-7.0, -2.5, 0.0, 1.25, 4.0, 5.0])
+        for sched in (Constant(H0), ExponentialSwitch(H0, HI, 0.3), LinearRamp(H0, 3.0 * HI, 4.0),
+                      SmoothSwitch(H0, HI, 5.0), CrossedRampSchedule(4.0)):
+            np.testing.assert_array_equal(sched.factor(ts), [sched.factor(t) for t in ts])
+            for t in ts:
+                np.testing.assert_array_equal(sched.at(t), sched.h0 + sched.factor(t) * sched.h_int)
+        np.testing.assert_array_equal(LinearRamp(H0, 3.0 * HI, 4.0).h_int, 3.0 * HI - H0)
+        np.testing.assert_array_equal(Constant(H0).h_int, np.zeros((2, 2)))
+
+    def test_schedules_hash_and_compare_by_identity(self):
+        # array fields: field-wise equality would be ambiguous
+        for make in (lambda: Constant(H0), lambda: LinearRamp(H0, HI, 1.0),
+                     lambda: CrossedRampSchedule(1.0)):
+            a, b = make(), make()
+            assert a == a and a != b and len({a, b}) == 2
+
     @pytest.mark.parametrize("rate", [0.05, 0.3, 1.6, 7.0])
     def test_switches_are_even(self, rate):
         # one CF4 stack serves both Moller dressings only because f(-t) == f(t)
@@ -95,6 +114,15 @@ class TestSchedules:
             LinearRamp(H0, HI, duration=0.0)
         with pytest.raises(ConfigError):
             SmoothSwitch(H0, HI, width=-2.0)
+
+    def test_schedule_boundary_raises_config_error(self):
+        # once ValueError; the scattering layer maps shape names to switches
+        with pytest.raises(ConfigError):
+            s_matrix(H0, HI, 0.1, shape="cosine")
+        with pytest.raises(ConfigError):
+            s_matrix(H0, HI, 0.0)
+        with pytest.raises(ConfigError):
+            CrossedRampSchedule(0.0)
 
 
 class TestSweep:

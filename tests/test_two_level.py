@@ -300,6 +300,15 @@ class TestRampExperiment:
         # second-order predictor is exact to rounding on this path
         assert rel < 3.5e-6
 
+    def test_schedule_is_the_ramp_of_its_params(self):
+        # the LinearRamp between the generators at s = 0 and s = 1 is the
+        # generator of the interpolated Pauli parameters, up to rounding
+        sched = CrossedRampSchedule(4.0, amplitude=4.5, w3=2.0, v0=0.3)
+        for t in (-1.0, 0.0, 0.7, 2.0, 4.0, 6.0):
+            want = pauli_compose(sched.params_at(t))
+            np.testing.assert_allclose(sched.at(t), want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+        assert sched.breakpoints() == (0.0, 4.0)
+
     def test_matrix_level_schedule_agrees(self):
         sched = CrossedRampSchedule(duration=3.0)
         res = ramp_experiment(3.0, config=SolverConfig(rtol=1e-11, atol=1e-13))
