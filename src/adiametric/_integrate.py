@@ -223,6 +223,23 @@ def _interpolant_weights(x, hs):
     return np.hstack([1.0 - c_dy, hs * w, c_dy])
 
 
+def _output_times(t_eval, t0, t1) -> np.ndarray:
+    """``t_eval`` as a float array; raises :class:`SolverError` unless every
+    time lies in ``[t0, t1]`` and the times are strictly monotone in the
+    direction of integration."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    outside = ~((t_eval >= min(t0, t1)) & (t_eval <= max(t0, t1)))
+    if outside.any():
+        raise SolverError(
+            f"t_eval time {t_eval[outside][0]:.6g} lies outside [{t0:.6g}, {t1:.6g}]"
+        )
+    if np.any(np.diff(t_eval) * (1.0 if t1 >= t0 else -1.0) <= 0.0):
+        raise SolverError(
+            "t_eval must be strictly monotone in the direction of integration"
+        )
+    return t_eval
+
+
 def solve_ode(
     rhs,
     t0,
@@ -251,19 +268,7 @@ def solve_ode(
     :class:`StepSizeUnderflow` when the error controller stalls.
     """
     direction = 1.0 if t1 >= t0 else -1.0
-    if t_eval is None:
-        t_eval = np.array([t1], dtype=float)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        outside = ~((t_eval >= min(t0, t1)) & (t_eval <= max(t0, t1)))
-        if outside.any():
-            raise SolverError(
-                f"t_eval time {t_eval[outside][0]:.6g} lies outside [{t0:.6g}, {t1:.6g}]"
-            )
-        if np.any(np.diff(t_eval) * direction <= 0.0):
-            raise SolverError(
-                "t_eval must be strictly monotone in the direction of integration"
-            )
+    t_eval = np.array([t1], dtype=float) if t_eval is None else _output_times(t_eval, t0, t1)
 
     y = np.array(y0, copy=True)
     if t1 == t0:

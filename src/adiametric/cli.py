@@ -87,14 +87,16 @@ def _emit(args, config, result, diagnostics, table=None) -> None:
             stream.close()
 
 
+def _given(section, *keys, **renamed):
+    """Float keyword arguments for the ``keys`` present in ``section``, and for
+    ``renamed`` ones (``argument="key"``): an absent key keeps the library default."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {arg: float(section[key]) for arg, key in names.items() if key in section}
+
+
 def _static_start(params, model):
     """The static solution picked by the model's ``initial`` section."""
-    initial = model.get("initial", {})
-    return static_solution(
-        params,
-        theta0_s=float(initial.get("theta0", 1.0)),
-        alpha=float(initial.get("alpha", 0.0)),
-    )
+    return static_solution(params, **_given(model.get("initial", {}), "alpha", theta0_s="theta0"))
 
 
 # ---------------------------------------------------------------- evolve
@@ -104,13 +106,8 @@ def _evolve_two_level(config: ModelConfig):
     model = config.model
     if "ramp" in model:
         ramp = model["ramp"]
-        res = ramp_experiment(
-            duration=float(ramp["duration"]),
-            amplitude=float(ramp.get("amplitude", 5.0)),
-            w3=float(ramp.get("w3", 3.0)),
-            v0=float(ramp.get("v0", 0.0)),
-            config=config.solver,
-        )
+        res = ramp_experiment(float(ramp["duration"]), config=config.solver,
+                              **_given(ramp, "amplitude", "w3", "v0"))
         times, comps = res.times, res.components
         diag = {
             "deviation": res.deviation,
@@ -189,14 +186,10 @@ def cmd_sweep(config: ModelConfig, args) -> int:
         ladder = spec.get("durations")
         if not ladder:
             raise ConfigError("two-level sweep needs 'durations'")
+        ramp = _given(spec, "amplitude", "w3")
 
         def experiment(duration):
-            return ramp_experiment(
-                duration,
-                amplitude=float(spec.get("amplitude", 5.0)),
-                w3=float(spec.get("w3", 3.0)),
-                config=config.solver,
-            ).deviation
+            return ramp_experiment(duration, config=config.solver, **ramp).deviation
 
         param_name = "duration"
     else:
@@ -239,9 +232,7 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
     h0 = matrix_from(spec, "h0")
     h_int = matrix_from(spec, "h_int")
     theta0 = matrix_from(spec, "theta0", required=False)
-    sc_cfg = ScatteringConfig(
-        horizon_factor=float(spec.get("horizon_factor", 12.0))
-    )
+    sc_cfg = ScatteringConfig(**_given(spec, "horizon_factor"))
     ladder = spec.get("eps_ladder")
     if ladder is None:
         ladder = [float(spec["eps"])] if "eps" in spec else [0.1]

@@ -20,6 +20,7 @@ representation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .operator_core import (
     BiorthogonalSystem,
     _expm_stack,
     _frobenius_stack,
+    _hermitian_part,
     _require_hermitian,
     _require_separated,
     as_operator,
@@ -83,6 +85,8 @@ class SolverConfig:
         for name, value in (("rtol", self.rtol), ("atol", self.atol)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"solver {name} must be finite and positive, got {value}")
+        if not isinstance(self.samples, numbers.Integral):  # numpy integers pass
+            raise ConfigError(f"solver samples must be an integer, got {self.samples!r}")
         if self.samples < 2:  # the samples span [t0, t1], both ends included
             raise ConfigError(f"solver samples must be at least 2, got {self.samples}")
 
@@ -139,12 +143,7 @@ def static_metric(system: BiorthogonalSystem, weights) -> np.ndarray:
         raise ComplexSpectrum(
             "spectrum has imaginary parts; no positive static metric exists"
         )
-    theta = (system.left * w) @ system.left.conj().T
-    return 0.5 * (theta + theta.conj().T)
-
-
-def _symmetrize(m):
-    return 0.5 * (m + m.conj().T)
+    return _hermitian_part((system.left * w) @ system.left.conj().T)
 
 
 def _hermitian_flow_rhs(h, theta):
@@ -214,7 +213,7 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
             back = back @ step
             if (k + 1) % sample_every == 0 or k == nsteps - 1:
                 times.append(grid[k + 1])
-                metrics.append(_symmetrize(back.conj().T @ theta0 @ back))
+                metrics.append(_hermitian_part(back.conj().T @ theta0 @ back))
     return MetricTrajectory(
         times=np.array(times),
         metrics=np.array(metrics),
@@ -351,7 +350,7 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
         gauge = gauge * np.prod(forward / np.sqrt(forward * backward), axis=0)
         carry = (right[-1], left_h[-1])
     left = carry[1].conj().T * gauge.conj()
-    return _symmetrize((left * weights) @ left.conj().T)
+    return _hermitian_part((left * weights) @ left.conj().T)
 
 
 def _separated_chunks(hamiltonians):
@@ -470,7 +469,7 @@ def _representation_factors(h, theta):
         HERMITICITY_TOL * np.maximum(1.0, _frobenius_stack(theta)))
     if not ok.all():
         _raise_first_fault(h, theta, ~ok)
-    herm = 0.5 * (theta + theta.conj().swapaxes(1, 2))
+    herm = _hermitian_part(theta)
     vals, vecs = np.linalg.eigh(herm)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the singular values of a Hermitian matrix are its |eigenvalues|

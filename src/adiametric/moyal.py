@@ -36,7 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange, SolverError
+from ._integrate import _output_times
+from .errors import OutOfRange
 from .operator_core import _expm_orbit
 
 __all__ = [
@@ -395,14 +396,7 @@ def cubic_linear_switch_evolve(g, duration, t_eval=None) -> CoefficientTrajector
     if t_eval is None:
         n = max(513, min(4097, int(64 * duration / math.pi) | 1))
         t_eval = np.linspace(0.0, duration, n)
-    times = np.asarray(t_eval, dtype=float)
-    outside = ~((times >= 0.0) & (times <= duration))
-    if outside.any():
-        raise SolverError(
-            f"t_eval time {times[outside][0]:.6g} lies outside [0, {duration:.6g}]"
-        )
-    if np.any(np.diff(times) <= 0.0):
-        raise SolverError("t_eval must be strictly increasing")
+    times = _output_times(t_eval, 0.0, duration)
     size = len(ANSATZ_BASIS)
     gen = np.zeros((size + 2, size + 2))
     gen[:size, :size] = _ansatz_generator_matrix()
@@ -417,7 +411,7 @@ def cubic_linear_switch_evolve(g, duration, t_eval=None) -> CoefficientTrajector
     )
 
 
-def linear_switch_closed_form(g, duration, t, convention="flow") -> np.ndarray:
+def linear_switch_closed_form(g, duration, t) -> np.ndarray:
     """Closed-form ansatz coefficients for the linearly switched cubic model.
 
     Returns the 10-vector on ``ANSATZ_BASIS`` at time ``t`` in
@@ -429,19 +423,13 @@ def linear_switch_closed_form(g, duration, t, convention="flow") -> np.ndarray:
         p q^2: (g/T) (t - (3/8) sin 2t - (1/24) sin 6t)
         q^3  : -(g/T) (15 + 2 cos 2t + cos 4t) sin^2 t / 18
 
-    (convention ``"flow"``), the solution of the flow equation exactly as
-    integrated by :func:`cubic_linear_switch_evolve`.  Convention
-    ``"half-rate"`` evaluates the same family for a flow normalized with
-    an extra factor 1/2 (equivalently, coefficients ``flow(t) =
-    half_rate(2t) / 2``), kept for comparison with texts using that
-    normalization of the star-product flow.  Both conventions share the
-    anchor values: zero at t=0, a p^3 coefficient of ``(g/T) 2 pi / 3``
-    at t = pi, and the same slow-switch limit, where the oscillatory
-    p^2 q and q^3 terms die off like 1/T and the surviving terms
-    reproduce the first-order static metric with zero free constants.
+    the solution of the flow equation exactly as integrated by
+    :func:`cubic_linear_switch_evolve`.  It vanishes at t=0, has a p^3
+    coefficient of ``(g/T) 2 pi / 3`` at t = pi, and in the slow-switch
+    limit the oscillatory p^2 q and q^3 terms die off like 1/T while the
+    surviving terms reproduce the first-order static metric with zero
+    free constants.
     """
-    if convention not in ("flow", "half-rate"):
-        raise ValueError(f"unknown convention {convention!r}")
     t = float(t)
     duration = float(duration)
     if duration <= 0.0:
@@ -449,13 +437,8 @@ def linear_switch_closed_form(g, duration, t, convention="flow") -> np.ndarray:
     if t < -1e-12 or t > duration * (1.0 + 1e-12):
         raise OutOfRange(f"t={t:g} outside the switching window [0, {duration:g}]")
 
-    if convention == "flow":
-        tau = 2.0 * t
-        amp = 0.5
-    else:
-        tau = t
-        amp = 1.0
-    scale = amp * float(g) / duration
+    tau = 2.0 * t
+    scale = 0.5 * float(g) / duration
     p3 = scale * (24.0 * tau - 27.0 * math.sin(tau) + math.sin(3.0 * tau)) / 36.0
     p2q = -scale * (4.0 / 3.0) * (2.0 + math.cos(tau)) * math.sin(0.5 * tau) ** 4
     pq2 = scale * (tau - 0.75 * math.sin(tau) - math.sin(3.0 * tau) / 12.0)

@@ -42,7 +42,7 @@ __all__ = [
     "spectrum_reality_check",
 ]
 
-#: Default relative scale for Hermiticity checks.
+#: Relative scale of every Hermiticity check.
 HERMITICITY_TOL = 1e-10
 
 #: Relative eigenvalue-gap floor below which a spectrum counts as degenerate.
@@ -92,34 +92,39 @@ def hermiticity_defect(m) -> float:
     return frobenius(a - a.conj().T)
 
 
-def _require_hermitian(m, tol=HERMITICITY_TOL):
+def _hermitian_part(m) -> np.ndarray:
+    """``(M + M^dagger) / 2`` of a matrix or of each matrix of a stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def _require_hermitian(m):
     a = as_operator(m)
     defect = frobenius(a - a.conj().T)
-    if defect > tol * max(1.0, frobenius(a)):
+    if defect > HERMITICITY_TOL * max(1.0, frobenius(a)):
         raise NonHermitianInput(
             f"hermiticity defect {defect:.3e} exceeds tolerance"
         )
-    return 0.5 * (a + a.conj().T)
+    return _hermitian_part(a)
 
 
-def positivity_check(m, tol=HERMITICITY_TOL):
+def positivity_check(m):
     """Return ``(is_positive_definite, smallest_eigenvalue)`` of Hermitian M.
 
     Raises :class:`NonHermitianInput` when the Hermiticity defect exceeds
-    ``tol`` relative to the matrix norm.
+    ``HERMITICITY_TOL`` relative to the matrix norm.
     """
-    a = _require_hermitian(m, tol)
+    a = _require_hermitian(m)
     smallest = float(np.linalg.eigvalsh(a)[0])
     return smallest > 0.0, smallest
 
 
-def hermitian_sqrt(theta, tol=HERMITICITY_TOL) -> np.ndarray:
+def hermitian_sqrt(theta) -> np.ndarray:
     """Hermitian positive-definite principal square root of ``theta``.
 
     This is the canonical factor in the decomposition theta = Omega^dagger
     Omega; it is the unique positive choice and varies smoothly with theta.
     """
-    a = _require_hermitian(theta, tol)
+    a = _require_hermitian(theta)
     vals, vecs = np.linalg.eigh(a)
     if vals[0] <= 0.0:
         raise NotPositive(f"smallest eigenvalue {vals[0]:.3e} is not positive")
@@ -172,7 +177,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_eigenpair(a, lam, v, iterations=2):
+def _refine_eigenpair(a, lam, v):
     """Newton refinement of one eigenpair via the bordered system.
 
     Solves ``[[A - lam I, -v], [v^dag, 0]] (dv, dlam) = (-r, 0)`` so the
@@ -183,7 +188,7 @@ def _refine_eigenpair(a, lam, v, iterations=2):
     """
     n = a.shape[0]
     eye = np.eye(n)
-    for _ in range(iterations):
+    for _ in range(2):
         residual = a @ v - lam * v
         bordered = np.zeros((n + 1, n + 1), dtype=complex)
         bordered[:n, :n] = a - lam * eye
@@ -200,24 +205,22 @@ def _refine_eigenpair(a, lam, v, iterations=2):
     return lam, v
 
 
-def biorthogonal_decompose(h, gap_tol=None) -> BiorthogonalSystem:
+def biorthogonal_decompose(h) -> BiorthogonalSystem:
     """Decompose a diagonalizable matrix into a biorthonormal eigensystem.
 
     Eigenvalues are sorted by (real, imaginary) part.  Raises
     :class:`DegenerateSpectrum` when the smallest eigenvalue gap falls
-    below ``gap_tol`` (default ``GAP_TOL`` times the matrix norm) and
-    :class:`NotDiagonalizable` when the eigenvector matrix is numerically
-    defective.
+    below ``GAP_TOL * max(1, ||H||_F)`` and :class:`NotDiagonalizable`
+    when the eigenvector matrix is numerically defective (condition
+    number above 1e12).
     """
     a = as_operator(h)
-    if gap_tol is None:
-        gap_tol = GAP_TOL * max(1.0, frobenius(a))
     vals, vecs = np.linalg.eig(a)
     for n in range(a.shape[0]):
         vals[n], vecs[:, n] = _refine_eigenpair(a, vals[n], vecs[:, n])
     order = np.lexsort((vals.imag, vals.real))
     vals, right = vals[order], _fix_phases(vecs[:, order])
-    _require_separated(vals[None], right[None], gap_tol)
+    _require_separated(vals[None], right[None], GAP_TOL * max(1.0, frobenius(a)))
     left = np.linalg.inv(right).conj().T
     return BiorthogonalSystem(eigenvalues=vals, right=right, left=left)
 
@@ -246,7 +249,7 @@ def eigenframe(h):
     """
     a = as_operator(h)
     if hermiticity_defect(a) <= HERMITICITY_TOL * max(1.0, frobenius(a)):
-        vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+        vals, vecs = np.linalg.eigh(_hermitian_part(a))
         return vals.astype(complex), vecs, vecs.conj().T
     sys = biorthogonal_decompose(a)
     return sys.eigenvalues, sys.right, sys.left.conj().T
@@ -358,7 +361,7 @@ def propagator(h, dt) -> np.ndarray:
     return _expm_stack((-1j * dt) * as_operator(h)[None])[0]
 
 
-def spectrum_reality_check(h, tol=SPECTRUM_TOL) -> bool:
-    """True when every eigenvalue has imaginary part below ``tol``."""
+def spectrum_reality_check(h) -> bool:
+    """True when every eigenvalue has imaginary part below ``SPECTRUM_TOL``."""
     a = as_operator(h)
-    return bool(np.max(np.abs(np.linalg.eigvals(a).imag)) < tol)
+    return bool(np.max(np.abs(np.linalg.eigvals(a).imag)) < SPECTRUM_TOL)

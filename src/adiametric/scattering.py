@@ -28,8 +28,9 @@ import numpy as np
 
 from ._integrate import magnus_cf4
 from .errors import ComplexSpectrum, ConfigError, NoConvergence
-from .metric_flow import SolverConfig, _symmetrize, evolve_metric
+from .metric_flow import SolverConfig, evolve_metric
 from .operator_core import (
+    _hermitian_part,
     _require_hermitian,
     as_operator,
     continued_eigensystems,
@@ -193,7 +194,9 @@ def _clenshaw_curtis(n):
 _PHASE_RULE = _clenshaw_curtis(512)  # the dynamical-phase quadrature rule
 
 
-def dynamical_phase_integrals(h0, h_int, eps, shape="exp", horizon_factor=12.0) -> np.ndarray:
+def dynamical_phase_integrals(
+    h0, h_int, eps, shape="exp", horizon_factor=ScatteringConfig.horizon_factor
+) -> np.ndarray:
     """Per-level accumulated energy shift ``int (E_n(t) - E_n_free) dt``.
 
     This integral grows like 1/eps under slow switching, which is why raw
@@ -293,7 +296,7 @@ def s_matrix(
 
     om_in, om_out, u_in, stats = _dressing(h0, h_int, eps, cfg, shape, frame)
     u_past = np.linalg.inv(u_in)  # U(-T, 0)
-    theta = _symmetrize(u_past.conj().T @ theta0 @ u_past)
+    theta = _hermitian_part(u_past.conj().T @ theta0 @ u_past)
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
     defect = frobenius(s.conj().T @ s - np.eye(s.shape[0]))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import magnus_cf4
-from .errors import DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
+from .errors import ConfigError, DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
 from .metric_flow import SolverConfig
 from .operator_core import _expm_orbit
 from .switching import LinearRamp
@@ -57,6 +57,9 @@ SIGMA = np.array(
 )
 
 _PSEUDO_TOL = 1e-9
+
+#: Relative size of ``v^2 - w^2`` below which the splitting counts as degenerate.
+_DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,19 +99,14 @@ class MetricComponents:
         vec.setflags(write=False)
         object.__setattr__(self, "vec", vec)
 
+    # the Pauli map with h_mu = th_mu: v = 2 th, w = 0
     def matrix(self) -> np.ndarray:
-        return self.theta0 * np.eye(2, dtype=complex) + np.tensordot(
-            self.vec, SIGMA, axes=1
-        )
+        return pauli_compose(TwoLevelParams(v=2.0 * self.four_vector(), w=np.zeros(4)))
 
     @classmethod
     def from_matrix(cls, theta) -> "MetricComponents":
-        theta = np.asarray(theta, dtype=complex)
-        if theta.shape != (2, 2):
-            raise DimensionMismatch("expected a 2x2 metric")
-        theta0 = 0.5 * np.trace(theta)
-        vec = 0.5 * np.array([np.trace(s @ theta) for s in SIGMA])
-        return cls(float(theta0.real), vec.real)
+        v = pauli_decompose(theta).v
+        return cls(float(0.5 * v[0]), 0.5 * v[1:])
 
     def four_vector(self) -> np.ndarray:
         return np.concatenate(([self.theta0], self.vec))
@@ -182,17 +180,18 @@ class Regime:
     value: float  # angular frequency or growth rate
 
 
-def classify_regime(params: TwoLevelParams, tol=1e-12) -> Regime:
+def classify_regime(params: TwoLevelParams) -> Regime:
     """Oscillation frequency or growth rate from the eigenvalue splitting.
 
     The energy splitting is ``sqrt(v^2 - w^2)`` under the pseudo-Hermitian
     conditions: real (oscillatory metric) for v^2 > w^2, imaginary
-    (exponential growth) for v^2 < w^2.
+    (exponential growth) for v^2 < w^2, and degenerate when ``|v^2 - w^2|``
+    is at most ``_DEGENERATE_TOL`` times ``max(v^2, w^2, 1)``.
     """
     vv, wv = _check_pseudo_hermitian(params)
     disc = float(vv @ vv - wv @ wv)
     scale = max(float(vv @ vv), float(wv @ wv), 1.0)
-    if abs(disc) <= tol * scale:
+    if abs(disc) <= _DEGENERATE_TOL * scale:
         return Regime(kind="degenerate", value=0.0)
     if disc > 0.0:
         return Regime(kind="oscillatory", value=math.sqrt(disc))
@@ -219,6 +218,17 @@ def hermitian_precession(vec0, v_vec, t) -> np.ndarray:
     )
 
 
+def _crossed_ramp_params(s, amplitude, w3, v0) -> TwoLevelParams:
+    """Crossed-ramp parameters at ramp fraction s: v_1 = a s, v_2 = a (1 - s)."""
+    return TwoLevelParams(v=np.array([v0, amplitude * s, amplitude * (1.0 - s), 0.0]),
+                          w=np.array([0.0, 0.0, 0.0, w3]))
+
+
+def _crossed_ramp_margin(amplitude, w3) -> float:
+    """Minimum of v^2 - w^2 along the crossed ramp (worst point is the midpoint)."""
+    return 0.5 * amplitude**2 - w3**2
+
+
 class CrossedRampSchedule(LinearRamp):
     """Crossed linear ramp: v_1 rises 0 -> a while v_2 falls a -> 0 on [0, T].
 
@@ -232,20 +242,15 @@ class CrossedRampSchedule(LinearRamp):
     def __init__(self, duration, amplitude=5.0, w3=3.0, v0=0.0):
         for name, value in (("amplitude", amplitude), ("w3", w3), ("v0", v0)):
             object.__setattr__(self, name, float(value))
-        super().__init__(*(pauli_compose(self._params(s)) for s in (0.0, 1.0)), float(duration))
-
-    def _params(self, s) -> TwoLevelParams:
-        a = self.amplitude
-        return TwoLevelParams(v=np.array([self.v0, a * s, a * (1.0 - s), 0.0]),
-                              w=np.array([0.0, 0.0, 0.0, self.w3]))
+        ends = (_crossed_ramp_params(s, self.amplitude, self.w3, self.v0) for s in (0.0, 1.0))
+        super().__init__(*map(pauli_compose, ends), float(duration))
 
     def params_at(self, t) -> TwoLevelParams:
-        return self._params(self.factor(t))
+        return _crossed_ramp_params(self.factor(t), self.amplitude, self.w3, self.v0)
 
     def min_ramp_margin(self) -> float:
         """Minimum of v^2 - w^2 along the ramp (worst point is the midpoint)."""
-        a2 = self.amplitude**2
-        return 0.5 * a2 - self.w3**2
+        return _crossed_ramp_margin(self.amplitude, self.w3)
 
 
 @dataclass(frozen=True)
@@ -287,13 +292,16 @@ def ramp_experiment(
     theta_static_final| / |theta_static_final|`` on 4-component vectors:
     near zero for adiabatic ramps, order one when the ramp is fast.
 
-    The default amplitude keeps ``v(t)^2 > w^2`` everywhere; amplitudes
-    that let the spectrum go complex raise :class:`RealSpectrumViolated`
-    (the metric then has no nearby static solution and the deviation loses
-    its meaning).
+    The generator is that of :class:`CrossedRampSchedule`.  A duration
+    that is not positive raises :class:`ConfigError`.  The default
+    amplitude keeps ``v(t)^2 > w^2`` everywhere; amplitudes that let the
+    spectrum go complex raise :class:`RealSpectrumViolated` (the metric
+    then has no nearby static solution and the deviation loses its
+    meaning).
     """
-    schedule = CrossedRampSchedule(duration, amplitude=amplitude, w3=w3, v0=v0)
-    margin = schedule.min_ramp_margin()
+    if not duration > 0.0:
+        raise ConfigError("ramp duration must be positive")
+    margin = _crossed_ramp_margin(amplitude, w3)
     if margin <= 0.0:
         raise RealSpectrumViolated(
             f"ramp reaches v^2 - w^2 = {margin:.3e}; "
@@ -301,7 +309,7 @@ def ramp_experiment(
         )
 
     cfg = config or SolverConfig()
-    first = schedule.params_at(0.0)
+    first = _crossed_ramp_params(0.0, amplitude, w3, v0)
     start = static_solution(first)
 
     omega = math.sqrt(amplitude**2 - w3**2)  # post-ramp; real since margin > 0
@@ -318,7 +326,7 @@ def ramp_experiment(
     # generator is exactly M_0 + s (M_1 - M_0) on the ramp: CF4 with dense
     # output at the ramp samples.  After it the generator is M_1: exact.
     m_start = component_generator(first)
-    m_end = component_generator(schedule.params_at(duration))
+    m_end = component_generator(_crossed_ramp_params(1.0, amplitude, w3, v0))
     props, stats = magnus_cf4(
         m_start, m_end - m_start, lambda t: t / duration, 0.0, duration,
         rtol=cfg.rtol, atol=cfg.atol, samples=n_ramp,

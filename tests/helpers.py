@@ -296,7 +296,8 @@ def evolve_metric_oracle(schedule, theta0, t0, t1, config):
     Returns the samples at ``config.samples`` uniform times and the solver
     statistics.
     """
-    from adiametric.metric_flow import _symmetrize, flow_rhs
+    from adiametric.metric_flow import flow_rhs
+    from adiametric.operator_core import _hermitian_part
 
     sol = dp5_solve_ode(
         lambda t, y: flow_rhs(schedule.at(t), y),
@@ -307,7 +308,7 @@ def evolve_metric_oracle(schedule, theta0, t0, t1, config):
         atol=config.atol,
         t_eval=np.linspace(t0, t1, config.samples),
         breakpoints=schedule.breakpoints(),
-        post_step=_symmetrize,
+        post_step=_hermitian_part,
     )
     return np.array(sol.states), sol.stats
 

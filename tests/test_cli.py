@@ -12,9 +12,15 @@ from adiametric import cli
 from adiametric.cli import main
 from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
 from adiametric.errors import ConfigError
-from adiametric.ioutil import CSV_HEADER
+from adiametric.ioutil import CSV_HEADER, json_to_matrix
 from adiametric.metric_flow import SolverConfig
-from adiametric.two_level import hermitian_precession
+from adiametric.scattering import s_matrix
+from adiametric.two_level import (
+    TwoLevelParams,
+    hermitian_precession,
+    ramp_experiment,
+    static_solution,
+)
 
 
 def csv_rows(text):
@@ -473,6 +479,48 @@ class TestFormatsAgree:
         np.testing.assert_array_equal(rows[:, 0], result["parameters"])
         np.testing.assert_array_equal(rows[:, 1], result["values"])
         assert rows[-1, 2] == float(result["monotone_nonincreasing"])
+
+
+class TestLibraryDefaults:
+    """A key absent from the config leaves the library's own default in force:
+    each report equals, bit for bit, the library call without that argument."""
+
+    def test_ramp_evolve(self, tmp_path):
+        cfg = {"model": {"kind": "two-level", "ramp": {"duration": 3.0}}}
+        code, text = run_cli(tmp_path, "evolve", cfg, fmt="json")
+        assert code == 0
+        diag = json.loads(text)["diagnostics"]
+        want = ramp_experiment(3.0)
+        assert diag["deviation"] == want.deviation
+        assert diag["selected_static"] == want.selected_static.four_vector().tolist()
+
+    def test_two_level_sweep(self, tmp_path):
+        durations = [1.0, 3.0]
+        cfg = {"model": {"kind": "two-level"},
+               "sweep": {"kind": "two-level-deviation", "durations": durations}}
+        code, text = run_cli(tmp_path, "sweep", cfg, fmt="json")
+        assert code == 0
+        values = json.loads(text)["result"]["values"]
+        assert values == [ramp_experiment(T).deviation for T in durations]
+
+    def test_two_level_static(self, tmp_path):
+        code, text = run_cli(tmp_path, "static", TWO_LEVEL_STATIC)
+        assert code == 0
+        params = TwoLevelParams(v=np.array(TWO_LEVEL_STATIC["model"]["v"]),
+                                w=np.array(TWO_LEVEL_STATIC["model"]["w"]))
+        want = static_solution(params).four_vector().tolist()
+        assert json.loads(text)["result"]["components"] == want
+
+    def test_single_eps_smatrix(self, tmp_path):
+        cfg = json.loads(json.dumps(SMATRIX))
+        spec = cfg["scattering"]
+        del spec["eps_ladder"]
+        spec["eps"] = 0.4
+        code, text = run_cli(tmp_path, "smatrix", cfg)
+        assert code == 0
+        report = s_matrix(json_to_matrix(spec["h0"]), json_to_matrix(spec["h_int"]), 0.4).as_report()
+        want = json.loads(json.dumps(report))
+        assert json.loads(text)["result"]["runs"] == [want]
 
 
 class TestConfigRoundTrip:

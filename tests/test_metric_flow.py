@@ -274,11 +274,14 @@ class TestEvolveMetric:
         counts = {key: traj.stats[key] for key in ("nfev", "naccept", "nreject", "ndense")}
         assert counts == {"nfev": 181, "naccept": 12, "nreject": 0, "ndense": 12}
 
-    @pytest.mark.parametrize("samples", [1, 0])
+    @pytest.mark.parametrize("samples", [1, 0, 2.5])
     def test_fewer_than_two_samples_rejected(self, samples):
-        # uniform samples over [t0, t1] include both ends
+        # uniform samples over [t0, t1] include both ends and are whole in number
         with pytest.raises(ConfigError):
             SolverConfig(samples=samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        assert SolverConfig(samples=np.int64(3)).samples == 3
 
     @pytest.mark.parametrize("tols", [{"rtol": -1e-9}, {"rtol": 0.0, "atol": 0.0},
                                       {"atol": math.inf}, {"rtol": math.nan}])

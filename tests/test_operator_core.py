@@ -173,12 +173,12 @@ class TestBiorthogonalDecompose:
             biorthogonal_decompose(np.eye(2))
 
     def test_defective_rejected(self):
-        # distinct eigenvalues but nearly parallel eigenvectors; the gap
-        # check is disabled explicitly so the eigenvector-condition guard
-        # is what fires
+        # a Jordan chain split by 1e-6: the gaps pass GAP_TOL, but the
+        # eigenvectors are nearly parallel (condition number 2.1e12), so the
+        # eigenvector-condition guard is what fires
         with pytest.raises(NotDiagonalizable):
             biorthogonal_decompose(
-                np.array([[1.0, 1e15], [0.0, 2.0]]), gap_tol=1e-300
+                np.array([[1.0, 1.0, 0.0], [0.0, 1.0 + 1e-6, 1.0], [0.0, 0.0, 1.0 + 2e-6]])
             )
 
 

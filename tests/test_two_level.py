@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiametric.errors import (
+    ConfigError,
     DimensionMismatch,
     NotPseudoHermitian,
     RealSpectrumViolated,
@@ -175,7 +176,7 @@ class TestRegime:
                 w=np.concatenate([[0.0], w_vec]),
             )
             regime = classify_regime(params)
-            real = spectrum_reality_check(pauli_compose(params), tol=1e-9)
+            real = spectrum_reality_check(pauli_compose(params))
             if regime.kind == "oscillatory":
                 assert real
             elif regime.kind == "exponential_growth":
@@ -262,6 +263,14 @@ class TestRampExperiment:
     def test_literal_amplitude_violates_reality(self):
         with pytest.raises(RealSpectrumViolated):
             ramp_experiment(10.0, amplitude=2.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_nonpositive_duration_is_config_error(self, duration):
+        # checked before the spectrum: an amplitude that also breaks
+        # reality does not change the error
+        for amplitude in (5.0, 2.0):
+            with pytest.raises(ConfigError, match="ramp duration must be positive"):
+                ramp_experiment(duration, amplitude=amplitude)
 
     def test_slow_ramp_nearly_static(self):
         res = ramp_experiment(100.0)
