@@ -21,38 +21,20 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (
-    ModelConfig,
-    build_schedule,
-    load_config,
-    matrix_from,
-    two_level_params,
-)
-from .errors import ComplexSpectrum, ConfigError, PhysicsError, SolverError
+from .config import ModelConfig, build_schedule, load_config, matrix_from, two_level_params
+from .errors import ConfigError, PhysicsError, SolverError
 from .ioutil import dump_json, matrix_to_json, write_csv
-from .metric_flow import (
-    evolve_metric,
-    quasi_hermiticity_residual,
-    static_metric,
-)
+from .metric_flow import evolve_metric, quasi_hermiticity_residual, static_metric
 from .operator_core import (
     _expm_orbit,
+    _require_real_spectrum,
     biorthogonal_decompose,
     positivity_check,
-    spectrum_reality_check,
 )
 from .scattering import ScatteringConfig, s_matrix
 from .switching import adiabatic_sweep, extrapolate_to_zero, is_monotone_nonincreasing
-from .two_level import (
-    component_generator,
-    ramp_experiment,
-    static_solution,
-)
-from .moyal import (
-    ANSATZ_NAMES,
-    cubic_linear_switch_evolve,
-    linear_switch_closed_form,
-)
+from .two_level import component_generator, ramp_experiment, static_solution
+from .moyal import ANSATZ_NAMES, cubic_linear_switch_evolve, linear_switch_closed_form
 
 
 def _check_out(out) -> None:
@@ -237,7 +219,12 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
     if ladder is None:
         ladder = [float(spec["eps"])] if "eps" in spec else [0.1]
 
-    results = [s_matrix(h0, h_int, eps, theta0, sc_cfg) for eps in ladder]
+    def sweep(shape):
+        """The ladder's S-matrices; a ladder not strictly monotone raises ConfigError."""
+        return [r for _, r in adiabatic_sweep(
+            ladder, lambda eps: s_matrix(h0, h_int, eps, theta0, sc_cfg, shape))]
+
+    results = sweep("exp")
     defects = [r.unitarity_defect for r in results]
     result = {
         "eps_ladder": [float(e) for e in ladder],
@@ -246,21 +233,15 @@ def cmd_smatrix(config: ModelConfig, args) -> int:
     }
     diagnostics = {"defects_decreasing": is_monotone_nonincreasing(defects)}
     if len(ladder) >= 2:
-        diagnostics["extrapolated_defect"] = float(
-            extrapolate_to_zero(ladder, defects)
-        )
-        s_ext = extrapolate_to_zero(
-            ladder, [r.phase_renormalized() for r in results]
-        )
+        diagnostics["extrapolated_defect"] = float(extrapolate_to_zero(ladder, defects))
+        s_ext = extrapolate_to_zero(ladder, [r.phase_renormalized() for r in results])
         diagnostics["extrapolated_s_phase_renormalized"] = matrix_to_json(s_ext)
     # per eps: the CF4 counts of the dressings, by switch shape
     solver = [{"eps": float(eps), "exp": r.solver_stats} for eps, r in zip(ladder, results)]
     if spec.get("compare_shapes"):
-        smooth = [s_matrix(h0, h_int, eps, theta0, sc_cfg, shape="smooth") for eps in ladder]
+        smooth = sweep("smooth")
         if len(ladder) >= 2:
-            s_smooth = extrapolate_to_zero(
-                ladder, [r.phase_renormalized() for r in smooth]
-            )
+            s_smooth = extrapolate_to_zero(ladder, [r.phase_renormalized() for r in smooth])
             diagnostics["shape_disagreement"] = float(np.max(np.abs(s_ext - s_smooth)))
         diagnostics["smooth_defects"] = [float(r.unitarity_defect) for r in smooth]
         for entry, r in zip(solver, smooth):
@@ -280,14 +261,9 @@ def cmd_static(config: ModelConfig, args) -> int:
         comp = _static_start(params, model)
         theta = comp.matrix()
         h = params.hamiltonian()
-        if not spectrum_reality_check(h):
-            raise ComplexSpectrum(
-                "two-level spectrum is complex; no positive static metric exists"
-            )
-        result = {
-            "components": comp.four_vector().tolist(),
-            "theta": matrix_to_json(theta),
-        }
+        _require_real_spectrum(np.linalg.eigvals(h),
+                               "two-level spectrum is complex; no positive static metric exists")
+        result = {"components": comp.four_vector().tolist(), "theta": matrix_to_json(theta)}
     elif config.kind == "matrix":
         h = matrix_from(model, "h", required=False)
         if h is None:
@@ -297,8 +273,7 @@ def cmd_static(config: ModelConfig, args) -> int:
         system = biorthogonal_decompose(h)
         weights = np.asarray(model.get("weights", [1.0] * system.dim), dtype=float)
         theta = static_metric(system, weights)
-        result = {"theta": matrix_to_json(theta),
-                  "weights": weights.tolist()}
+        result = {"theta": matrix_to_json(theta), "weights": weights.tolist()}
     else:
         raise ConfigError("static command supports 'two-level' and 'matrix' models")
 

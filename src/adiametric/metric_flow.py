@@ -27,7 +27,6 @@ import numpy as np
 
 from ._integrate import magnus_cf4, solve_ode
 from .errors import (
-    ComplexSpectrum,
     ConfigError,
     DimensionMismatch,
     NonpositiveWeight,
@@ -36,18 +35,18 @@ from .errors import (
     SolverError,
 )
 from .operator_core import (
-    GAP_TOL,
-    HERMITICITY_TOL,
     PATH_CHUNK,
-    SPECTRUM_TOL,
     BiorthogonalSystem,
+    _continued_levels,
     _expm_stack,
     _frobenius_stack,
+    _hermiticity_defects,
     _hermitian_part,
+    _is_hermitian,
     _require_hermitian,
+    _require_real_spectrum,
     _require_separated,
     as_operator,
-    continued_eigensystems,
     frobenius,
     hermitian_sqrt,
 )
@@ -105,8 +104,7 @@ class MetricTrajectory:
         return self.metrics[-1]
 
     def hermiticity_defects(self) -> np.ndarray:
-        m = np.asarray(self.metrics, dtype=complex)
-        return _frobenius_stack(m - m.conj().swapaxes(1, 2))
+        return _hermiticity_defects(np.asarray(self.metrics, dtype=complex))
 
 
 def quasi_hermiticity_residual(h, theta) -> float:
@@ -139,10 +137,8 @@ def static_metric(system: BiorthogonalSystem, weights) -> np.ndarray:
         raise NonpositiveWeight(f"expected {system.dim} weights, got shape {w.shape}")
     if np.any(w <= 0.0):
         raise NonpositiveWeight("all static-metric weights must be positive")
-    if np.max(np.abs(system.eigenvalues.imag)) >= SPECTRUM_TOL:
-        raise ComplexSpectrum(
-            "spectrum has imaginary parts; no positive static metric exists"
-        )
+    _require_real_spectrum(system.eigenvalues,
+                           "spectrum has imaginary parts; no positive static metric exists")
     return _hermitian_part((system.left * w) @ system.left.conj().T)
 
 
@@ -331,10 +327,14 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
     static metric an infinitely slow traversal of the same path would
     reach; it serves as an independent oracle for slow-ramp and
     slow-switching experiments.  Path points :func:`biorthogonal_decompose`
-    would reject raise the same errors.
+    would reject raise the same errors, decided on the one ``eig`` of each
+    path chunk before its levels are matched.
     """
+    chunks = (np.array([as_operator(h) for h in hamiltonians[i : i + PATH_CHUNK]])
+              for i in range(0, len(hamiltonians), PATH_CHUNK))
     gauge = None
-    for _, right, left_h in continued_eigensystems(_separated_chunks(hamiltonians)):
+    levels = _continued_levels(_require_separated(c, *np.linalg.eig(c)) for c in chunks)
+    for _, right, left_h in levels:
         if gauge is None:
             weights = np.diag(right[0].conj().T @ as_operator(theta0) @ right[0]).real
             gauge, carry = np.ones(len(weights), dtype=complex), (right[0], left_h[0])
@@ -351,16 +351,6 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
         carry = (right[-1], left_h[-1])
     left = carry[1].conj().T * gauge.conj()
     return _hermitian_part((left * weights) @ left.conj().T)
-
-
-def _separated_chunks(hamiltonians):
-    """Stacked path chunks, each checked as :func:`biorthogonal_decompose` would."""
-    for i in range(0, len(hamiltonians), PATH_CHUNK):
-        chunk = np.array([as_operator(h) for h in hamiltonians[i : i + PATH_CHUNK]])
-        vals, right = np.linalg.eig(chunk)
-        norms = np.linalg.norm(chunk, axis=(1, 2))
-        _require_separated(vals, right, GAP_TOL * np.maximum(1.0, norms))
-        yield chunk
 
 
 #: Largest metric condition number :func:`observable_hamiltonian` accepts.
@@ -421,9 +411,7 @@ def hermitian_representation(trajectory: MetricTrajectory, schedule):
     times = np.asarray(trajectory.times, dtype=float)
     thetas = np.asarray(trajectory.metrics, dtype=complex)
     if thetas.ndim != 3 or thetas.shape[1] != thetas.shape[2] or len(thetas) != len(times):
-        raise DimensionMismatch(
-            f"expected {len(times)} square metrics, got shape {thetas.shape}"
-        )
+        raise DimensionMismatch(f"expected {len(times)} square metrics, got shape {thetas.shape}")
     n = len(times)
     h_ops = np.empty_like(thetas)
     defects = np.empty(n)
@@ -435,7 +423,7 @@ def hermitian_representation(trajectory: MetricTrajectory, schedule):
         omega, omega_inv, h_obs = _representation_factors(h, thetas[start:stop])
         h_rep = omega @ h_obs @ omega_inv
         h_ops[start:stop] = h_rep
-        defects[start:stop] = _frobenius_stack(h_rep - h_rep.conj().swapaxes(1, 2)) / (
+        defects[start:stop] = _hermiticity_defects(h_rep) / (
             np.maximum(_frobenius_stack(h_rep), 1e-300))
         # central differences of Omega reach two samples back into the
         # previous block; the block's last sample waits for the next one
@@ -465,8 +453,7 @@ def _representation_factors(h, theta):
     Every array is C-contiguous: a stacked ``@`` copies a transposed view.
     """
     ok = np.isfinite(h).all(axis=(1, 2)) & np.isfinite(theta).all(axis=(1, 2))
-    ok &= _frobenius_stack(theta - theta.conj().swapaxes(1, 2)) <= (
-        HERMITICITY_TOL * np.maximum(1.0, _frobenius_stack(theta)))
+    ok &= _is_hermitian(theta)
     if not ok.all():
         _raise_first_fault(h, theta, ~ok)
     herm = _hermitian_part(theta)

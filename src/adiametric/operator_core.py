@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ComplexSpectrum,
     DegenerateSpectrum,
     DimensionMismatch,
     NonHermitianInput,
@@ -68,6 +69,14 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def _operator_pair(a, b):
+    """``a`` and ``b`` by :func:`as_operator`; :class:`DimensionMismatch` unless one shape."""
+    a, b = as_operator(a), as_operator(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"generator shapes {a.shape} and {b.shape} differ")
+    return a, b
+
+
 def frobenius(m) -> float:
     """Frobenius norm, the matrix norm used throughout the package."""
     return float(np.linalg.norm(m))
@@ -86,10 +95,19 @@ def _frobenius_stack(m) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def _hermiticity_defects(m) -> np.ndarray:
+    """``||M - M^dagger||_F`` of each matrix of a stack; one matrix is a stack of one."""
+    return _frobenius_stack(m - m.conj().swapaxes(-1, -2))
+
+
+def _is_hermitian(m) -> np.ndarray:
+    """Per matrix of a stack: defect within ``HERMITICITY_TOL * max(1, ||M||_F)``."""
+    return _hermiticity_defects(m) <= HERMITICITY_TOL * np.maximum(1.0, _frobenius_stack(m))
+
+
 def hermiticity_defect(m) -> float:
     """``||M - M^dagger||_F``; zero exactly when M is Hermitian."""
-    a = as_operator(m)
-    return frobenius(a - a.conj().T)
+    return float(_hermiticity_defects(as_operator(m)[None])[0])
 
 
 def _hermitian_part(m) -> np.ndarray:
@@ -98,12 +116,11 @@ def _hermitian_part(m) -> np.ndarray:
 
 
 def _require_hermitian(m):
+    """``(M + M^dagger) / 2``; :class:`NonHermitianInput` unless :func:`_is_hermitian`."""
     a = as_operator(m)
-    defect = frobenius(a - a.conj().T)
-    if defect > HERMITICITY_TOL * max(1.0, frobenius(a)):
-        raise NonHermitianInput(
-            f"hermiticity defect {defect:.3e} exceeds tolerance"
-        )
+    if not _is_hermitian(a[None])[0]:
+        defect = hermiticity_defect(a)
+        raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return _hermitian_part(a)
 
 
@@ -220,17 +237,18 @@ def biorthogonal_decompose(h) -> BiorthogonalSystem:
         vals[n], vecs[:, n] = _refine_eigenpair(a, vals[n], vecs[:, n])
     order = np.lexsort((vals.imag, vals.real))
     vals, right = vals[order], _fix_phases(vecs[:, order])
-    _require_separated(vals[None], right[None], GAP_TOL * max(1.0, frobenius(a)))
+    _require_separated(a[None], vals[None], right[None])
     left = np.linalg.inv(right).conj().T
     return BiorthogonalSystem(eigenvalues=vals, right=right, left=left)
 
 
-def _require_separated(vals, right, gap_tol):
-    """Raise for stacked eigensystems ``(n, d)``, ``(n, d, d)`` with a gap
-    below ``gap_tol`` (scalar or per system) or eigenvector condition > 1e12."""
+def _require_separated(h, vals, right):
+    """``(vals, right)``, the eigensystems ``(n, d)``, ``(n, d, d)`` of a
+    ``(n, d, d)`` stack ``h``; raise for a gap below ``GAP_TOL * max(1, ||H||_F)``
+    or an eigenvector condition number above 1e12."""
     self_gap = np.diag(np.full(vals.shape[1], np.inf))
     gaps = (np.abs(vals[:, :, None] - vals[:, None, :]) + self_gap).min(axis=(1, 2))
-    floor = np.broadcast_to(gap_tol, gaps.shape)
+    floor = GAP_TOL * np.maximum(1.0, _frobenius_stack(h))
     if np.any(gaps < floor):
         k = int(np.argmax(gaps < floor))
         raise DegenerateSpectrum(
@@ -239,6 +257,7 @@ def _require_separated(vals, right, gap_tol):
     cond = np.linalg.cond(right)
     if not np.all(cond <= 1e12):
         raise NotDiagonalizable(f"eigenvector condition number {np.max(cond):.3e}")
+    return vals, right
 
 
 def eigenframe(h):
@@ -248,7 +267,7 @@ def eigenframe(h):
     path; anything else goes through :func:`biorthogonal_decompose`.
     """
     a = as_operator(h)
-    if hermiticity_defect(a) <= HERMITICITY_TOL * max(1.0, frobenius(a)):
+    if _is_hermitian(a[None])[0]:
         vals, vecs = np.linalg.eigh(_hermitian_part(a))
         return vals.astype(complex), vecs, vecs.conj().T
     sys = biorthogonal_decompose(a)
@@ -266,9 +285,13 @@ def continued_eigensystems(chunks):
     eigenvectors, not eigenvalues, carry the identity through crossings; a
     successor claimed twice raises :class:`SolverError`.
     """
+    yield from _continued_levels(np.linalg.eig(chunk) for chunk in chunks)
+
+
+def _continued_levels(eigensystems):
+    """:func:`continued_eigensystems` on the ``(vals, right)`` pairs of its chunks."""
     carry = None
-    for chunk in chunks:
-        vals, right = np.linalg.eig(chunk)
+    for vals, right in eigensystems:
         try:
             left_h = np.linalg.inv(right)
         except np.linalg.LinAlgError as exc:
@@ -363,5 +386,15 @@ def propagator(h, dt) -> np.ndarray:
 
 def spectrum_reality_check(h) -> bool:
     """True when every eigenvalue has imaginary part below ``SPECTRUM_TOL``."""
-    a = as_operator(h)
-    return bool(np.max(np.abs(np.linalg.eigvals(a).imag)) < SPECTRUM_TOL)
+    return _real_spectrum(np.linalg.eigvals(as_operator(h)))
+
+
+def _real_spectrum(vals) -> bool:
+    """Whether every eigenvalue of ``vals`` has imaginary part below ``SPECTRUM_TOL``."""
+    return bool(np.max(np.abs(vals.imag)) < SPECTRUM_TOL)
+
+
+def _require_real_spectrum(vals, message):
+    """Raise :class:`ComplexSpectrum` with ``message`` unless :func:`_real_spectrum`."""
+    if not _real_spectrum(vals):
+        raise ComplexSpectrum(message)

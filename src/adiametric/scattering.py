@@ -27,16 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import magnus_cf4
-from .errors import ComplexSpectrum, ConfigError, NoConvergence
+from .errors import ConfigError, NoConvergence
 from .metric_flow import SolverConfig, evolve_metric
 from .operator_core import (
     _hermitian_part,
+    _operator_pair,
     _require_hermitian,
+    _require_real_spectrum,
     as_operator,
     continued_eigensystems,
     eigenframe,
     frobenius,
-    spectrum_reality_check,
 )
 from .switching import ExponentialSwitch, SmoothSwitch
 
@@ -88,9 +89,9 @@ def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
 
 
 def _real_spectrum_pair(h0, h_int):
-    h0, h_int = as_operator(h0), as_operator(h_int)
-    if not spectrum_reality_check(h0 + h_int):
-        raise ComplexSpectrum("full generator has complex spectrum; adiabatic metric undefined")
+    h0, h_int = _operator_pair(h0, h_int)
+    _require_real_spectrum(np.linalg.eigvals(as_operator(h0 + h_int)),
+                           "full generator has complex spectrum; adiabatic metric undefined")
     return h0, h_int
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .operator_core import as_operator
+from .operator_core import _operator_pair, as_operator
 
 __all__ = [
     "Constant",
@@ -31,8 +31,9 @@ __all__ = [
 ]
 
 
-def _freeze(m) -> np.ndarray:
-    a = as_operator(m).copy()
+def _freeze(a) -> np.ndarray:
+    """A read-only copy of the checked operator ``a``."""
+    a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -52,7 +53,7 @@ class Constant:
     h_int: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _freeze(self.h))
+        object.__setattr__(self, "h", _freeze(as_operator(self.h)))
         object.__setattr__(self, "h0", self.h)
         object.__setattr__(self, "h_int", _freeze(np.zeros_like(self.h)))
 
@@ -77,8 +78,9 @@ class ExponentialSwitch:
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ConfigError("switching rate eps must be positive")
-        object.__setattr__(self, "h0", _freeze(self.h0))
-        object.__setattr__(self, "h_int", _freeze(self.h_int))
+        h0, h_int = _operator_pair(self.h0, self.h_int)
+        object.__setattr__(self, "h0", _freeze(h0))
+        object.__setattr__(self, "h_int", _freeze(h_int))
 
     def factor(self, t):
         """``exp(-eps |t|)``, elementwise for an array of times."""
@@ -108,9 +110,10 @@ class LinearRamp:
     def __post_init__(self):
         if self.duration <= 0.0:
             raise ConfigError("ramp duration must be positive")
-        object.__setattr__(self, "h0", _freeze(self.h0))
-        object.__setattr__(self, "h1", _freeze(self.h1))
-        object.__setattr__(self, "h_int", _freeze(self.h1 - self.h0))
+        h0, h1 = _operator_pair(self.h0, self.h1)
+        object.__setattr__(self, "h0", _freeze(h0))
+        object.__setattr__(self, "h1", _freeze(h1))
+        object.__setattr__(self, "h_int", _freeze(as_operator(h1 - h0)))
 
     def factor(self, t):
         """``t / T`` clamped to [0, 1], elementwise for an array of times."""
@@ -140,8 +143,9 @@ class SmoothSwitch:
     def __post_init__(self):
         if self.width <= 0.0:
             raise ConfigError("switch width must be positive")
-        object.__setattr__(self, "h0", _freeze(self.h0))
-        object.__setattr__(self, "h_int", _freeze(self.h_int))
+        h0, h_int = _operator_pair(self.h0, self.h_int)
+        object.__setattr__(self, "h0", _freeze(h0))
+        object.__setattr__(self, "h_int", _freeze(h_int))
 
     def factor(self, t):
         """``cos^2(pi t / (2 width))`` inside the support, exactly 0 outside;
@@ -181,14 +185,17 @@ def extrapolate_to_zero(parameters, values):
     """First-order Richardson extrapolation of ``values`` to parameter 0.
 
     Fits ``value = a + b * parameter`` through the two smallest parameters
-    and returns ``a``.  Callers studying a slow-ramp limit pass 1/T as the
-    parameter.  Works elementwise on array-valued results.
+    and returns ``a``; two equal smallest parameters raise :class:`ConfigError`.
+    Callers studying a slow-ramp limit pass 1/T as the parameter.  Works
+    elementwise on array-valued results.
     """
     params = np.asarray(parameters, dtype=float)
     if params.size < 2:
         raise ConfigError("extrapolation needs at least two parameters")
     order = np.argsort(np.abs(params))
     p1, p2 = params[order[0]], params[order[1]]
+    if p1 == p2:
+        raise ConfigError(f"extrapolation needs two distinct smallest parameters, got {p1} twice")
     v1, v2 = values[order[0]], values[order[1]]
     v1 = np.asarray(v1)
     v2 = np.asarray(v2)

@@ -248,10 +248,6 @@ class CrossedRampSchedule(LinearRamp):
     def params_at(self, t) -> TwoLevelParams:
         return _crossed_ramp_params(self.factor(t), self.amplitude, self.w3, self.v0)
 
-    def min_ramp_margin(self) -> float:
-        """Minimum of v^2 - w^2 along the ramp (worst point is the midpoint)."""
-        return _crossed_ramp_margin(self.amplitude, self.w3)
-
 
 @dataclass(frozen=True)
 class RampResult:

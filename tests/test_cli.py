@@ -377,6 +377,34 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "smatrix", cfg)
         assert code == 3
 
+    @pytest.mark.parametrize("ladder", [[0.8, 0.8], [0.4, 0.1, 0.2]], ids=["repeated", "unordered"])
+    def test_smatrix_ladder_not_strictly_monotone_is_config_error(self, tmp_path, ladder):
+        # a repeated eps once wrote NaN extrapolations with exit 0
+        cfg = json.loads(json.dumps(SMATRIX))
+        cfg["scattering"].update(eps_ladder=ladder, compare_shapes=True)
+        assert run_cli(tmp_path, "smatrix", cfg) == (2, "")
+
+    H3 = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3  # 3x3, every row (1, 0, 0)
+
+    @pytest.mark.parametrize("command, section", [
+        ("smatrix", {"scattering": {"h0": SMATRIX["scattering"]["h0"], "h_int": H3}}),
+        ("evolve", {"model": {"kind": "matrix", "schedule": {
+            "type": "exponential-switch", "h0": SMATRIX["scattering"]["h0"],
+            "h_int": H3, "eps": 0.5}}}),
+        ("evolve", {"model": {"kind": "matrix", "schedule": {
+            "type": "linear-ramp", "h0": SMATRIX["scattering"]["h0"],
+            "h1": H3, "duration": 1.0}}}),
+        ("evolve", {"model": {"kind": "matrix", "schedule": {
+            "type": "smooth-switch", "h0": H3,
+            "h_int": SMATRIX["scattering"]["h0"], "width": 1.0}}}),
+    ], ids=["smatrix", "exponential-switch", "linear-ramp", "smooth-switch"])
+    def test_mismatched_generator_shapes_are_exit_4(self, tmp_path, command, section):
+        # once an untyped numpy ValueError with exit 1
+        cfg = {"model": {"kind": "matrix"}, "output": {"format": "json"}, **section}
+        code, text = run_cli(tmp_path, command, cfg)
+        assert code == 4
+        assert json.loads(text)["diagnostics"]["error"]["type"] == "DimensionMismatch"
+
     def test_physics_error_is_exit_4(self, tmp_path):
         cfg = {
             "model": {

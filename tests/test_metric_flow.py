@@ -40,6 +40,7 @@ from adiametric.metric_flow import (
     transition_probability,
 )
 from adiametric.operator_core import (
+    PATH_CHUNK,
     biorthogonal_decompose,
     hermitian_sqrt,
     hermiticity_defect,
@@ -752,6 +753,15 @@ class TestTransportPrediction:
         fine = predict(6400)
         coarse, finer = (np.linalg.norm(predict(n) - fine) for n in (100, 400))
         assert coarse / finer > 12.0
+
+    def test_one_eig_per_path_chunk(self, monkeypatch):
+        # the separation check and the level matching share each chunk's eig
+        sizes, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: sizes.append(len(a)) or eig(a))
+        h0, h_int = 2.0 * SZ, 0.75j * np.array([[0, 1], [1, 0]])
+        path = [h0 + s * h_int for s in np.linspace(0, 1, 2 * PATH_CHUNK + 10)]
+        adiabatic_transport_prediction(path, np.eye(2))
+        assert sizes == [PATH_CHUNK, PATH_CHUNK, 10]
 
     def test_degenerate_path_point_rejected(self):
         # the level identity is undefined where two levels coincide

@@ -22,9 +22,14 @@ from adiametric.errors import (
     SolverError,
 )
 from adiametric.operator_core import (
+    HERMITICITY_TOL,
     PATH_CHUNK,
     _expm_stack,
     _frobenius_stack,
+    _hermiticity_defects,
+    _hermitian_part,
+    _is_hermitian,
+    _require_hermitian,
     biorthogonal_decompose,
     continued_eigensystems,
     eigenframe,
@@ -79,6 +84,33 @@ def test_frobenius_stack_matches_frobenius(dim, count, complex_entries, scale, s
     if complex_entries:
         stack = stack + 1j * scale * rng.standard_normal((count, dim, dim))
     np.testing.assert_array_equal(_frobenius_stack(stack), [frobenius(m) for m in stack])
+
+
+@given(
+    dim=st.integers(1, 9),
+    count=st.integers(1, 16),
+    # multiples of the tolerance: 0 is Hermitian, 0.1-10 straddle the bound
+    defect=st.sampled_from([0.0, 0.1, 0.99, 1.01, 10.0, 1e10]),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_hermiticity_matches_per_matrix(dim, count, defect, scale, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, dim, dim)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    herm, skew = _hermitian_part(scale * a), b - _hermitian_part(b)
+    stack = herm + (defect * HERMITICITY_TOL * max(1.0, scale) / dim) * skew
+    defects = _hermiticity_defects(stack)
+    # bit for bit: the per-matrix defect and the norm it was written as before
+    np.testing.assert_array_equal(defects, [hermiticity_defect(m) for m in stack])
+    np.testing.assert_array_equal(defects, [frobenius(m - m.conj().T) for m in stack])
+    for m, hermitian in zip(stack, _is_hermitian(stack)):
+        if hermitian:
+            _require_hermitian(m)
+        else:
+            with pytest.raises(NonHermitianInput):
+                _require_hermitian(m)
 
 
 class TestPositivityCheck:

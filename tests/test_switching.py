@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from adiametric.errors import ConfigError
-from adiametric.scattering import s_matrix
+from adiametric.errors import ConfigError, DimensionMismatch
+from adiametric.scattering import adiabatic_metric, moller_minus, s_matrix
 from adiametric.switching import (
     Constant,
     ExponentialSwitch,
@@ -124,6 +124,21 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             CrossedRampSchedule(0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda h0, h_int: ExponentialSwitch(h0, h_int, 0.5),
+        lambda h0, h_int: SmoothSwitch(h0, h_int, 2.0),
+        lambda h0, h1: LinearRamp(h0, h1, 2.0),
+        lambda h0, h_int: s_matrix(h0, h_int, 0.4),
+        lambda h0, h_int: moller_minus(h0, h_int, 0.4),
+        lambda h0, h_int: adiabatic_metric(h0, h_int, np.eye(len(h0)), 0.4),
+    ], ids=["exponential", "smooth", "ramp", "s_matrix", "moller_minus", "adiabatic_metric"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["2x2-3x3", "3x3-2x2"])
+    def test_mismatched_generator_shapes_rejected(self, build, swap):
+        # a typed precondition error, not numpy's broadcasting ValueError
+        pair = (H0, np.eye(3, dtype=complex))
+        with pytest.raises(DimensionMismatch, match="shapes"):
+            build(*(pair[::-1] if swap else pair))
+
 
 class TestSweep:
     def test_runs_in_order(self):
@@ -155,6 +170,15 @@ class TestSweep:
     def test_extrapolation_needs_two_points(self):
         with pytest.raises(ConfigError):
             extrapolate_to_zero([0.1], [1.0])
+
+    @pytest.mark.parametrize("params", [[0.8, 0.8], [0.4, 0.1, 0.1], [-0.2, 0.5, -0.2]])
+    def test_extrapolation_rejects_repeated_smallest_parameter(self, params):
+        # a zero-width fit once divided by zero and returned NaN
+        with pytest.raises(ConfigError, match="distinct"):
+            extrapolate_to_zero(params, [1.0 + p for p in params])
+
+    def test_extrapolation_accepts_opposite_smallest_parameters(self):
+        assert abs(extrapolate_to_zero([-0.2, 0.2], [0.8, 1.2]) - 1.0) < 1e-12
 
     def test_monotone_helper(self):
         assert is_monotone_nonincreasing([3.0, 2.0, 2.0, 1.0])
