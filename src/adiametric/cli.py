@@ -14,9 +14,11 @@ output is selected).  ``--format`` picks CSV or JSON for ``evolve`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +36,9 @@ from .operator_core import (
 from .scattering import ScatteringConfig, s_matrix
 from .switching import adiabatic_sweep, extrapolate_to_zero, is_monotone_nonincreasing
 from .two_level import component_generator, ramp_experiment, static_solution
-from .moyal import ANSATZ_NAMES, cubic_linear_switch_evolve, linear_switch_closed_form
+from .moyal import (ANSATZ_NAMES, ONE, P, PhasePolynomial, Q, cubic_linear_switch_evolve,
+                    cubic_static_first_order, harmonic_transport_check,
+                    linear_switch_closed_form, moyal_product, star_flow_rhs)
 
 
 def _check_out(out) -> None:
@@ -291,19 +295,6 @@ def cmd_static(config: ModelConfig, args) -> int:
 
 
 def cmd_moyal_check(config: ModelConfig | None, args) -> int:
-    from fractions import Fraction
-
-    from .moyal import (
-        ONE,
-        P,
-        PhasePolynomial,
-        Q,
-        cubic_static_first_order,
-        harmonic_transport_check,
-        moyal_product,
-        star_flow_rhs,
-    )
-
     checks = []
 
     def record(name, passed, detail=""):
@@ -359,7 +350,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use; ``parse_args`` leaves it unchanged
+    and returns a fresh ``Namespace`` each call."""
     parser = argparse.ArgumentParser(
         prog="adiametric",
         description="Time-dependent metric operators for non-Hermitian systems",

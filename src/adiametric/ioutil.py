@@ -28,16 +28,15 @@ def json_to_matrix(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def format_float(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(stream, columns, rows) -> None:
-    """Write the versioned CSV: header comment, column row, data rows."""
+    """Write the versioned CSV: header comment, column row, then the 2-D real
+    ``rows`` (booleans as 0 and 1), one ``%.17g`` format string per row."""
+    table = np.asarray(rows, dtype=float)
+    row_format = ",".join(["%.17g"] * table.shape[-1]) + "\n"
     stream.write(CSV_HEADER + "\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(format_float(x) for x in row) + "\n")
+    for row in table:
+        stream.write(row_format % tuple(row.tolist()))
 
 
 def dump_json(stream, payload) -> None:

@@ -43,6 +43,7 @@ from .operator_core import (
     _hermiticity_defects,
     _hermitian_part,
     _is_hermitian,
+    _operator_pair,
     _require_hermitian,
     _require_real_spectrum,
     _require_separated,
@@ -166,10 +167,11 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     differently, so each returned sample is made exactly Hermitian: its
     strict lower triangle is the conjugate of the upper one.  A step
     costs 12 rhs calls (the last first-same-as-last), 3 more when a sample
-    falls inside it; ``stats["ndense"]`` counts those steps.
+    falls inside it; ``stats["ndense"]`` counts those steps.  A ``theta0``
+    of another shape than the generator raises :class:`DimensionMismatch`.
     """
     cfg = config or SolverConfig()
-    theta0 = _require_hermitian(theta0)
+    theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
     t_eval = np.linspace(t0, t1, cfg.samples)
     sol = solve_ode(lambda t, y: _hermitian_flow_rhs(schedule.at(t), y), t0, t1, theta0,
                     rtol=cfg.rtol, atol=cfg.atol, t_eval=t_eval,
@@ -193,9 +195,11 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     ``B^dagger Theta_0 B``, an exact solution of the flow whenever H is
     piecewise constant.  Midpoint sampling makes the accumulation second
     order in the step for smooth schedules.  The step exponentials are
-    formed ``PATH_CHUNK`` at a time by one stacked Taylor evaluation.
+    formed ``PATH_CHUNK`` at a time by one stacked Taylor evaluation.  A
+    ``theta0`` of another shape than the generator raises
+    :class:`DimensionMismatch`.
     """
-    theta0 = _require_hermitian(theta0)
+    theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
     dim = theta0.shape[0]
     grid = np.linspace(t0, t1, nsteps + 1)
     back = np.eye(dim, dtype=complex)

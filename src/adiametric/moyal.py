@@ -8,9 +8,11 @@ expressions; the star product
 (left derivatives on F, right on G) reproduces the operator product of
 the corresponding symmetrically ordered operators, and conjugating the
 coefficients represents the operator adjoint.  For polynomials the series
-terminates, and every scalar it introduces is an integer multiple of a
-power of 1/2, so coefficients are kept as exact rational complex numbers:
-associativity, the canonical commutator q*p - p*q = i, and adjoint
+terminates, and every scalar it introduces is rational, so coefficients
+are kept exact: a polynomial holds Gaussian-integer numerators over one
+positive integer denominator, in lowest terms, and a star product sums
+integer-weighted terms over one common denominator and reduces once.
+Associativity, the canonical commutator q*p - p*q = i, and adjoint
 compatibility all hold bit-exactly, leaving time integration as the only
 numerical step in this module.
 
@@ -30,6 +32,7 @@ below as well.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,45 +59,72 @@ __all__ = [
     "linear_switch_closed_form",
 ]
 
-_ZERO = Fraction(0)
+
+def _gaussian(value):
+    """A coefficient value, exactly, as the Gaussian rational ``(re, im, den)``, ``den > 0``."""
+    re, im = map(Fraction, value if isinstance(value, tuple) else (value.real, value.imag))
+    den = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
-def _to_pair(value):
-    if isinstance(value, tuple):
-        return value
-    if isinstance(value, complex):
-        return (Fraction(value.real), Fraction(value.imag))
-    return (Fraction(value), _ZERO)
+def _lowest_terms(terms, den):
+    """``(terms, den)`` with zero terms dropped and every common factor cancelled."""
+    terms = {key: v for key, v in terms.items() if v[0] or v[1]}
+    g = math.gcd(den, *itertools.chain.from_iterable(terms.values()))
+    if g > 1:
+        terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
+    return terms, den // g
 
 
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _scaled(terms, re, im):
+    """Numerators ``terms`` times the Gaussian integer ``re + i im``."""
+    return {key: (a * re - b * im, a * im + b * re) for key, (a, b) in terms.items()}
 
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _mul_into(acc, f, g):
+    """Add the commutative product of numerators ``f`` and ``g`` into ``acc``."""
+    for (a, b), (fr, fi) in f.items():
+        for (c, d), (gr, gi) in g.items():
+            key = (a + c, b + d)
+            re, im = acc.get(key, (0, 0))
+            acc[key] = (re + fr * gr - fi * gi, im + fr * gi + fi * gr)
+    return acc
+
+
+def _derivative(terms, a, b):
+    """Numerators of ``d_p^a d_q^b``, over the same denominator."""
+    out = {}
+    for (i, j), (re, im) in terms.items():
+        if i >= a and j >= b:
+            n = math.perm(i, a) * math.perm(j, b)
+            out[(i - a, j - b)] = (re * n, im * n)
+    return out
 
 
 class PhasePolynomial:
     """Immutable polynomial in (p, q) with exact rational complex coefficients.
 
-    ``terms`` maps exponent pairs ``(i, j)`` (p-power, q-power) to nonzero
-    coefficients.  Accepts int, float, Fraction, or complex coefficient
+    The coefficient of ``p^i q^j`` is ``(re + i im) / den``: ``_terms`` maps
+    exponent pairs ``(i, j)`` (p-power, q-power) to Gaussian-integer
+    numerators ``(re, im)`` over the one positive denominator ``_den``, kept
+    in lowest terms with no zero numerators, so equal polynomials are equal
+    structurally.  Accepts int, float, Fraction, complex, or pair coefficient
     values; floats convert exactly (every float is a dyadic rational).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms=None):
-        clean = {}
+        exact = {}
         for key, value in (terms or {}).items():
             i, j = int(key[0]), int(key[1])
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
-            pair = _to_pair(value)
-            if pair[0] or pair[1]:
-                clean[(i, j)] = pair
-        self._terms = clean
+            exact[(i, j)] = _gaussian(value)
+        den = math.lcm(*(d for _, _, d in exact.values()))
+        self._terms, self._den = _lowest_terms(
+            {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in exact.items()}, den
+        )
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -102,9 +132,10 @@ class PhasePolynomial:
         return cls({(i, j): coeff})
 
     @classmethod
-    def _raw(cls, terms):
+    def _over(cls, terms, den):
+        """The polynomial with numerators ``terms`` over ``den``, reduced."""
         poly = cls.__new__(cls)
-        poly._terms = {k: v for k, v in terms.items() if v[0] or v[1]}
+        poly._terms, poly._den = _lowest_terms(terms, den)
         return poly
 
     # -- inspection ------------------------------------------------------
@@ -113,8 +144,9 @@ class PhasePolynomial:
         return max((i + j for i, j in self._terms), default=0)
 
     def coefficient(self, i, j) -> complex:
-        re, im = self._terms.get((i, j), (_ZERO, _ZERO))
-        return complex(float(re), float(im))
+        # int true division rounds correctly, as Fraction.__float__ does
+        re, im = self._terms.get((i, j), (0, 0))
+        return complex(re / self._den, im / self._den)
 
     def terms(self):
         """Iterate ``((i, j), complex_coefficient)`` pairs, sorted."""
@@ -128,10 +160,10 @@ class PhasePolynomial:
     def __eq__(self, other):
         if not isinstance(other, PhasePolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:
@@ -146,65 +178,43 @@ class PhasePolynomial:
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
-        terms = dict(self._terms)
-        for key, val in other._terms.items():
-            terms[key] = _cadd(terms.get(key, (_ZERO, _ZERO)), val)
-        return PhasePolynomial._raw(terms)
+        den = math.lcm(self._den, other._den)
+        terms = _scaled(self._terms, den // self._den, 0)
+        for key, (re, im) in _scaled(other._terms, den // other._den, 0).items():
+            a, b = terms.get(key, (0, 0))
+            terms[key] = (a + re, b + im)
+        return PhasePolynomial._over(terms, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return PhasePolynomial._raw(
-            {k: (-v[0], -v[1]) for k, v in self._terms.items()}
-        )
+        return PhasePolynomial._over(_scaled(self._terms, -1, 0), self._den)
 
     def scale(self, value):
-        pair = _to_pair(value)
-        return PhasePolynomial._raw(
-            {k: _cmul(v, pair) for k, v in self._terms.items()}
-        )
+        re, im, den = _gaussian(value)
+        return PhasePolynomial._over(_scaled(self._terms, re, im), self._den * den)
 
     def times_i(self):
-        return PhasePolynomial._raw(
-            {k: (-v[1], v[0]) for k, v in self._terms.items()}
-        )
+        return PhasePolynomial._over(_scaled(self._terms, 0, 1), self._den)
 
     def conjugate(self):
         """Coefficient conjugation: the symbol of the operator adjoint."""
-        return PhasePolynomial._raw(
-            {k: (v[0], -v[1]) for k, v in self._terms.items()}
-        )
+        return PhasePolynomial._over({k: (a, -b) for k, (a, b) in self._terms.items()}, self._den)
 
     def pointwise_mul(self, other):
         """Ordinary commutative polynomial product."""
-        terms = {}
-        for (a, b), cf in self._terms.items():
-            for (c, d), cg in other._terms.items():
-                key = (a + c, b + d)
-                terms[key] = _cadd(terms.get(key, (_ZERO, _ZERO)), _cmul(cf, cg))
-        return PhasePolynomial._raw(terms)
+        terms = _mul_into({}, self._terms, other._terms)
+        return PhasePolynomial._over(terms, self._den * other._den)
 
     def diff_p(self):
-        return PhasePolynomial._raw(
-            {
-                (i - 1, j): (v[0] * i, v[1] * i)
-                for (i, j), v in self._terms.items()
-                if i > 0
-            }
-        )
+        return PhasePolynomial._over(_derivative(self._terms, 1, 0), self._den)
 
     def diff_q(self):
-        return PhasePolynomial._raw(
-            {
-                (i, j - 1): (v[0] * j, v[1] * j)
-                for (i, j), v in self._terms.items()
-                if j > 0
-            }
-        )
+        return PhasePolynomial._over(_derivative(self._terms, 0, 1), self._den)
 
     def substitute_linear(self, pp, pq, qp, qq):
-        """Compose with p -> pp*p + pq*q, q -> qp*p + qq*q (exact pairs)."""
+        """Compose with p -> pp*p + pq*q, q -> qp*p + qq*q (exact scalars)."""
         new_p = PhasePolynomial({(1, 0): pp, (0, 1): pq})
         new_q = PhasePolynomial({(1, 0): qp, (0, 1): qq})
         # precompute powers up to needed degree
@@ -217,9 +227,9 @@ class PhasePolynomial:
         for _ in range(max_j):
             pow_q.append(pow_q[-1].pointwise_mul(new_q))
         total = PhasePolynomial()
-        for (i, j), v in self._terms.items():
+        for (i, j), v in self._terms.items():  # numerators: divide by _den once, below
             total = total + pow_p[i].pointwise_mul(pow_q[j]).scale(v)
-        return total
+        return total.scale(Fraction(1, self._den))
 
 
 ONE = PhasePolynomial.monomial(0, 0)
@@ -235,37 +245,24 @@ def moyal_product(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
         F * G = sum_{k,m} (i/2)^k (-1)^m / (m! (k-m)!)
                 * (d_p^m d_q^(k-m) F) (d_p^(k-m) d_q^m G),
 
-    truncating at ``k = min(deg F, deg G)``.  Each k-th order scalar is a
-    Gaussian integer divided by 2^k, so the rational coefficient pairs
-    stay exact.
+    truncating at ``k = K = min(deg F, deg G)``.  Over the one denominator
+    ``den_F den_G 2^K K!`` every term has the Gaussian-integer weight
+    ``i^k (-1)^m 2^(K-k) K! / (m! (k-m)!)``, so the sum runs on integer
+    numerators and is reduced once at the end.
     """
     kmax = min(f.degree, g.degree)
-    fd = {(0, 0): f}
-    gd = {(0, 0): g}
-
-    def deriv(cache, dp, dq):
-        key = (dp, dq)
-        if key not in cache:
-            if dp > 0:
-                cache[key] = deriv(cache, dp - 1, dq).diff_p()
-            else:
-                cache[key] = deriv(cache, 0, dq - 1).diff_q()
-        return cache[key]
-
-    total = PhasePolynomial()
-    # i^k cycles (1, i, -1, -i); attach (1/2)^k and the factorial split.
+    full = math.factorial(kmax)
+    total = {}
     for k in range(kmax + 1):
-        ik = (1, 0) if k % 4 == 0 else (0, 1) if k % 4 == 1 else (-1, 0) if k % 4 == 2 else (0, -1)
-        half = Fraction(1, 2**k)
         for m in range(k + 1):
-            scalar = Fraction((-1) ** m, math.factorial(m) * math.factorial(k - m))
-            coeff = (ik[0] * half * scalar, ik[1] * half * scalar)
-            left = deriv(fd, m, k - m)
-            right = deriv(gd, k - m, m)
-            if left.is_zero or right.is_zero:
+            left, right = _derivative(f._terms, m, k - m), _derivative(g._terms, k - m, m)
+            if not (left and right):
                 continue
-            total = total + left.pointwise_mul(right).scale(coeff)
-    return total
+            w = (-1) ** m * 2 ** (kmax - k) * full // (math.factorial(m) * math.factorial(k - m))
+            # i^k cycles (1, i, -1, -i)
+            rot = ((w, 0), (0, w), (-w, 0), (0, -w))[k % 4]
+            _mul_into(total, _scaled(left, *rot), right)
+    return PhasePolynomial._over(total, f._den * g._den * 2**kmax * full)
 
 
 def star_flow_rhs(theta: PhasePolynomial, h: PhasePolynomial) -> PhasePolynomial:
@@ -290,12 +287,7 @@ def harmonic_transport_check(theta0: PhasePolynomial, t) -> PhasePolynomial:
         return theta0
     c = math.cos(2.0 * reduced)
     s = math.sin(2.0 * reduced)
-    return theta0.substitute_linear(
-        (Fraction(c), _ZERO),
-        (Fraction(s), _ZERO),
-        (Fraction(-s), _ZERO),
-        (Fraction(c), _ZERO),
-    )
+    return theta0.substitute_linear(c, s, -s, c)
 
 
 def cubic_static_first_order(c=0.0, d=0.0) -> PhasePolynomial:

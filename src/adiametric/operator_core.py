@@ -73,7 +73,7 @@ def _operator_pair(a, b):
     """``a`` and ``b`` by :func:`as_operator`; :class:`DimensionMismatch` unless one shape."""
     a, b = as_operator(a), as_operator(b)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"generator shapes {a.shape} and {b.shape} differ")
+        raise DimensionMismatch(f"operator shapes {a.shape} and {b.shape} differ")
     return a, b
 
 

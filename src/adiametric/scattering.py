@@ -287,11 +287,13 @@ def s_matrix(
     dressings and U come from one propagator integration (:func:`_dressing`)
     and no ``solve_ode`` call; :func:`adiabatic_metric` integrates the flow
     and is the oracle for the identity.  Raises :class:`ComplexSpectrum`
-    when ``h0 + h_int`` has no real spectrum.
+    when ``h0 + h_int`` has no real spectrum, and :class:`DimensionMismatch`
+    for a ``theta0`` of another shape than ``h0``.
     """
     cfg = config or ScatteringConfig()
     h0, h_int = _real_spectrum_pair(h0, h_int)
-    theta0 = _require_hermitian(np.eye(len(h0), dtype=complex) if theta0 is None else theta0)
+    theta0 = _require_hermitian(np.eye(len(h0), dtype=complex) if theta0 is None
+                                else _operator_pair(h0, theta0)[1])
     frame = eigenframe(h0)
     basis = frame[1] / np.linalg.norm(frame[1], axis=0, keepdims=True)
 

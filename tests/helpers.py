@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -342,3 +343,219 @@ def hermitian_representation_oracle(trajectory, schedule):
         gen = h_obs[i] - 1j * np.linalg.solve(omegas[i], omega_dot)
         residuals[i] = np.linalg.norm(gen - hs[i]) / max(np.linalg.norm(hs[i]), 1.0)
     return np.array(h_ops), np.array(defects), residuals
+
+
+# ------------------------------------------------------- Fraction oracle
+# The star-product algebra as the package ran it before its one-denominator
+# form: every coefficient a pair of Fractions, every term added and scaled
+# on its own.  Slow, and independent of adiametric.moyal.
+
+_ZERO = Fraction(0)
+
+
+def _to_pair(value):
+    if isinstance(value, tuple):
+        return value
+    if isinstance(value, complex):
+        return (Fraction(value.real), Fraction(value.imag))
+    return (Fraction(value), _ZERO)
+
+
+def _cadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+class FractionPolynomial:
+    """Immutable polynomial in (p, q) with exact rational complex coefficients,
+    each a pair of Fractions.
+
+    ``terms`` maps exponent pairs ``(i, j)`` (p-power, q-power) to nonzero
+    coefficients.  Accepts int, float, Fraction, or complex coefficient
+    values; floats convert exactly (every float is a dyadic rational).
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, value in (terms or {}).items():
+            i, j = int(key[0]), int(key[1])
+            if i < 0 or j < 0:
+                raise ValueError("exponents must be nonnegative")
+            pair = _to_pair(value)
+            if pair[0] or pair[1]:
+                clean[(i, j)] = pair
+        self._terms = clean
+
+    # -- construction helpers -------------------------------------------
+    @classmethod
+    def monomial(cls, i, j, coeff=1):
+        return cls({(i, j): coeff})
+
+    @classmethod
+    def _raw(cls, terms):
+        poly = cls.__new__(cls)
+        poly._terms = {k: v for k, v in terms.items() if v[0] or v[1]}
+        return poly
+
+    # -- inspection ------------------------------------------------------
+    @property
+    def degree(self) -> int:
+        return max((i + j for i, j in self._terms), default=0)
+
+    def coefficient(self, i, j) -> complex:
+        re, im = self._terms.get((i, j), (_ZERO, _ZERO))
+        return complex(float(re), float(im))
+
+    def terms(self):
+        """Iterate ``((i, j), complex_coefficient)`` pairs, sorted."""
+        for key in sorted(self._terms):
+            yield key, self.coefficient(*key)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self):
+        if self.is_zero:
+            return "FractionPolynomial(0)"
+        bits = []
+        for (i, j), c in self.terms():
+            mono = "".join(
+                s for s, e in (("p^%d" % i, i), ("q^%d" % j, j)) if e
+            ) or "1"
+            bits.append(f"({c:g})*{mono}")
+        return "FractionPolynomial(" + " + ".join(bits) + ")"
+
+    # -- ring operations --------------------------------------------------
+    def __add__(self, other):
+        terms = dict(self._terms)
+        for key, val in other._terms.items():
+            terms[key] = _cadd(terms.get(key, (_ZERO, _ZERO)), val)
+        return FractionPolynomial._raw(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionPolynomial._raw(
+            {k: (-v[0], -v[1]) for k, v in self._terms.items()}
+        )
+
+    def scale(self, value):
+        pair = _to_pair(value)
+        return FractionPolynomial._raw(
+            {k: _cmul(v, pair) for k, v in self._terms.items()}
+        )
+
+    def times_i(self):
+        return FractionPolynomial._raw(
+            {k: (-v[1], v[0]) for k, v in self._terms.items()}
+        )
+
+    def conjugate(self):
+        """Coefficient conjugation: the symbol of the operator adjoint."""
+        return FractionPolynomial._raw(
+            {k: (v[0], -v[1]) for k, v in self._terms.items()}
+        )
+
+    def pointwise_mul(self, other):
+        """Ordinary commutative polynomial product."""
+        terms = {}
+        for (a, b), cf in self._terms.items():
+            for (c, d), cg in other._terms.items():
+                key = (a + c, b + d)
+                terms[key] = _cadd(terms.get(key, (_ZERO, _ZERO)), _cmul(cf, cg))
+        return FractionPolynomial._raw(terms)
+
+    def diff_p(self):
+        return FractionPolynomial._raw(
+            {
+                (i - 1, j): (v[0] * i, v[1] * i)
+                for (i, j), v in self._terms.items()
+                if i > 0
+            }
+        )
+
+    def diff_q(self):
+        return FractionPolynomial._raw(
+            {
+                (i, j - 1): (v[0] * j, v[1] * j)
+                for (i, j), v in self._terms.items()
+                if j > 0
+            }
+        )
+
+    def substitute_linear(self, pp, pq, qp, qq):
+        """Compose with p -> pp*p + pq*q, q -> qp*p + qq*q (exact pairs)."""
+        new_p = FractionPolynomial({(1, 0): pp, (0, 1): pq})
+        new_q = FractionPolynomial({(1, 0): qp, (0, 1): qq})
+        # precompute powers up to needed degree
+        max_i = max((i for i, _ in self._terms), default=0)
+        max_j = max((j for _, j in self._terms), default=0)
+        pow_p = [FRACTION_ONE]
+        for _ in range(max_i):
+            pow_p.append(pow_p[-1].pointwise_mul(new_p))
+        pow_q = [FRACTION_ONE]
+        for _ in range(max_j):
+            pow_q.append(pow_q[-1].pointwise_mul(new_q))
+        total = FractionPolynomial()
+        for (i, j), v in self._terms.items():
+            total = total + pow_p[i].pointwise_mul(pow_q[j]).scale(v)
+        return total
+
+
+FRACTION_ONE = FractionPolynomial.monomial(0, 0)
+
+
+def fraction_moyal_product(f: FractionPolynomial, g: FractionPolynomial) -> FractionPolynomial:
+    """Star product; a finite sum for polynomials, evaluated exactly.
+
+    Expanding the exponential bidifferential operator binomially,
+
+        F * G = sum_{k,m} (i/2)^k (-1)^m / (m! (k-m)!)
+                * (d_p^m d_q^(k-m) F) (d_p^(k-m) d_q^m G),
+
+    truncating at ``k = min(deg F, deg G)``.  Each k-th order scalar is a
+    Gaussian integer divided by 2^k, so the rational coefficient pairs
+    stay exact.
+    """
+    kmax = min(f.degree, g.degree)
+    fd = {(0, 0): f}
+    gd = {(0, 0): g}
+
+    def deriv(cache, dp, dq):
+        key = (dp, dq)
+        if key not in cache:
+            if dp > 0:
+                cache[key] = deriv(cache, dp - 1, dq).diff_p()
+            else:
+                cache[key] = deriv(cache, 0, dq - 1).diff_q()
+        return cache[key]
+
+    total = FractionPolynomial()
+    # i^k cycles (1, i, -1, -i); attach (1/2)^k and the factorial split.
+    for k in range(kmax + 1):
+        ik = (1, 0) if k % 4 == 0 else (0, 1) if k % 4 == 1 else (-1, 0) if k % 4 == 2 else (0, -1)
+        half = Fraction(1, 2**k)
+        for m in range(k + 1):
+            scalar = Fraction((-1) ** m, math.factorial(m) * math.factorial(k - m))
+            coeff = (ik[0] * half * scalar, ik[1] * half * scalar)
+            left = deriv(fd, m, k - m)
+            right = deriv(gd, k - m, m)
+            if left.is_zero or right.is_zero:
+                continue
+            total = total + left.pointwise_mul(right).scale(coeff)
+    return total

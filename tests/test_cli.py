@@ -1,5 +1,6 @@
 """CLI contract: formats, determinism, exit codes, report schemas."""
 
+import io
 import json
 import math
 
@@ -12,7 +13,7 @@ from adiametric import cli
 from adiametric.cli import main
 from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
 from adiametric.errors import ConfigError
-from adiametric.ioutil import CSV_HEADER, json_to_matrix
+from adiametric.ioutil import CSV_HEADER, json_to_matrix, write_csv
 from adiametric.metric_flow import SolverConfig
 from adiametric.scattering import s_matrix
 from adiametric.two_level import (
@@ -344,6 +345,55 @@ class TestMoyalCheck:
         assert "canonical_commutator" in names
 
 
+class TestParser:
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        cfg = tmp_path / "cubic.json"
+        cfg.write_text(json.dumps(CUBIC))
+        first, second = tmp_path / "first.json", tmp_path / "second.csv"
+        assert main(["evolve", "--config", str(cfg), "--format", "json",
+                     "--out", str(first)]) == 0
+        # neither the first --format nor its --out carries over
+        assert main(["evolve", "--config", str(cfg), "--out", str(second)]) == 0
+        assert "times" in json.loads(first.read_text())["result"]
+        assert second.read_text().startswith(CSV_HEADER + "\n")
+        capsys.readouterr()
+        assert main(["moyal-check", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["all_passed"] is True
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_version_exits_through_system_exit(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.strip() == cli.__version__
+
+
+def format_float(x):
+    """One CSV value: 17 significant digits, as the CSV format fixes it."""
+    return f"{float(x):.17g}"
+
+
+class TestCsvWriter:
+    def test_bytes_equal_per_value_formatting(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-309,
+                  1e308, -1.7976931348623157e308, 3.0, -42.0, 2.0**53 + 2, 1e16, 0.1, 1 / 3]
+        flags = np.array([True, False, True])
+        tables = [
+            np.array(values).reshape(5, 3),
+            # the sweep's table: a boolean column stacked with float columns
+            np.column_stack([[1.0, 3.0, 10.0], [0.5, 0.25, 0.125], flags]),
+            np.empty((0, 3)),
+        ]
+        for rows in tables:
+            columns = [f"c{j}" for j in range(rows.shape[1])]
+            stream = io.StringIO()
+            write_csv(stream, columns, rows)
+            want = "".join([CSV_HEADER + "\n", ",".join(columns) + "\n",
+                            *(",".join(format_float(x) for x in row) + "\n" for row in rows)])
+            assert stream.getvalue() == want
+
+
 class TestExitCodes:
     def test_unparseable_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -385,6 +435,7 @@ class TestExitCodes:
         assert run_cli(tmp_path, "smatrix", cfg) == (2, "")
 
     H3 = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3  # 3x3, every row (1, 0, 0)
+    I3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
 
     @pytest.mark.parametrize("command, section", [
         ("smatrix", {"scattering": {"h0": SMATRIX["scattering"]["h0"], "h_int": H3}}),
@@ -397,7 +448,11 @@ class TestExitCodes:
         ("evolve", {"model": {"kind": "matrix", "schedule": {
             "type": "smooth-switch", "h0": H3,
             "h_int": SMATRIX["scattering"]["h0"], "width": 1.0}}}),
-    ], ids=["smatrix", "exponential-switch", "linear-ramp", "smooth-switch"])
+        ("evolve", {"model": {"kind": "matrix", "h": SMATRIX["scattering"]["h0"],
+                              "theta0": I3}}),
+        ("smatrix", {"scattering": {**SMATRIX["scattering"], "theta0": I3}}),
+    ], ids=["smatrix", "exponential-switch", "linear-ramp", "smooth-switch",
+            "evolve-metric", "smatrix-metric"])
     def test_mismatched_generator_shapes_are_exit_4(self, tmp_path, command, section):
         # once an untyped numpy ValueError with exit 1
         cfg = {"model": {"kind": "matrix"}, "output": {"format": "json"}, **section}

@@ -303,6 +303,12 @@ class TestEvolveMetric:
         with pytest.raises(NonHermitianInput):
             evolve_metric(Constant(SZ), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("solver", [evolve_metric, evolve_metric_via_propagator])
+    def test_rejects_metric_of_another_shape(self, solver):
+        # once an untyped numpy matmul ValueError
+        with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2\) and \(3, 3\)"):
+            solver(Constant(2.0 * SZ), np.eye(3), 0.0, 1.0)
+
     def test_perturbed_static_stays_close(self):
         # stability of static solutions: O(delta) excursion for all t
         rng = np.random.default_rng(8)

@@ -23,6 +23,8 @@ from adiametric.moyal import (
     star_flow_rhs,
 )
 
+from helpers import FractionPolynomial, fraction_moyal_product
+
 H0 = PhasePolynomial({(2, 0): 1, (0, 2): 1})
 
 
@@ -37,6 +39,87 @@ def dyadic_polynomials(max_degree=4):
         st.integers(min_value=0, max_value=max_degree),
     ).filter(lambda ij: ij[0] + ij[1] <= max_degree)
     return st.dictionaries(exponents, coeff, max_size=6).map(PhasePolynomial)
+
+
+def exact_scalars():
+    """Reals as Fractions over 1, 2, 3 or 7, or as finite floats."""
+    return st.one_of(
+        st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 7])),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    )
+
+
+def as_coefficient(re, im):
+    """One scalar in each form the constructor accepts: complex, real, or pair."""
+    if isinstance(re, float) and isinstance(im, float):
+        return complex(re, im)
+    return re if im == 0 else (re, im)
+
+
+def oracle_pairs(max_degree=6):
+    """``(PhasePolynomial, FractionPolynomial)`` of the same non-dyadic coefficients."""
+    exponents = st.tuples(
+        st.integers(min_value=0, max_value=max_degree),
+        st.integers(min_value=0, max_value=max_degree),
+    ).filter(lambda ij: ij[0] + ij[1] <= max_degree)
+
+    def build(raw):
+        return (PhasePolynomial({k: as_coefficient(*v) for k, v in raw.items()}),
+                FractionPolynomial({k: tuple(map(Fraction, v)) for k, v in raw.items()}))
+
+    return st.dictionaries(exponents, st.tuples(exact_scalars(), exact_scalars()),
+                           max_size=6).map(build)
+
+
+def assert_agrees(poly, oracle):
+    """``poly`` holds exactly the oracle's coefficients, in lowest terms: read
+    back as Fractions, as ``coefficient()`` bits, and as an equal, equally
+    hashing rebuild from the oracle's pairs."""
+    assert poly._den > 0
+    assert all(re or im for re, im in poly._terms.values())
+    assert math.gcd(poly._den, *(n for v in poly._terms.values() for n in v)) == 1
+    read_back = {key: (Fraction(re, poly._den), Fraction(im, poly._den))
+                 for key, (re, im) in poly._terms.items()}
+    assert read_back == oracle._terms
+    for key in oracle._terms:
+        got, want = poly.coefficient(*key), oracle.coefficient(*key)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    rebuilt = PhasePolynomial(oracle._terms)
+    assert rebuilt == poly and hash(rebuilt) == hash(poly)
+
+
+class TestFractionOracle:
+    """The one-denominator algebra against the Fraction-pair implementation."""
+
+    @given(oracle_pairs(), oracle_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_moyal_product(self, f, g):
+        assert_agrees(moyal_product(f[0], g[0]), fraction_moyal_product(f[1], g[1]))
+
+    @given(oracle_pairs(), oracle_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, f, g):
+        assert_agrees(f[0], f[1])
+        assert_agrees(f[0].pointwise_mul(g[0]), f[1].pointwise_mul(g[1]))
+        assert_agrees(f[0] + g[0], f[1] + g[1])
+        assert_agrees(f[0] - g[0], f[1] - g[1])
+        assert_agrees(f[0].times_i(), f[1].times_i())
+        assert_agrees(f[0].conjugate(), f[1].conjugate())
+        assert (f[0] == g[0]) == (f[1] == g[1])
+
+    @given(oracle_pairs(), exact_scalars(), exact_scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_scale_and_derivatives(self, f, re, im):
+        assert_agrees(f[0].scale(as_coefficient(re, im)),
+                      f[1].scale((Fraction(re), Fraction(im))))
+        assert_agrees(f[0].diff_p(), f[1].diff_p())
+        assert_agrees(f[0].diff_q(), f[1].diff_q())
+
+    @given(oracle_pairs(), st.lists(exact_scalars(), min_size=4, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_substitute_linear(self, f, coeffs):
+        assert_agrees(f[0].substitute_linear(*coeffs),
+                      f[1].substitute_linear(*map(Fraction, coeffs)))
 
 
 class TestAlgebra:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiametric._integrate import magnus_cf4
-from adiametric.errors import ComplexSpectrum, NoConvergence
+from adiametric.errors import ComplexSpectrum, DimensionMismatch, NoConvergence
 from adiametric.metric_flow import (
     adiabatic_transport_prediction,
     eigenbasis_coefficients,
@@ -224,6 +224,11 @@ class TestSMatrix:
     def test_complex_spectrum_rejected(self):
         with pytest.raises(ComplexSpectrum):
             s_matrix(0.5 * SZ, 2.0j * SX, 0.1)
+
+    def test_metric_of_another_shape_rejected(self):
+        # once an untyped numpy matmul ValueError, raised after the dressings
+        with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2\) and \(3, 3\)"):
+            s_matrix(H0, HI, 0.4, theta0=np.eye(3))
 
     def test_switch_shapes_agree_after_extrapolation(self):
         ladder = [0.2, 0.1]
