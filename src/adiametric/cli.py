@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None,
                        help="override the configured output format")
-        p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
+        p.add_argument("--quiet", action="store_true", help="omit the error line on stderr")
     return parser
 
 

@@ -9,6 +9,7 @@ randomness, no timestamps, sorted keys).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -175,10 +176,18 @@ def parse_config(document: Any) -> ModelConfig:
     )
 
 
+def _finite_number(literal, parse=float):
+    """``json.load`` hook for every number literal, ``NaN`` and ``Infinity`` included."""
+    if not math.isfinite(float(literal)):  # 1e400 overflows to inf
+        raise ConfigError(f"configuration holds the non-finite number {literal}")
+    return parse(literal)
+
+
 def load_config(path) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            document = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number,
+                                 parse_int=lambda literal: _finite_number(literal, int))
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
     except json.JSONDecodeError as exc:

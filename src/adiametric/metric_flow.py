@@ -14,7 +14,7 @@ Picard iteration, normal-ordered exponential series), constructs static
 metrics from biorthogonal eigensystems, maps metrics to and from the
 left-eigenbasis coefficient picture where the flow is diagonal, and derives
 the quasi-Hermitian "observable" generator along with its Hermitian
-representation.
+representation and that representation's exact generator residual.
 """
 
 from __future__ import annotations
@@ -131,13 +131,13 @@ def static_metric(system: BiorthogonalSystem, weights) -> np.ndarray:
 
     Raises :class:`ComplexSpectrum` when the eigenvalues are not real
     within ``SPECTRUM_TOL`` (no positive static solution exists then) and
-    :class:`NonpositiveWeight` unless every weight is positive.
+    :class:`NonpositiveWeight` unless every weight is finite and positive.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (system.dim,):
         raise NonpositiveWeight(f"expected {system.dim} weights, got shape {w.shape}")
-    if np.any(w <= 0.0):
-        raise NonpositiveWeight("all static-metric weights must be positive")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise NonpositiveWeight("all static-metric weights must be finite and positive")
     _require_real_spectrum(system.eigenvalues,
                            "spectrum has imaginary parts; no positive static metric exists")
     return _hermitian_part((system.left * w) @ system.left.conj().T)
@@ -387,11 +387,12 @@ def observable_hamiltonian(h, theta, theta_dot) -> np.ndarray:
 class HermitianRepresentation:
     """Similarity-transformed generator samples along a trajectory.
 
-    ``generator_residuals`` reports how well ``H_obs - i Omega^-1 dOmega/dt``
-    reproduces the schedule Hamiltonian, with dOmega/dt from central finite
-    differences on the sampled square roots (endpoints are NaN).  The
-    residual is diagnostic: it carries both the finite-difference error and
-    the square-root ordering term, and vanishes in the slow-driving limit.
+    ``generator_residuals`` reports how far ``H_obs - i Omega^-1 dOmega/dt``
+    is from the schedule Hamiltonian, relative to ``max(||H||_F, 1)``.
+    With dTheta/dt from the flow, the gap is exactly the ordering term
+    ``(i/2) Omega^-2 [dOmega/dt, Omega]`` of the ``Omega = Theta^(1/2)``
+    gauge: finite at every sample, ends included, zero where dTheta/dt
+    commutes with Theta, and vanishing in the slow-driving limit.
     """
 
     times: np.ndarray
@@ -403,14 +404,13 @@ class HermitianRepresentation:
 def hermitian_representation(trajectory: MetricTrajectory, schedule):
     """Hermitian counterpart ``Omega H_obs Omega^-1`` at every sample.
 
-    The samples are taken ``_REP_BLOCK`` at a time.  One batched ``eigh``
-    of a block's metrics gives Omega, Omega^-1 and Theta^-1 for
-    ``H_obs = H + (i/2) Theta^-1 dTheta/dt`` (:func:`observable_hamiltonian`
-    with dTheta/dt from the flow), the condition number and the positivity
-    test.  A sample the per-sample path rejects raises the same error:
-    :class:`DimensionMismatch` for non-finite entries,
-    :class:`SingularMetric` past condition number 1e12,
-    :class:`NonHermitianInput` and :class:`NotPositive`.
+    ``H_obs`` is :func:`observable_hamiltonian` with dTheta/dt from the
+    flow.  The samples are taken ``_REP_BLOCK`` at a time, each block on its
+    own: one batched ``eigh`` of its metrics gives the condition number, the
+    positivity test and the eigenbasis in which ``h_ops`` and the residuals
+    are formed.  A sample the per-sample path rejects raises the same error:
+    :class:`DimensionMismatch` for non-finite entries, :class:`SingularMetric`
+    past condition number 1e12, :class:`NonHermitianInput` and :class:`NotPositive`.
     """
     times = np.asarray(trajectory.times, dtype=float)
     thetas = np.asarray(trajectory.metrics, dtype=complex)
@@ -419,49 +419,34 @@ def hermitian_representation(trajectory: MetricTrajectory, schedule):
     n = len(times)
     h_ops = np.empty_like(thetas)
     defects = np.empty(n)
-    residuals = np.full(n, np.nan)
-    carry = None  # the previous block's last two samples
+    residuals = np.empty(n)
     for start in range(0, n, _REP_BLOCK):
-        stop = min(start + _REP_BLOCK, n)
-        h = np.array([schedule.at(t) for t in times[start:stop]], dtype=complex)
-        omega, omega_inv, h_obs = _representation_factors(h, thetas[start:stop])
-        h_rep = omega @ h_obs @ omega_inv
-        h_ops[start:stop] = h_rep
-        defects[start:stop] = _hermiticity_defects(h_rep) / (
+        block = slice(start, start + _REP_BLOCK)
+        h = np.array([schedule.at(t) for t in times[block]], dtype=complex)
+        h_rep, ordering = _representation_factors(h, thetas[block])
+        h_ops[block] = h_rep
+        defects[block] = _hermiticity_defects(h_rep) / (
             np.maximum(_frobenius_stack(h_rep), 1e-300))
-        # central differences of Omega reach two samples back into the
-        # previous block; the block's last sample waits for the next one
-        window = (omega, omega_inv, h_obs, h)
-        if carry is not None:
-            window = [np.concatenate(pair) for pair in zip(carry, window)]
-        carry = [x[-2:] for x in window]
-        om, om_inv, h_obs, h = window
-        first = stop - len(om)
-        if len(om) >= 3:
-            dt = (times[first + 2 : stop] - times[first : stop - 2])[:, None, None]
-            gen = h_obs[1:-1] - 1j * (om_inv[1:-1] @ ((om[2:] - om[:-2]) / dt))
-            residuals[first + 1 : stop - 1] = _frobenius_stack(gen - h[1:-1]) / (
-                np.maximum(_frobenius_stack(h[1:-1]), 1.0))
-
-    return HermitianRepresentation(
-        times=times,
-        h_ops=h_ops,
-        hermiticity_defects=defects,
-        generator_residuals=residuals,
-    )
+        residuals[block] = _frobenius_stack(ordering) / np.maximum(_frobenius_stack(h), 1.0)
+    return HermitianRepresentation(times, h_ops, defects, residuals)
 
 
 def _representation_factors(h, theta):
-    """``(Omega, Omega^-1, H_obs)`` of a block of samples from one batched ``eigh``.
+    """``(Omega H_obs Omega^-1, R)`` of a block of samples from one batched ``eigh``.
 
+    With ``Theta = V diag(lam) V^dagger``, ``s = sqrt(lam)``, ``Hv = V^dagger H V``
+    and ``A = diag(lam) Hv``, the flow gives ``V^dagger dTheta/dt V = X = i (A -
+    A^dagger)`` and ``V^dagger dOmega/dt V = X_ij / (s_i + s_j)``.  So ``Omega H_obs
+    Omega^-1 = V M V^dagger``, ``M_ij = (s_i / s_j) Hv_ij + (i/2) X_ij / (s_i s_j)``,
+    and R, the ordering term in the eigenbasis, is ``(i/2) X_ij (s_j - s_i) /
+    (lam_i (s_i + s_j))``.  Nothing is symmetrized after the last product.
     Every array is C-contiguous: a stacked ``@`` copies a transposed view.
     """
     ok = np.isfinite(h).all(axis=(1, 2)) & np.isfinite(theta).all(axis=(1, 2))
     ok &= _is_hermitian(theta)
     if not ok.all():
         _raise_first_fault(h, theta, ~ok)
-    herm = _hermitian_part(theta)
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = np.linalg.eigh(_hermitian_part(theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         # the singular values of a Hermitian matrix are its |eigenvalues|
         cond = np.abs(vals).max(axis=1) / np.abs(vals).min(axis=1)
@@ -469,10 +454,14 @@ def _representation_factors(h, theta):
     if bad.any():
         _raise_first_fault(h, theta, bad)
     vecs_h = np.ascontiguousarray(vecs.conj().swapaxes(1, 2))
-    root = np.sqrt(vals)[:, None, :]
-    theta_inv = (vecs / vals[:, None, :]) @ vecs_h
-    h_obs = h + 0.5j * (theta_inv @ _hermitian_flow_rhs(h, herm))
-    return (vecs * root) @ vecs_h, (vecs / root) @ vecs_h, h_obs
+    hv = (vecs_h @ h) @ vecs
+    lam = vals[:, :, None]
+    a = lam * hv
+    x = 1j * (a - a.conj().swapaxes(1, 2))
+    s_i = np.sqrt(lam)
+    s_j = s_i.swapaxes(1, 2)
+    m = (s_i / s_j) * hv + 0.5j * x / (s_i * s_j)
+    return (vecs @ m) @ vecs_h, 0.5j * x * (s_j - s_i) / (lam * (s_i + s_j))
 
 
 def _raise_first_fault(h, theta, flagged):

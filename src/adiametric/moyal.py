@@ -380,10 +380,11 @@ def cubic_linear_switch_evolve(g, duration, t_eval=None) -> CoefficientTrajector
     with a constant 12x12 generator G, so the trajectory is ``exp(t G)``
     applied to the start, exactly, at every ``t_eval`` time (default: a
     uniform grid of at least 513 points).  Raises :class:`SolverError` for
-    a ``t_eval`` outside ``[0, duration]`` or not strictly increasing.
+    a ``t_eval`` outside ``[0, duration]`` or not strictly increasing, and
+    :class:`OutOfRange` for a non-finite g or duration or a duration <= 0.
     """
-    if duration <= 0.0:
-        raise OutOfRange("switch duration must be positive")
+    if not (math.isfinite(g) and math.isfinite(duration) and duration > 0.0):
+        raise OutOfRange(f"need a finite g and a finite positive duration, got {g}, {duration}")
     duration = float(duration)
     if t_eval is None:
         n = max(513, min(4097, int(64 * duration / math.pi) | 1))
@@ -422,11 +423,11 @@ def linear_switch_closed_form(g, duration, t) -> np.ndarray:
     surviving terms reproduce the first-order static metric with zero
     free constants.
     """
+    if not (math.isfinite(g) and math.isfinite(duration) and duration > 0.0):
+        raise OutOfRange(f"need a finite g and a finite positive duration, got {g}, {duration}")
     t = float(t)
     duration = float(duration)
-    if duration <= 0.0:
-        raise OutOfRange("switch duration must be positive")
-    if t < -1e-12 or t > duration * (1.0 + 1e-12):
+    if not -1e-12 <= t <= duration * (1.0 + 1e-12):
         raise OutOfRange(f"t={t:g} outside the switching window [0, {duration:g}]")
 
     tau = 2.0 * t

@@ -79,8 +79,8 @@ class ScatteringConfig:
 
 
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
-    if eps <= 0.0:
-        raise ConfigError("switching rate eps must be positive")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"switching rate eps must be finite and positive, got {eps}")
     if shape == "exp":
         return ExponentialSwitch(h0, h_int, eps)
     if shape == "smooth":

@@ -76,8 +76,8 @@ class ExponentialSwitch:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ConfigError("switching rate eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"switching rate eps must be finite and positive, got {self.eps}")
         h0, h_int = _operator_pair(self.h0, self.h_int)
         object.__setattr__(self, "h0", _freeze(h0))
         object.__setattr__(self, "h_int", _freeze(h_int))
@@ -108,8 +108,8 @@ class LinearRamp:
     h_int: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ConfigError("ramp duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ConfigError(f"ramp duration must be finite and positive, got {self.duration}")
         h0, h1 = _operator_pair(self.h0, self.h1)
         object.__setattr__(self, "h0", _freeze(h0))
         object.__setattr__(self, "h1", _freeze(h1))
@@ -141,8 +141,8 @@ class SmoothSwitch:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ConfigError("switch width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise ConfigError(f"switch width must be finite and positive, got {self.width}")
         h0, h_int = _operator_pair(self.h0, self.h_int)
         object.__setattr__(self, "h0", _freeze(h0))
         object.__setattr__(self, "h_int", _freeze(h_int))

@@ -289,14 +289,14 @@ def ramp_experiment(
     near zero for adiabatic ramps, order one when the ramp is fast.
 
     The generator is that of :class:`CrossedRampSchedule`.  A duration
-    that is not positive raises :class:`ConfigError`.  The default
+    that is not finite and positive raises :class:`ConfigError`.  The default
     amplitude keeps ``v(t)^2 > w^2`` everywhere; amplitudes that let the
     spectrum go complex raise :class:`RealSpectrumViolated` (the metric
     then has no nearby static solution and the deviation loses its
     meaning).
     """
-    if not duration > 0.0:
-        raise ConfigError("ramp duration must be positive")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ConfigError(f"ramp duration must be finite and positive, got {duration}")
     margin = _crossed_ramp_margin(amplitude, w3)
     if margin <= 0.0:
         raise RealSpectrumViolated(

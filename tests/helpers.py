@@ -318,31 +318,56 @@ def hermitian_representation_oracle(trajectory, schedule):
     """Per-sample Hermitian representation: the oracle for ``hermitian_representation``.
 
     Every sample on its own: Omega by ``hermitian_sqrt``, ``H_obs`` by
-    ``observable_hamiltonian`` with dTheta/dt from ``flow_rhs``, ``inv`` for
-    Omega^-1 and ``solve`` for Omega^-1 dOmega/dt.  Returns ``(h_ops,
-    hermiticity_defects, generator_residuals)`` and raises what those
-    functions raise, sample by sample.
+    ``observable_hamiltonian`` with dTheta/dt from ``flow_rhs`` and ``inv``
+    for Omega^-1.  The generator residual is the ordering term
+    ``(i/2) Omega^-2 [Y, Omega]``, with ``Y = dOmega/dt`` from a Kronecker
+    solve of ``Omega Y + Y Omega = dTheta/dt``, which uses no eigenbasis.
+    Returns ``(h_ops, hermiticity_defects, generator_residuals)`` and raises
+    what those functions raise, sample by sample.
+    """
+    from adiametric.metric_flow import flow_rhs, observable_hamiltonian
+    from adiametric.operator_core import hermitian_sqrt
+
+    h_ops, defects, residuals = [], [], []
+    for t, theta in zip(trajectory.times, trajectory.metrics):
+        h = schedule.at(t)
+        theta_dot = flow_rhs(h, theta)
+        h_obs = observable_hamiltonian(h, theta, theta_dot)
+        omega = hermitian_sqrt(theta)
+        h_rep = omega @ h_obs @ np.linalg.inv(omega)
+        h_ops.append(h_rep)
+        defects.append(np.linalg.norm(h_rep - h_rep.conj().T)
+                       / max(np.linalg.norm(h_rep), 1e-300))
+        # row-major vec: vec(Omega Y) = (Omega (x) I) vec Y, vec(Y Omega) = (I (x) Omega^T) vec Y
+        eye = np.eye(len(omega))
+        sylvester = np.kron(omega, eye) + np.kron(eye, omega.T)
+        omega_dot = np.linalg.solve(sylvester, theta_dot.ravel()).reshape(omega.shape)
+        ordering = 0.5j * np.linalg.solve(theta, omega_dot @ omega - omega @ omega_dot)
+        residuals.append(np.linalg.norm(ordering) / max(np.linalg.norm(h), 1.0))
+    return np.array(h_ops), np.array(defects), np.array(residuals)
+
+
+def finite_difference_residuals(trajectory, schedule):
+    """Generator residual ``||H_obs - i Omega^-1 dOmega/dt - H||_F / max(||H||_F, 1)``
+    with dOmega/dt from central differences of the sampled square roots.
+
+    NaN at both ends; at the inner samples it tends to the exact residual
+    at second order in the sample spacing.
     """
     from adiametric.metric_flow import flow_rhs, observable_hamiltonian
     from adiametric.operator_core import hermitian_sqrt
 
     times = trajectory.times
-    hs, h_obs, omegas, h_ops = [], [], [], []
-    for t, theta in zip(times, trajectory.metrics):
-        h = schedule.at(t)
-        hs.append(h)
-        h_obs.append(observable_hamiltonian(h, theta, flow_rhs(h, theta)))
-        omegas.append(hermitian_sqrt(theta))
-        h_ops.append(omegas[-1] @ h_obs[-1] @ np.linalg.inv(omegas[-1]))
-    defects = [
-        np.linalg.norm(h - h.conj().T) / max(np.linalg.norm(h), 1e-300) for h in h_ops
-    ]
+    hs = [schedule.at(t) for t in times]
+    omegas = [hermitian_sqrt(theta) for theta in trajectory.metrics]
     residuals = np.full(len(times), np.nan)
     for i in range(1, len(times) - 1):
+        theta = trajectory.metrics[i]
+        h_obs = observable_hamiltonian(hs[i], theta, flow_rhs(hs[i], theta))
         omega_dot = (omegas[i + 1] - omegas[i - 1]) / (times[i + 1] - times[i - 1])
-        gen = h_obs[i] - 1j * np.linalg.solve(omegas[i], omega_dot)
+        gen = h_obs - 1j * np.linalg.solve(omegas[i], omega_dot)
         residuals[i] = np.linalg.norm(gen - hs[i]) / max(np.linalg.norm(hs[i]), 1.0)
-    return np.array(h_ops), np.array(defects), residuals
+    return residuals
 
 
 # ------------------------------------------------------- Fraction oracle

@@ -400,6 +400,18 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["evolve", "--config", str(bad), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, literal):
+        # "g": NaN once wrote NaN coefficients with exit 0, and a 401-digit
+        # integer ended in an OverflowError traceback with exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CUBIC).replace('"g": 0.1', f'"g": {literal}'))
+        out = tmp_path / "out.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"non-finite number {literal}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "evolve", {"model": {"kind": "nonsense"}})
         assert code == 2

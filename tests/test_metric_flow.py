@@ -56,6 +56,7 @@ from helpers import (
     dp5_propagator,
     entrywise_sum,
     evolve_metric_oracle,
+    finite_difference_residuals,
     hermitian_representation_oracle,
     random_bounded_nonhermitian,
     random_hermitian,
@@ -559,7 +560,7 @@ class TestHermitianRepresentation:
             )
             rep = hermitian_representation(traj, sched)
             assert rep.hermiticity_defects.max() < 1e-6
-            return np.nanmax(rep.generator_residuals[1:-1])
+            return rep.generator_residuals.max()
 
         # the generator consistency report carries the square-root ordering
         # term and the metric oscillation, both of which die off under
@@ -576,7 +577,34 @@ class TestHermitianRepresentation:
         traj = evolve_metric(sched, theta0, 0.0, 3.0, SolverConfig(samples=13))
         rep = hermitian_representation(traj, sched)
         assert_matches_oracle(rep, traj, sched)
-        assert np.isnan(rep.generator_residuals[[0, -1]]).all()
+        # finite at both ends; at the static start dTheta/dt is roundoff
+        assert np.isfinite(rep.generator_residuals).all()
+        assert rep.generator_residuals[0] <= 1e-15
+
+    def test_finite_differences_converge_to_residuals(self):
+        from adiametric.two_level import CrossedRampSchedule, static_solution
+
+        sched = CrossedRampSchedule(duration=3.0)
+        theta0 = static_solution(sched.params_at(0.0)).matrix()
+        gaps = []
+        for samples in (49, 193, 769):
+            traj = evolve_metric(sched, theta0, 0.0, 3.0,
+                                 SolverConfig(rtol=1e-12, atol=1e-15, samples=samples))
+            exact = hermitian_representation(traj, sched).generator_residuals
+            gaps.append(np.max(np.abs(finite_difference_residuals(traj, sched) - exact)[1:-1]))
+        # the spacing shrinks fourfold per step: order p shrinks the gap 4**p-fold
+        orders = np.log(np.divide(gaps[:-1], gaps[1:])) / np.log(4.0)
+        assert np.all(orders >= 1.9), orders
+
+    def test_residual_vanishes_where_the_flow_commutes_with_the_metric(self):
+        # diagonal H keeps Theta diagonal: dTheta/dt = -2 Theta Im(H) is
+        # nonzero but commutes with Theta, so the ordering term is zero
+        h = np.diag([1.0 + 0.3j, -1.0 - 0.2j])
+        traj = evolve_metric(Constant(h), np.diag([2.0, 1.0]), 0.0, 1.0,
+                             SolverConfig(samples=_REP_BLOCK + 3))
+        assert np.linalg.norm(flow_rhs(h, traj.metrics[-1])) > 0.1
+        rep = hermitian_representation(traj, Constant(h))
+        assert np.all(rep.generator_residuals <= 1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -655,13 +683,14 @@ def assert_matches_oracle(rep, traj, schedule):
     """``rep`` against the per-sample oracle, within 1e-12 relative.
 
     Defects and residuals are already relative quantities; the defects,
-    roundoff in size, are held to 1e-12 absolute.
+    roundoff in size, are held to 1e-12 absolute, and residuals at the
+    roundoff of a static sample to 1e-15 absolute.
     """
     h_ops, defects, residuals = hermitian_representation_oracle(traj, schedule)
     err = np.linalg.norm(rep.h_ops - h_ops, axis=(1, 2))
     assert np.all(err <= 1e-12 * np.linalg.norm(h_ops, axis=(1, 2)))
     np.testing.assert_allclose(rep.hermiticity_defects, defects, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(rep.generator_residuals, residuals, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.generator_residuals, residuals, rtol=1e-12, atol=1e-15)
 
 
 class TestTransitionProbability:

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from adiametric.errors import ConfigError, DimensionMismatch
-from adiametric.scattering import adiabatic_metric, moller_minus, s_matrix
+from adiametric.errors import ConfigError, DimensionMismatch, NonpositiveWeight, OutOfRange
+from adiametric.metric_flow import static_metric
+from adiametric.moyal import cubic_linear_switch_evolve, linear_switch_closed_form
+from adiametric.operator_core import biorthogonal_decompose
+from adiametric.scattering import (
+    ScatteringConfig,
+    adiabatic_metric,
+    moller_minus,
+    s_matrix,
+)
 from adiametric.switching import (
     Constant,
     ExponentialSwitch,
@@ -16,7 +24,7 @@ from adiametric.switching import (
     extrapolate_to_zero,
     is_monotone_nonincreasing,
 )
-from adiametric.two_level import CrossedRampSchedule
+from adiametric.two_level import CrossedRampSchedule, ramp_experiment
 
 from helpers import SX, SZ
 
@@ -123,6 +131,31 @@ class TestSchedules:
             s_matrix(H0, HI, 0.0)
         with pytest.raises(ConfigError):
             CrossedRampSchedule(0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build, error", [
+        (lambda x: ExponentialSwitch(H0, HI, eps=x), ConfigError),
+        (lambda x: LinearRamp(H0, HI, duration=x), ConfigError),
+        (lambda x: SmoothSwitch(H0, HI, width=x), ConfigError),
+        (lambda x: s_matrix(H0, HI, x), ConfigError),
+        (lambda x: s_matrix(H0, HI, 0.4, shape="smooth", config=ScatteringConfig(
+            horizon_factor=x)), ConfigError),
+        (lambda x: ramp_experiment(x), ConfigError),
+        (lambda x: cubic_linear_switch_evolve(x, math.pi), OutOfRange),
+        (lambda x: cubic_linear_switch_evolve(0.1, x), OutOfRange),
+        (lambda x: linear_switch_closed_form(x, math.pi, 1.0), OutOfRange),
+        (lambda x: linear_switch_closed_form(0.1, x, 1.0), OutOfRange),
+        (lambda x: linear_switch_closed_form(0.1, math.pi, x), OutOfRange),
+        (lambda x: static_metric(biorthogonal_decompose(H0), [1.0, x]), NonpositiveWeight),
+    ], ids=["exp-eps", "ramp-duration", "smooth-width", "s_matrix-eps",
+            "s_matrix-horizon", "ramp_experiment-duration", "cubic-g", "cubic-duration",
+            "closed_form-g", "closed_form-duration", "closed_form-t", "static-weight"])
+    def test_non_finite_scalars_rejected(self, build, error, value):
+        # NaN once passed every `x <= 0` guard: the switches built, s_matrix
+        # raised an untyped ValueError (LinAlgError for inf), ramp_experiment(inf)
+        # an OverflowError, and the cubic model returned NaN coefficients
+        with pytest.raises(error):
+            build(value)
 
     @pytest.mark.parametrize("build", [
         lambda h0, h_int: ExponentialSwitch(h0, h_int, 0.5),

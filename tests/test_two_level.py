@@ -269,7 +269,7 @@ class TestRampExperiment:
         # checked before the spectrum: an amplitude that also breaks
         # reality does not change the error
         for amplitude in (5.0, 2.0):
-            with pytest.raises(ConfigError, match="ramp duration must be positive"):
+            with pytest.raises(ConfigError, match="ramp duration must be finite and positive"):
                 ramp_experiment(duration, amplitude=amplitude)
 
     def test_slow_ramp_nearly_static(self):
