@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .errors import ConfigError
 from .ioutil import json_to_matrix
@@ -155,15 +154,91 @@ class ModelConfig:
         return self.raw.get(name, {})
 
 
-# built once: ``jsonschema.validate`` would re-check the schema on every call
-_CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+# The JSON types and keywords CONFIG_SCHEMA uses, checked as jsonschema's
+# Draft 2020-12 validator checks them ("$schema" and "title" are annotations).
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+_KEYWORDS = {"type", "properties", "required", "items", "enum", "minItems", "maxItems",
+             "minimum", "exclusiveMinimum", "$schema", "title"}
+
+
+def _check_keywords(schema) -> None:
+    """Raise unless ``schema`` uses only the keywords and types checked below."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown or schema.get("type", "object") not in _TYPES:
+        raise ValueError(f"schema keywords {sorted(unknown)} or type {schema.get('type')!r} "
+                         "are not checked by the configuration validator")
+    for sub in schema.get("properties", {}).values():
+        _check_keywords(sub)
+    if "items" in schema:
+        _check_keywords(schema["items"])
+
+
+_check_keywords(CONFIG_SCHEMA)
+
+
+def _schema_errors(instance, schema, path=()):
+    """Yield ``(path, instance matches the schema's type, message)`` per
+    violation, in the order and wording of jsonschema's ``iter_errors``."""
+    typed = "type" in schema and _TYPES[schema["type"]](instance)
+    for keyword, value in schema.items():
+        if keyword == "type":
+            if not typed:
+                yield path, False, f"{instance!r} is not of type {value!r}"
+        elif keyword == "enum":
+            if instance not in value:
+                yield path, typed, f"{instance!r} is not one of {value!r}"
+        elif isinstance(instance, dict):
+            if keyword == "properties":
+                for key, sub in value.items():
+                    if key in instance:
+                        yield from _schema_errors(instance[key], sub, path + (key,))
+            elif keyword == "required":
+                for key in value:
+                    if key not in instance:
+                        yield path, typed, f"{key!r} is a required property"
+        elif isinstance(instance, list):
+            if keyword == "items":
+                for index, item in enumerate(instance):
+                    yield from _schema_errors(item, value, path + (index,))
+            elif keyword == "minItems" and len(instance) < value:
+                short = "should be non-empty" if value == 1 else "is too short"
+                yield path, typed, f"{instance!r} {short}"
+            elif keyword == "maxItems" and len(instance) > value:
+                long = "is expected to be empty" if value == 0 else "is too long"
+                yield path, typed, f"{instance!r} {long}"
+        elif _TYPES["number"](instance):
+            if keyword == "minimum" and instance < value:
+                yield path, typed, f"{instance!r} is less than the minimum of {value!r}"
+            elif keyword == "exclusiveMinimum" and instance <= value:
+                yield (path, typed,
+                       f"{instance!r} is less than or equal to the minimum of {value!r}")
+
+
+def _best_error(document):
+    """The message of the violation jsonschema 4.26's ``best_match`` picks, or None.
+
+    ``best_match`` takes the first error of highest relevance: the shortest
+    path, then the greatest path, then one whose instance fails its schema's
+    ``type``.  Its weak keywords, ``anyOf`` and ``oneOf``, are not used here.
+    """
+    errors = list(_schema_errors(document, CONFIG_SCHEMA))
+    if not errors:
+        return None
+    return max(errors, key=lambda e: (-len(e[0]), e[0], not e[1]))[2]
 
 
 def parse_config(document: Any) -> ModelConfig:
     """Validate a configuration document and wrap it."""
-    error = best_match(_CONFIG_VALIDATOR.iter_errors(document))
+    error = _best_error(document)
     if error is not None:
-        raise ConfigError(f"invalid configuration: {error.message}") from error
+        raise ConfigError(f"invalid configuration: {error}")
     solver = document.get("solver", {})
     kinds = {"rtol": float, "atol": float, "samples": int}
     cfg = SolverConfig(**{key: kind(solver[key]) for key, kind in kinds.items() if key in solver})

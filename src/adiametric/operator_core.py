@@ -100,14 +100,18 @@ def _hermiticity_defects(m) -> np.ndarray:
     return _frobenius_stack(m - m.conj().swapaxes(-1, -2))
 
 
-def _is_hermitian(m) -> np.ndarray:
-    """Per matrix of a stack: defect within ``HERMITICITY_TOL * max(1, ||M||_F)``."""
+def _is_hermitian(m):
+    """Defect within ``HERMITICITY_TOL * max(1, ||M||_F)``: a bool for one
+    matrix, an array per matrix of a stack, decided on the same bits."""
+    if m.ndim == 2:  # the scalar norms skip the stacked norm's set-up
+        return frobenius(m - m.conj().T) <= HERMITICITY_TOL * max(1.0, frobenius(m))
     return _hermiticity_defects(m) <= HERMITICITY_TOL * np.maximum(1.0, _frobenius_stack(m))
 
 
 def hermiticity_defect(m) -> float:
     """``||M - M^dagger||_F``; zero exactly when M is Hermitian."""
-    return float(_hermiticity_defects(as_operator(m)[None])[0])
+    a = as_operator(m)
+    return frobenius(a - a.conj().T)
 
 
 def _hermitian_part(m) -> np.ndarray:
@@ -118,7 +122,7 @@ def _hermitian_part(m) -> np.ndarray:
 def _require_hermitian(m):
     """``(M + M^dagger) / 2``; :class:`NonHermitianInput` unless :func:`_is_hermitian`."""
     a = as_operator(m)
-    if not _is_hermitian(a[None])[0]:
+    if not _is_hermitian(a):
         defect = hermiticity_defect(a)
         raise NonHermitianInput(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return _hermitian_part(a)
@@ -267,7 +271,7 @@ def eigenframe(h):
     path; anything else goes through :func:`biorthogonal_decompose`.
     """
     a = as_operator(h)
-    if _is_hermitian(a[None])[0]:
+    if _is_hermitian(a):
         vals, vecs = np.linalg.eigh(_hermitian_part(a))
         return vals.astype(complex), vecs, vecs.conj().T
     sys = biorthogonal_decompose(a)

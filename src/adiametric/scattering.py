@@ -22,6 +22,7 @@ future.  The switch enters only through its ``factor`` and ``support``;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ class ScatteringConfig:
     horizon_factor: float = 12.0
     check_convergence: bool = True
     convergence_tol: float = 1e-3
+
+    def __post_init__(self):
+        for name in ("rtol", "atol", "horizon_factor", "convergence_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"scattering {name} must be finite and positive, got {value}")
 
 
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):

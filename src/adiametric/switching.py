@@ -165,7 +165,7 @@ class SmoothSwitch:
 
 
 def adiabatic_sweep(parameters, experiment):
-    """Run ``experiment(parameter)`` over a strictly monotone parameter list.
+    """Run ``experiment(parameter)`` over a strictly monotone list of finite parameters.
 
     Returns the list of ``(parameter, result)`` pairs in input order.
     Used for switching-rate and ramp-duration convergence studies, whose
@@ -174,6 +174,8 @@ def adiabatic_sweep(parameters, experiment):
     params = [float(p) for p in parameters]
     if len(params) == 0:
         raise ConfigError("parameter list must not be empty")
+    if not all(math.isfinite(p) for p in params):
+        raise ConfigError(f"parameter list must be finite, got {params}")
     if len(params) > 1:
         diffs = np.diff(params)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):

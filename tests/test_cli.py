@@ -1,19 +1,28 @@
 """CLI contract: formats, determinism, exit codes, report schemas."""
 
+import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
+import adiametric
 from adiametric import cli
 from adiametric.cli import main
-from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, parse_config
+from adiametric.config import CONFIG_SCHEMA, REPORT_SCHEMA, _check_keywords, parse_config
 from adiametric.errors import ConfigError
-from adiametric.ioutil import CSV_HEADER, json_to_matrix, write_csv
+from adiametric.ioutil import CSV_HEADER, dump_json, json_to_matrix, write_csv
 from adiametric.metric_flow import SolverConfig
 from adiametric.scattering import s_matrix
 from adiametric.two_level import (
@@ -394,6 +403,84 @@ class TestCsvWriter:
             assert stream.getvalue() == want
 
 
+def oracle_json(payload):
+    """What ``dump_json`` must write: ``json.dump``'s indented text and a newline."""
+    stream = io.StringIO()
+    json.dump(payload, stream, indent=2, sort_keys=True)
+    return stream.getvalue() + "\n"
+
+
+def written_json(payload):
+    stream = io.StringIO()
+    dump_json(stream, payload)
+    return stream.getvalue()
+
+
+def outcome(write, payload):
+    """The text ``write`` produces, or the class of the exception it raises."""
+    try:
+        return write(payload)
+    except Exception as exc:
+        return type(exc)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0])
+_NUMBERS = st.integers() | _FLOATS
+_STRINGS = st.text() | st.sampled_from(["a, b", ", ", "], [", "\u00e9, \u2603", '"q", "r"'])
+_SCALARS = st.none() | st.booleans() | _NUMBERS | _STRINGS
+_KEYS = st.text() | st.sampled_from(["\u00e9", "\u2603 key", "k, v", "", "10", "9"])
+_PAIR = st.tuples(_FLOATS, _FLOATS).map(list)
+_JSON = st.recursive(
+    _SCALARS
+    # the report shapes: [re, im] matrices and tables of number rows
+    | st.lists(st.lists(_PAIR, min_size=1, max_size=3), min_size=1, max_size=3)
+    | st.lists(st.lists(_NUMBERS, max_size=5), max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_KEYS, children, max_size=4)
+                      | st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False),
+                                      children, max_size=3)
+                      | st.dictionaries(st.none(), children, max_size=1)),
+    max_leaves=20,
+)
+# what JSON cannot encode: other key types, sets, bytes, complex numbers
+_UNENCODABLE = st.sampled_from([{(1, 2): 0}, {1, 2}, b"x", 1j, object(), {"a": 1, 2: "b"}])
+
+
+class TestJsonWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(payload=_JSON)
+    def test_bytes_equal_json_dump(self, payload):
+        assert written_json(payload) == oracle_json(payload)
+
+    @settings(max_examples=30, deadline=None)
+    @given(payload=_JSON, bad=_UNENCODABLE, index=st.integers(0, 4))
+    def test_unencodable_input_raises_as_json_dump(self, payload, bad, index):
+        rows = [[1.0, 2.0], [3.0, 4.0]]
+        rows[index % 2].insert(index % 3, bad)
+        for document in ([payload, bad], {"k": bad, "rows": payload}, rows):
+            want = outcome(oracle_json, document)
+            assert isinstance(want, type) and outcome(written_json, document) is want
+
+    def test_circular_reference_raises_as_json_dump(self):
+        loop = [1.0]
+        loop.append(loop)
+        cycle = {"a": []}
+        cycle["a"].append(cycle)
+        for document in (loop, [loop], cycle, {"rows": [[1.0], loop]}):
+            with pytest.raises(ValueError, match="Circular reference"):
+                oracle_json(document)
+            with pytest.raises(ValueError, match="Circular reference"):
+                written_json(document)
+
+    def test_one_write(self):
+        writes = []
+        stream = io.StringIO()
+        stream.write = writes.append
+        dump_json(stream, {"rows": [[1.0, 2.0]], "b": [True, None]})
+        assert writes == [oracle_json({"rows": [[1.0, 2.0]], "b": [True, None]})]
+
+
 class TestExitCodes:
     def test_unparseable_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -411,6 +498,27 @@ class TestExitCodes:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"non-finite number {literal}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cli_runs_without_jsonschema(self, tmp_path):
+        # jsonschema is a test dependency only: with its import made to fail,
+        # the CLI still starts, loads and validates a configuration
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TWO_LEVEL_STATIC))
+        script = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from adiametric import cli\n"
+            "out = sys.argv[1]\n"
+            "codes = [cli.main(['moyal-check', '--out', out]),\n"
+            "         cli.main(['static', '--config', sys.argv[2], '--out', out])]\n"
+            "sys.exit(max(codes))\n"
+        )
+        src = str(Path(adiametric.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.json"), str(cfg)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "out.json").read_text())["result"]["components"]
 
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "evolve", {"model": {"kind": "nonsense"}})
@@ -618,6 +726,73 @@ class TestLibraryDefaults:
         assert json.loads(text)["result"]["runs"] == [want]
 
 
+CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# every shipped configuration, this file's fixtures, and documents shaped
+# like the benchmark's cli-suite tasks
+BASE_CONFIGS = [
+    *(json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))),
+    TWO_LEVEL_STATIC, CUBIC, RAMP, MATRIX_EVOLVE, SMATRIX,
+    {"model": {"kind": "matrix", "weights": [0.5, 1.5, 2.0],
+               "h": [[[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0], [0.0, 0.5]],
+                     [[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]]},
+     "output": {"format": "json"}},
+    {"model": {"kind": "two-level", "ramp": {"duration": 30.0, "amplitude": 1.0, "w3": 0.5}},
+     "output": {"format": "json"}},
+    {"model": {"kind": "two-level"},
+     "sweep": {"kind": "two-level-deviation", "durations": [1.0, 3.0, 10.0],
+               "amplitude": 1.0, "w3": 0.5},
+     "solver": {"rtol": 1e-8, "atol": 1e-11, "samples": 5},
+     "output": {"format": "csv"}},
+]
+# wrong types, bools where numbers go, samples as 5.0 and 2.5, bounds, unknown enums
+REPLACEMENTS = ["nonsense", "", None, True, False, 0, -1, 1, 5.0, 2.5, 0.0, -0.5, [], [1.0],
+                [[1.0, 0.0]], {}, {"kind": "cubic"}]
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root's ``()`` first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, (*path, index))
+
+
+@st.composite
+def mutated_config(draw):
+    """A base configuration with up to three mutations at random depths: a
+    key or entry dropped, a value replaced, a list cut short or lengthened,
+    a key added."""
+    document = copy.deepcopy(draw(st.sampled_from(BASE_CONFIGS)))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(document))[1:]
+        if not paths:
+            break
+        *parent_path, last = draw(st.sampled_from(paths))
+        parent = document
+        for key in parent_path:
+            parent = parent[key]
+        value = parent[last]
+        kind = draw(st.sampled_from(["drop", "replace", "shorten", "extend", "add"]))
+        if kind == "drop":
+            del parent[last]
+        elif kind == "shorten" and isinstance(value, list) and value:
+            parent[last] = value[:draw(st.integers(0, len(value) - 1))]
+        elif kind == "extend" and isinstance(value, list):
+            value.append(copy.deepcopy(value[-1] if value else 1.0))
+        elif kind == "add" and isinstance(value, dict):
+            value[draw(st.sampled_from(["extra", "kind", "samples", "rtol", "format"]))] = \
+                copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    if draw(st.integers(0, 19)) == 0:  # the whole document of the wrong type
+        document = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return document
+
+
 class TestConfigRoundTrip:
     def test_lossless_json_roundtrip(self):
         doc = json.loads(json.dumps(SMATRIX))
@@ -633,6 +808,28 @@ class TestConfigRoundTrip:
     def test_schemas_are_valid(self):
         for schema in (CONFIG_SCHEMA, REPORT_SCHEMA):
             Draft202012Validator.check_schema(schema)
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "properties": {"a": {"type": "array", "items": {"pattern": "x"}}}},
+        {"type": "object", "additionalProperties": False},
+        {"type": "string"},
+    ])
+    def test_validator_refuses_unchecked_keywords(self, schema):
+        # CONFIG_SCHEMA passes this check at import; a keyword or type the
+        # validator does not implement would otherwise be silently ignored
+        with pytest.raises(ValueError, match="not checked"):
+            _check_keywords(schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=mutated_config())
+    def test_validator_matches_jsonschema_best_match(self, document):
+        error = best_match(CONFIG_VALIDATOR.iter_errors(document))
+        if error is None:
+            assert parse_config(document).raw is document
+        else:
+            with pytest.raises(ConfigError) as got:
+                parse_config(document)
+            assert str(got.value) == f"invalid configuration: {error.message}"
 
     @pytest.mark.parametrize("document", [
         [],

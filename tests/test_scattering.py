@@ -1,5 +1,7 @@
 """Moller operators, adiabatic metrics, dressed S-matrices."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiametric._integrate import magnus_cf4
-from adiametric.errors import ComplexSpectrum, DimensionMismatch, NoConvergence
+from adiametric.errors import ComplexSpectrum, ConfigError, DimensionMismatch, NoConvergence
 from adiametric.metric_flow import (
     adiabatic_transport_prediction,
     eigenbasis_coefficients,
@@ -195,6 +197,16 @@ class TestInOutIsometry:
             lhs = (om_plus @ psi).conj() @ theta_out @ (om_plus @ phi)
             rhs = psi.conj() @ theta0 @ phi
             assert abs(lhs - rhs) < 1e-6
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["rtol", "atol", "horizon_factor", "convergence_tol"])
+def test_scattering_config_rejects_nonpositive_or_non_finite(field, value):
+    # horizon_factor=0 once returned S = Theta(0) = I with defect 0, a NaN
+    # convergence_tol silently skipped the horizon-doubling check, and a NaN
+    # or negative rtol raised an untyped ValueError or TypeError in the solver
+    with pytest.raises(ConfigError, match=f"scattering {field} must be finite and positive"):
+        ScatteringConfig(**{field: value})
 
 
 class TestSMatrix:

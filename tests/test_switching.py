@@ -188,6 +188,14 @@ class TestSweep:
         with pytest.raises(ConfigError):
             adiabatic_sweep([], lambda p: p)
 
+    @pytest.mark.parametrize("params", [[math.nan], [1.0, math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_before_any_run(self, params):
+        # [nan] once ran the experiment at NaN; [1.0, inf] passed the monotone check
+        runs = []
+        with pytest.raises(ConfigError, match="finite"):
+            adiabatic_sweep(params, runs.append)
+        assert runs == []
+
     def test_extrapolation_exact_on_linear_data(self):
         params = [0.4, 0.2, 0.1, 0.05]
         values = [7.0 + 3.0 * p for p in params]
