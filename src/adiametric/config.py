@@ -281,24 +281,28 @@ def matrix_from(section: dict, key: str, required=True):
         raise ConfigError(f"bad matrix field {key!r}: {exc}") from exc
 
 
+#: schedule type -> (class, its matrix fields, its number fields), in argument order
+_SCHEDULES = {
+    "constant": (Constant, ("h",), ()),
+    "exponential-switch": (ExponentialSwitch, ("h0", "h_int"), ("eps",)),
+    "linear-ramp": (LinearRamp, ("h0", "h1"), ("duration",)),
+    "smooth-switch": (SmoothSwitch, ("h0", "h_int"), ("width",)),
+}
+
+
 def build_schedule(spec: dict):
-    """Instantiate a Hamiltonian schedule from its JSON description."""
+    """Instantiate a Hamiltonian schedule from its JSON description; a
+    missing matrix field, then a missing number field, raises :class:`ConfigError`."""
     kind = spec["type"]
-    if kind == "constant":
-        return Constant(matrix_from(spec, "h"))
-    if kind == "exponential-switch":
-        return ExponentialSwitch(
-            matrix_from(spec, "h0"), matrix_from(spec, "h_int"), float(spec["eps"])
-        )
-    if kind == "linear-ramp":
-        return LinearRamp(
-            matrix_from(spec, "h0"), matrix_from(spec, "h1"), float(spec["duration"])
-        )
-    if kind == "smooth-switch":
-        return SmoothSwitch(
-            matrix_from(spec, "h0"), matrix_from(spec, "h_int"), float(spec["width"])
-        )
-    raise ConfigError(f"unknown schedule type {kind!r}")
+    if kind not in _SCHEDULES:
+        raise ConfigError(f"unknown schedule type {kind!r}")
+    cls, matrices, scalars = _SCHEDULES[kind]
+    args = [matrix_from(spec, key) for key in matrices]
+    for key in scalars:
+        if key not in spec:
+            raise ConfigError(f"missing number field {key!r}")
+        args.append(float(spec[key]))
+    return cls(*args)
 
 
 def two_level_params(model: dict) -> TwoLevelParams:

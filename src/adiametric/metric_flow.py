@@ -45,6 +45,7 @@ from .operator_core import (
     _is_hermitian,
     _operator_pair,
     _require_hermitian,
+    _require_positive,
     _require_real_spectrum,
     _require_separated,
     as_operator,
@@ -82,9 +83,8 @@ class SolverConfig:
     samples: int = 201
 
     def __post_init__(self):
-        for name, value in (("rtol", self.rtol), ("atol", self.atol)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"solver {name} must be finite and positive, got {value}")
+        _require_positive(self.rtol, "solver rtol")
+        _require_positive(self.atol, "solver atol")
         if not isinstance(self.samples, numbers.Integral):  # numpy integers pass
             raise ConfigError(f"solver samples must be an integer, got {self.samples!r}")
         if self.samples < 2:  # the samples span [t0, t1], both ends included
@@ -110,8 +110,7 @@ class MetricTrajectory:
 
 def quasi_hermiticity_residual(h, theta) -> float:
     """``||H^dagger Theta - Theta H||_F``; zero when H is quasi-Hermitian."""
-    h = as_operator(h)
-    theta = as_operator(theta)
+    h, theta = _operator_pair(h, theta)
     return frobenius(h.conj().T @ theta - theta @ h)
 
 
@@ -168,9 +167,12 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     strict lower triangle is the conjugate of the upper one.  A step
     costs 12 rhs calls (the last first-same-as-last), 3 more when a sample
     falls inside it; ``stats["ndense"]`` counts those steps.  A ``theta0``
-    of another shape than the generator raises :class:`DimensionMismatch`.
+    of another shape than the generator raises :class:`DimensionMismatch`,
+    and an empty window, ``t1 == t0``, :class:`ConfigError`.
     """
     cfg = config or SolverConfig()
+    if t1 == t0:
+        raise ConfigError(f"evolution window [{t0}, {t1}] is empty: t1 must differ from t0")
     theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
     t_eval = np.linspace(t0, t1, cfg.samples)
     sol = solve_ode(lambda t, y: _hermitian_flow_rhs(schedule.at(t), y), t0, t1, theta0,
@@ -289,13 +291,13 @@ def eigenbasis_coefficients(system: BiorthogonalSystem, theta) -> np.ndarray:
     gives ``c = right^dagger Theta right``.  Hermitian metrics produce
     Hermitian coefficient matrices.
     """
-    theta = as_operator(theta)
+    theta = _operator_pair(system.right, theta)[1]
     return system.right.conj().T @ theta @ system.right
 
 
 def metric_from_eigenbasis(system: BiorthogonalSystem, coeffs) -> np.ndarray:
     """Inverse of :func:`eigenbasis_coefficients`."""
-    coeffs = as_operator(coeffs)
+    coeffs = _operator_pair(system.left, coeffs)[1]
     return system.left @ coeffs @ system.left.conj().T
 
 
@@ -309,7 +311,7 @@ def eigenbasis_evolution(system: BiorthogonalSystem, coeffs0, t) -> np.ndarray:
     off-diagonal moduli are conserved (pure phase rotation); any imaginary
     eigenvalue parts turn the phases into exponential growth or decay.
     """
-    coeffs0 = as_operator(coeffs0)
+    coeffs0 = _operator_pair(system.right, coeffs0)[1]
     e = system.eigenvalues
     phase = np.exp(1j * (e[None, :] - e[:, None].conj()) * t)
     return phase * coeffs0
@@ -332,15 +334,19 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
     reach; it serves as an independent oracle for slow-ramp and
     slow-switching experiments.  Path points :func:`biorthogonal_decompose`
     would reject raise the same errors, decided on the one ``eig`` of each
-    path chunk before its levels are matched.
+    path chunk before its levels are matched; an empty path raises
+    :class:`ConfigError`.
     """
+    if len(hamiltonians) == 0:
+        raise ConfigError("hamiltonian path must not be empty")
+    theta0 = _operator_pair(hamiltonians[0], theta0)[1]
     chunks = (np.array([as_operator(h) for h in hamiltonians[i : i + PATH_CHUNK]])
               for i in range(0, len(hamiltonians), PATH_CHUNK))
     gauge = None
     levels = _continued_levels(_require_separated(c, *np.linalg.eig(c)) for c in chunks)
     for _, right, left_h in levels:
         if gauge is None:
-            weights = np.diag(right[0].conj().T @ as_operator(theta0) @ right[0]).real
+            weights = np.diag(right[0].conj().T @ theta0 @ right[0]).real
             gauge, carry = np.ones(len(weights), dtype=complex), (right[0], left_h[0])
         # per path step the left vectors pick up p / sqrt(p q) = sqrt(p / q)
         # from the pairings p = diag(left_{k-1}^dag right_k) and
@@ -374,9 +380,8 @@ def observable_hamiltonian(h, theta, theta_dot) -> np.ndarray:
     makes both identities hold (a bare factor i leaves residuals of order
     ``||dTheta/dt||``).
     """
-    h = as_operator(h)
-    theta = as_operator(theta)
-    theta_dot = as_operator(theta_dot)
+    h, theta = _operator_pair(h, theta)
+    theta_dot = _operator_pair(h, theta_dot)[1]
     cond = np.linalg.cond(theta)
     if not np.isfinite(cond) or cond > _MAX_COND:
         raise SingularMetric(f"metric condition number {cond:.3e}")
@@ -523,12 +528,16 @@ def transition_probability(
     :class:`SolverError` is raised if the two disagree beyond 1e-10, which
     would signal integration failure of the conservation law.  A state
     whose metric norm is not positive (an indefinite ``theta_from``) raises
-    :class:`NotPositive`.
+    :class:`NotPositive`; a state or ``theta_from`` of another size than
+    the schedule raises :class:`DimensionMismatch`.
     """
     cfg = config or SolverConfig(rtol=1e-11, atol=1e-13, samples=2)
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    theta_from = _require_hermitian(theta_from)
+    theta_from = _require_hermitian(_operator_pair(schedule.h0, theta_from)[1])
+    if not phi.shape == psi.shape == theta_from.shape[:1]:
+        raise DimensionMismatch(f"states of shapes {phi.shape} and {psi.shape} do not match "
+                                f"the {theta_from.shape} metric")
     psi_n = _metric_normalized(psi, theta_from)
 
     theta_to = evolve_metric(schedule, theta_from, t_from, t_to, cfg).final

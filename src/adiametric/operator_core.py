@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ComplexSpectrum,
+    ConfigError,
     DegenerateSpectrum,
     DimensionMismatch,
     NonHermitianInput,
@@ -64,9 +65,15 @@ def as_operator(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a.reshape(-1).view(float))):  # any memory layout
         raise DimensionMismatch("matrix entries must be finite")
     return a
+
+
+def _require_positive(value, name) -> None:
+    """Raise :class:`ConfigError` unless the scalar parameter ``name`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 def _operator_pair(a, b):

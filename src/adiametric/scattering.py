@@ -22,18 +22,18 @@ future.  The switch enters only through its ``factor`` and ``support``;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._integrate import magnus_cf4
-from .errors import ConfigError, NoConvergence
+from .errors import ConfigError, NoConvergence, NotPositive
 from .metric_flow import SolverConfig, evolve_metric
 from .operator_core import (
     _hermitian_part,
     _operator_pair,
     _require_hermitian,
+    _require_positive,
     _require_real_spectrum,
     as_operator,
     continued_eigensystems,
@@ -80,14 +80,11 @@ class ScatteringConfig:
 
     def __post_init__(self):
         for name in ("rtol", "atol", "horizon_factor", "convergence_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"scattering {name} must be finite and positive, got {value}")
+            _require_positive(getattr(self, name), f"scattering {name}")
 
 
 def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ConfigError(f"switching rate eps must be finite and positive, got {eps}")
+    _require_positive(eps, "switching rate eps")
     if shape == "exp":
         return ExponentialSwitch(h0, h_int, eps)
     if shape == "smooth":
@@ -294,13 +291,19 @@ def s_matrix(
     dressings and U come from one propagator integration (:func:`_dressing`)
     and no ``solve_ode`` call; :func:`adiabatic_metric` integrates the flow
     and is the oracle for the identity.  Raises :class:`ComplexSpectrum`
-    when ``h0 + h_int`` has no real spectrum, and :class:`DimensionMismatch`
-    for a ``theta0`` of another shape than ``h0``.
+    when ``h0 + h_int`` has no real spectrum, :class:`DimensionMismatch`
+    for a ``theta0`` of another shape than ``h0`` and :class:`NotPositive`
+    for one that is not positive definite.
     """
     cfg = config or ScatteringConfig()
     h0, h_int = _real_spectrum_pair(h0, h_int)
-    theta0 = _require_hermitian(np.eye(len(h0), dtype=complex) if theta0 is None
-                                else _operator_pair(h0, theta0)[1])
+    if theta0 is None:
+        theta0 = np.eye(len(h0), dtype=complex)
+    else:
+        theta0 = _require_hermitian(_operator_pair(h0, theta0)[1])
+        smallest = float(np.linalg.eigvalsh(theta0)[0])
+        if smallest <= 0.0:
+            raise NotPositive(f"theta0's smallest eigenvalue {smallest:.3e} is not positive")
     frame = eigenframe(h0)
     basis = frame[1] / np.linalg.norm(frame[1], axis=0, keepdims=True)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .operator_core import _operator_pair, as_operator
+from .operator_core import _operator_pair, _require_positive, as_operator
 
 __all__ = [
     "Constant",
@@ -31,11 +31,12 @@ __all__ = [
 ]
 
 
-def _freeze(a) -> np.ndarray:
-    """A read-only copy of the checked operator ``a``."""
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+def _freeze(obj, **arrays) -> None:
+    """Set each checked array of ``arrays`` on the frozen ``obj`` as a read-only copy."""
+    for name, a in arrays.items():
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
 
 def _affine_at(self, t) -> np.ndarray:
@@ -53,9 +54,8 @@ class Constant:
     h_int: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _freeze(as_operator(self.h)))
-        object.__setattr__(self, "h0", self.h)
-        object.__setattr__(self, "h_int", _freeze(np.zeros_like(self.h)))
+        h = as_operator(self.h)
+        _freeze(self, h=h, h0=h, h_int=np.zeros_like(h))
 
     def factor(self, t):
         """0, elementwise for an array of times."""
@@ -76,11 +76,9 @@ class ExponentialSwitch:
     eps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ConfigError(f"switching rate eps must be finite and positive, got {self.eps}")
+        _require_positive(self.eps, "switching rate eps")
         h0, h_int = _operator_pair(self.h0, self.h_int)
-        object.__setattr__(self, "h0", _freeze(h0))
-        object.__setattr__(self, "h_int", _freeze(h_int))
+        _freeze(self, h0=h0, h_int=h_int)
 
     def factor(self, t):
         """``exp(-eps |t|)``, elementwise for an array of times."""
@@ -108,12 +106,9 @@ class LinearRamp:
     h_int: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ConfigError(f"ramp duration must be finite and positive, got {self.duration}")
+        _require_positive(self.duration, "ramp duration")
         h0, h1 = _operator_pair(self.h0, self.h1)
-        object.__setattr__(self, "h0", _freeze(h0))
-        object.__setattr__(self, "h1", _freeze(h1))
-        object.__setattr__(self, "h_int", _freeze(as_operator(h1 - h0)))
+        _freeze(self, h0=h0, h1=h1, h_int=as_operator(h1 - h0))
 
     def factor(self, t):
         """``t / T`` clamped to [0, 1], elementwise for an array of times."""
@@ -141,11 +136,9 @@ class SmoothSwitch:
     width: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ConfigError(f"switch width must be finite and positive, got {self.width}")
+        _require_positive(self.width, "switch width")
         h0, h_int = _operator_pair(self.h0, self.h_int)
-        object.__setattr__(self, "h0", _freeze(h0))
-        object.__setattr__(self, "h_int", _freeze(h_int))
+        _freeze(self, h0=h0, h_int=h_int)
 
     def factor(self, t):
         """``cos^2(pi t / (2 width))`` inside the support, exactly 0 outside;

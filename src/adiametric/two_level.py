@@ -14,7 +14,7 @@ real precisely when v^2 > w^2.  The ramp experiment drives the generator
 between two static configurations and measures how far the metric lands
 from the final static solution, the metric-space analogue of the adiabatic
 theorem.  Every flow here is linear: the ramp's affine generator runs on
-CF4 with dense output, and a constant generator takes exact exponentials.
+CF4 with dense output, and after the ramp the orbit is known in closed form.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import magnus_cf4
-from .errors import ConfigError, DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
+from .errors import DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
 from .metric_flow import SolverConfig
-from .operator_core import _expm_orbit
-from .switching import LinearRamp
+from .switching import LinearRamp, _freeze
 
 __all__ = [
     "SIGMA",
@@ -70,16 +69,13 @@ class TwoLevelParams:
     w: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).copy()
-        w = np.asarray(self.w, dtype=float).copy()
+        v = np.asarray(self.v, dtype=float)
+        w = np.asarray(self.w, dtype=float)
         if v.shape != (4,) or w.shape != (4,):
             raise DimensionMismatch("v and w must be real 4-vectors")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise DimensionMismatch("parameters must be finite")
-        v.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
+        _freeze(self, v=v, w=w)
 
     def hamiltonian(self) -> np.ndarray:
         return pauli_compose(self)
@@ -93,11 +89,12 @@ class MetricComponents:
     vec: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=float).copy()
+        vec = np.asarray(self.vec, dtype=float)
         if vec.shape != (3,):
             raise DimensionMismatch("vector part must have 3 components")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vec", vec)
+        if not (math.isfinite(self.theta0) and np.all(np.isfinite(vec))):
+            raise DimensionMismatch("metric components must be finite")
+        _freeze(self, vec=vec)
 
     # the Pauli map with h_mu = th_mu: v = 2 th, w = 0
     def matrix(self) -> np.ndarray:
@@ -168,6 +165,8 @@ def static_solution(params: TwoLevelParams, theta0_s=1.0, alpha=0.0) -> MetricCo
     v2 = float(vv @ vv)
     if v2 == 0.0:
         raise NotPseudoHermitian("static solution needs a nonzero v vector")
+    if not (math.isfinite(theta0_s) and math.isfinite(alpha)):
+        raise DimensionMismatch("metric components must be finite")
     vec = -(theta0_s / v2) * np.cross(vv, wv) + alpha * vv
     return MetricComponents(theta0=theta0_s, vec=vec)
 
@@ -222,11 +221,6 @@ def _crossed_ramp_params(s, amplitude, w3, v0) -> TwoLevelParams:
     """Crossed-ramp parameters at ramp fraction s: v_1 = a s, v_2 = a (1 - s)."""
     return TwoLevelParams(v=np.array([v0, amplitude * s, amplitude * (1.0 - s), 0.0]),
                           w=np.array([0.0, 0.0, 0.0, w3]))
-
-
-def _crossed_ramp_margin(amplitude, w3) -> float:
-    """Minimum of v^2 - w^2 along the crossed ramp (worst point is the midpoint)."""
-    return 0.5 * amplitude**2 - w3**2
 
 
 class CrossedRampSchedule(LinearRamp):
@@ -288,16 +282,15 @@ def ramp_experiment(
     theta_static_final| / |theta_static_final|`` on 4-component vectors:
     near zero for adiabatic ramps, order one when the ramp is fast.
 
-    The generator is that of :class:`CrossedRampSchedule`.  A duration
-    that is not finite and positive raises :class:`ConfigError`.  The default
-    amplitude keeps ``v(t)^2 > w^2`` everywhere; amplitudes that let the
+    The generator is that of :class:`CrossedRampSchedule`, built once; a
+    duration that is not finite and positive raises its :class:`ConfigError`.
+    The default amplitude keeps ``v(t)^2 > w^2`` everywhere; amplitudes that let the
     spectrum go complex raise :class:`RealSpectrumViolated` (the metric
     then has no nearby static solution and the deviation loses its
     meaning).
     """
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ConfigError(f"ramp duration must be finite and positive, got {duration}")
-    margin = _crossed_ramp_margin(amplitude, w3)
+    schedule = CrossedRampSchedule(duration, amplitude, w3, v0)
+    margin = 0.5 * amplitude**2 - w3**2  # v^2 - w^2 at the ramp's midpoint, its minimum
     if margin <= 0.0:
         raise RealSpectrumViolated(
             f"ramp reaches v^2 - w^2 = {margin:.3e}; "
@@ -305,7 +298,7 @@ def ramp_experiment(
         )
 
     cfg = config or SolverConfig()
-    first = _crossed_ramp_params(0.0, amplitude, w3, v0)
+    first = schedule.params_at(0.0)
     start = static_solution(first)
 
     omega = math.sqrt(amplitude**2 - w3**2)  # post-ramp; real since margin > 0
@@ -320,25 +313,28 @@ def ramp_experiment(
 
     # v is affine in the ramp parameter s = t/T and w is fixed, so the
     # generator is exactly M_0 + s (M_1 - M_0) on the ramp: CF4 with dense
-    # output at the ramp samples.  After it the generator is M_1: exact.
+    # output at the ramp samples.  After it the generator is M_1.
     m_start = component_generator(first)
-    m_end = component_generator(_crossed_ramp_params(1.0, amplitude, w3, v0))
+    m_end = component_generator(schedule.params_at(duration))
     props, stats = magnus_cf4(
-        m_start, m_end - m_start, lambda t: t / duration, 0.0, duration,
+        m_start, m_end - m_start, schedule.factor, 0.0, duration,
         rtol=cfg.rtol, atol=cfg.atol, samples=n_ramp,
     )
     ramp = props @ start.four_vector()
-    comps = np.concatenate([ramp[:-1], _expm_orbit(m_end, tail_times - duration, ramp[-1])])
 
     # After the ramp y(T + t) = exp(t M_1) y(T) with M_1^3 = -omega^2 M_1, so
     # P = I + M_1^2/omega^2 projects onto ker M_1 (the static family) along
     # the oscillation: P y(T) is the exact post-ramp time average.  The
     # remainder a = y(T) - P y(T) turns as cos(omega t) a + sin(omega t) b
-    # with b = M_1 a/omega; its supremum norm is sigma_max([a, b]).
+    # with b = M_1 a/omega, which gives the post-ramp samples exactly; the
+    # supremum norm of that orbit is sigma_max([a, b]).
     y_end = ramp[-1]
     remainder = -(m_end @ (m_end @ y_end)) / omega**2
     ref = y_end - remainder
     orbit = np.stack([remainder, m_end @ remainder / omega], axis=1)
+    phase = omega * (tail_times[1:] - duration)
+    tail_rows = ref + np.column_stack([np.cos(phase), np.sin(phase)]) @ orbit.T
+    comps = np.concatenate([ramp, tail_rows])
     deviation = float(np.linalg.norm(orbit, 2) / np.linalg.norm(ref))
     return RampResult(
         times=times,

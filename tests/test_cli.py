@@ -580,6 +580,34 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(text)["diagnostics"]["error"]["type"] == "DimensionMismatch"
 
+    @pytest.mark.parametrize("schedule, message", [
+        ({"type": "exponential-switch", "h0": H3, "h_int": H3}, "missing number field 'eps'"),
+        ({"type": "linear-ramp", "h0": H3, "h1": H3}, "missing number field 'duration'"),
+        ({"type": "smooth-switch", "h0": H3, "h_int": H3}, "missing number field 'width'"),
+        ({"type": "linear-ramp", "h0": H3}, "missing matrix field 'h1'"),
+    ], ids=["eps", "duration", "width", "matrix-first"])
+    def test_schedule_without_field_is_config_error(self, tmp_path, capsys, schedule, message):
+        # a missing number field once ended in a KeyError traceback, exit 1
+        cfg = {"model": {"kind": "matrix", "schedule": schedule}}
+        assert run_cli(tmp_path, "evolve", cfg) == (2, "")
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_empty_evolution_window_is_config_error(self, tmp_path, capsys):
+        # once exit 3, a solver error about a t_eval no configuration names
+        cfg = copy.deepcopy(MATRIX_EVOLVE)
+        cfg["model"].update(t0=2.0, t1=2.0)
+        assert run_cli(tmp_path, "evolve", cfg) == (2, "")
+        assert "evolution window [2.0, 2.0] is empty" in capsys.readouterr().err
+
+    def test_smatrix_metric_not_positive_definite_is_exit_4(self, tmp_path):
+        # theta0 = -I once exited 0 with a negative definite Theta(0)
+        minus_i = [[[-float(i == j), 0.0] for j in range(2)] for i in range(2)]
+        cfg = {"model": {"kind": "matrix"}, "output": {"format": "json"},
+               "scattering": {**SMATRIX["scattering"], "eps_ladder": [0.8], "theta0": minus_i}}
+        code, text = run_cli(tmp_path, "smatrix", cfg)
+        assert code == 4
+        assert json.loads(text)["diagnostics"]["error"]["type"] == "NotPositive"
+
     def test_physics_error_is_exit_4(self, tmp_path):
         cfg = {
             "model": {

@@ -310,6 +310,11 @@ class TestEvolveMetric:
         with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2\) and \(3, 3\)"):
             solver(Constant(2.0 * SZ), np.eye(3), 0.0, 1.0)
 
+    def test_empty_window_is_config_error(self):
+        # once a SolverError about a t_eval the caller never passed
+        with pytest.raises(ConfigError, match=r"evolution window \[1.5, 1.5\] is empty"):
+            evolve_metric(Constant(2.0 * SZ), np.eye(2), 1.5, 1.5)
+
     def test_perturbed_static_stays_close(self):
         # stability of static solutions: O(delta) excursion for all t
         rng = np.random.default_rng(8)
@@ -802,3 +807,33 @@ class TestTransportPrediction:
         # the level identity is undefined where two levels coincide
         with pytest.raises(DegenerateSpectrum):
             adiabatic_transport_prediction([H_TL, np.eye(2), H_TL], np.eye(2))
+
+
+SYSTEM_TL = biorthogonal_decompose(H_TL)
+I3 = np.eye(3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: adiabatic_transport_prediction([], I2), ConfigError),
+    (lambda: adiabatic_transport_prediction([H_TL, H_TL], I3), DimensionMismatch),
+    (lambda: transition_probability(np.ones(3), np.ones(2), Constant(H_TL), 0.0, 1.0, THETA_TL),
+     DimensionMismatch),
+    (lambda: transition_probability(np.ones(2), np.ones(3), Constant(H_TL), 0.0, 1.0, THETA_TL),
+     DimensionMismatch),
+    (lambda: transition_probability(np.ones(2), np.ones(2), Constant(H_TL), 0.0, 1.0, I3),
+     DimensionMismatch),
+    (lambda: observable_hamiltonian(H_TL, I3, I3), DimensionMismatch),
+    (lambda: observable_hamiltonian(H_TL, THETA_TL, I3), DimensionMismatch),
+    (lambda: quasi_hermiticity_residual(H_TL, I3), DimensionMismatch),
+    (lambda: eigenbasis_coefficients(SYSTEM_TL, I3), DimensionMismatch),
+    (lambda: metric_from_eigenbasis(SYSTEM_TL, I3), DimensionMismatch),
+    (lambda: eigenbasis_evolution(SYSTEM_TL, I3, 1.0), DimensionMismatch),
+    (lambda: eigenbasis_evolution(SYSTEM_TL, np.eye(1), 1.0), DimensionMismatch),
+], ids=["transport-empty", "transport-metric", "transition-phi", "transition-psi",
+        "transition-metric", "observable-metric", "observable-derivative", "residual",
+        "coefficients", "from-eigenbasis", "evolution", "evolution-broadcast"])
+def test_mismatched_operands_raise_typed_errors(call, error):
+    # each once raised an untyped numpy ValueError or an UnboundLocalError;
+    # a 1x1 coefficient matrix was even broadcast silently
+    with pytest.raises(error):
+        call()

@@ -69,6 +69,14 @@ class TestHermiticityDefect:
         with pytest.raises(DimensionMismatch):
             hermiticity_defect(np.array([[np.nan, 0], [0, 1]]))
 
+    def test_any_memory_layout(self):
+        # the transpose of a complex matrix once raised numpy's "last axis
+        # must be contiguous" ValueError from the finiteness check
+        m = np.array([[0.0, 1j], [0.0, 0.0]])
+        assert hermiticity_defect(m.T) == hermiticity_defect(m)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            hermiticity_defect(np.array([[np.nan, 1j], [0.0, 0.0]]).T)
+
 
 @given(
     dim=st.integers(1, 13),

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiametric._integrate import magnus_cf4
-from adiametric.errors import ComplexSpectrum, ConfigError, DimensionMismatch, NoConvergence
+from adiametric.errors import (
+    ComplexSpectrum,
+    ConfigError,
+    DimensionMismatch,
+    NoConvergence,
+    NotPositive,
+)
 from adiametric.metric_flow import (
     adiabatic_transport_prediction,
     eigenbasis_coefficients,
@@ -241,6 +247,13 @@ class TestSMatrix:
         # once an untyped numpy matmul ValueError, raised after the dressings
         with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2\) and \(3, 3\)"):
             s_matrix(H0, HI, 0.4, theta0=np.eye(3))
+
+    @pytest.mark.parametrize("theta0", [-np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, 0.0])],
+                             ids=["negative", "indefinite", "singular"])
+    def test_metric_not_positive_definite_rejected(self, theta0):
+        # theta0 = -I once returned a Theta(0) with eigenvalues -1.46 and -0.68
+        with pytest.raises(NotPositive, match="theta0's smallest eigenvalue"):
+            s_matrix(2.0 * SZ, 0.75j * SX, 0.8, theta0=theta0)
 
     def test_switch_shapes_agree_after_extrapolation(self):
         ladder = [0.2, 0.1]

@@ -141,6 +141,18 @@ class TestStaticSolution:
         with pytest.raises(NotPseudoHermitian):
             static_solution(TwoLevelParams(v=np.zeros(4), w=np.zeros(4)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda x: MetricComponents(x, [0.0, 0.5, 0.0]),
+        lambda x: MetricComponents(2.0, [0.0, x, 0.0]),
+        lambda x: static_solution(FIXTURE, theta0_s=x),
+        lambda x: static_solution(FIXTURE, alpha=x),
+    ], ids=["theta0", "component", "theta0_s", "alpha"])
+    def test_non_finite_metric_is_refused(self, build, value):
+        # static_solution(theta0_s=nan) once returned an all-NaN metric
+        with pytest.raises(DimensionMismatch, match="metric components must be finite"):
+            build(value)
+
 
 class TestRegime:
     def test_oscillatory_fixture(self):
@@ -358,9 +370,9 @@ class TestRampAgainstDP5:
         assert 0.0 < stats["error_estimate"] < 1e-8
 
 
-def _post_ramp(res, duration, amplitude, w3):
+def _post_ramp(res, duration, amplitude, w3, v0=0.0):
     """Final generator, its frequency and the end state of the ramp."""
-    m1 = component_generator(CrossedRampSchedule(duration, amplitude, w3).params_at(duration))
+    m1 = component_generator(CrossedRampSchedule(duration, amplitude, w3, v0).params_at(duration))
     return m1, math.sqrt(amplitude**2 - w3**2), res.components[res.times == duration][0]
 
 
@@ -377,6 +389,18 @@ class TestRampClosedForms:
         m = component_generator(TwoLevelParams(np.array([v0, *vv]), np.array([0.0, *wv])))
         omega2 = vv @ vv - wv @ wv
         np.testing.assert_allclose(m @ m @ m, -omega2 * m, rtol=0.0, atol=1e-14 * speed**3)
+
+    @given(st.floats(min_value=0.5, max_value=200.0), st.floats(min_value=-4.0, max_value=4.0),
+           st.floats(min_value=0.5, max_value=10.0), st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_post_ramp_samples_are_the_exact_orbit(self, duration, w3, margin, v0):
+        amplitude = math.sqrt(2.0 * (w3**2 + margin))  # a^2/2 - w3^2 = margin along the ramp
+        res = ramp_experiment(duration, amplitude=amplitude, w3=w3, v0=v0)
+        m1, _, y_end = _post_ramp(res, duration, amplitude, w3, v0)
+        after = res.times >= duration
+        orbit = _expm_orbit(m1, res.times[after] - duration, y_end)
+        scale = np.max(np.abs(res.components))
+        assert np.max(np.abs(res.components[after] - orbit)) <= 1e-13 * scale
 
     @given(st.floats(min_value=0.5, max_value=100.0), ramp_parameters)
     @settings(max_examples=10, deadline=None)
