@@ -26,15 +26,12 @@ from .metric_flow import (
     adiabatic_transport_prediction,
     SolverConfig,
     eigenbasis_coefficients,
-    eigenbasis_evolution,
     evolve_metric,
     evolve_metric_via_propagator,
     flow_rhs,
     hermitian_representation,
     metric_from_eigenbasis,
-    normal_ordered_exp,
     observable_hamiltonian,
-    picard_iterate,
     quasi_hermiticity_residual,
     static_metric,
     transition_probability,
@@ -59,9 +56,7 @@ from .two_level import (
     MetricComponents,
     TwoLevelParams,
     classify_regime,
-    component_flow,
     component_generator,
-    hermitian_precession,
     pauli_compose,
     pauli_decompose,
     ramp_experiment,

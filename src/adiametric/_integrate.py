@@ -23,8 +23,9 @@ endpoint or, as dense output, at uniform sample times.  It is the
 Math. 56 (2006) 1519): two matrix exponentials per step, formed by the
 stacked Taylor kernel of :mod:`.operator_core`, so the ``A0`` motion is
 carried exactly and the step is set by how ``f`` varies.  It serves both
-scattering dressings from one stack, the two-level ramp and the propagator
-of ``transition_probability``; the metric flow stays on :func:`solve_ode`.
+scattering dressings and the adiabatic metric from one stack, the
+two-level ramp and the propagator of ``transition_probability``; the
+metric flow stays on :func:`solve_ode`.
 """
 
 from __future__ import annotations
@@ -240,6 +241,15 @@ def _output_times(t_eval, t0, t1) -> np.ndarray:
     return t_eval
 
 
+def _stops(breakpoints, t0, t1) -> list:
+    """Where an integration from t0 to t1 (either direction) must land: the
+    breakpoints strictly inside the window, once each, in the direction of
+    integration, then t1."""
+    direction = 1.0 if t1 >= t0 else -1.0
+    inner = {float(b) for b in breakpoints if (b - t0) * direction > 0 and (t1 - b) * direction > 0}
+    return [*sorted(inner, reverse=direction < 0), float(t1)]
+
+
 def solve_ode(
     rhs,
     t0,
@@ -275,12 +285,7 @@ def solve_ode(
         stats = {"naccept": 0, "nreject": 0, "nfev": 0, "ndense": 0}
         return OdeSolution(np.array([t0]), [y], stats)
 
-    stops = {float(t1)}
-    for b in breakpoints:
-        b = float(b)
-        if (b - t0) * direction > 0 and (t1 - b) * direction > 0:
-            stops.add(b)
-    stops = sorted(stops, reverse=direction < 0)
+    stops = _stops(breakpoints, t0, t1)
 
     keys = direction * t_eval  # ascending
     out_states = [y.copy() for t in t_eval[:1] if t == t0]

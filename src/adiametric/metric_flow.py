@@ -7,14 +7,13 @@ A non-Hermitian generator H conserves the redefined inner product
 
 This module integrates that equation (the adaptive DOP853 pair with
 interpolated samples, on a right-hand side that is Hermitian entry by
-entry), provides three
-alternative solvers that cross-validate it
-(conjugation by midpoint propagators from the stacked Taylor exponential,
-Picard iteration, normal-ordered exponential series), constructs static
-metrics from biorthogonal eigensystems, maps metrics to and from the
-left-eigenbasis coefficient picture where the flow is diagonal, and derives
-the quasi-Hermitian "observable" generator along with its Hermitian
-representation and that representation's exact generator residual.
+entry), provides one alternative solver that cross-validates it
+(conjugation by midpoint propagators from the stacked Taylor exponential),
+constructs static metrics from biorthogonal eigensystems, maps metrics to
+and from the left-eigenbasis coefficient picture where the flow is
+diagonal, and derives the quasi-Hermitian "observable" generator along with
+its Hermitian representation and that representation's exact generator
+residual.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrate import magnus_cf4, solve_ode
+from ._integrate import _stops, magnus_cf4, solve_ode
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -61,11 +60,8 @@ __all__ = [
     "flow_rhs",
     "evolve_metric",
     "evolve_metric_via_propagator",
-    "picard_iterate",
-    "normal_ordered_exp",
     "eigenbasis_coefficients",
     "metric_from_eigenbasis",
-    "eigenbasis_evolution",
     "adiabatic_transport_prediction",
     "observable_hamiltonian",
     "hermitian_representation",
@@ -224,66 +220,6 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     )
 
 
-def picard_iterate(h, theta0, t, order) -> np.ndarray:
-    """k-th Picard iterate of the constant-H metric flow, exact in t.
-
-    The iteration map is ``Theta -> Theta_0 + i int_0^t (Theta H -
-    H^dagger Theta)``, carried on polynomial coefficients in t so no
-    quadrature error enters; only series truncation remains.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    h = as_operator(h)
-    theta0 = as_operator(theta0)
-    coeffs = [theta0]
-    for _ in range(order):
-        new = [theta0]
-        for m, c in enumerate(coeffs):
-            new.append(1j * (c @ h - h.conj().T @ c) / (m + 1))
-        coeffs = new
-    # Horner evaluation of sum_m coeffs[m] t^m.
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = c + t * acc
-    return acc
-
-
-def normal_ordered_exp(h, t, truncation, theta0=None) -> np.ndarray:
-    """Partial sum of the normal-ordered exponential solution.
-
-    For constant H the flow from Theta_0 has the closed form
-    ``exp(-i H^dagger t) Theta_0 exp(i H t)``; expanding and collecting
-    every adjoint factor to the left gives terms
-
-        (i t)^n / n! * sum_j C(n, j) (-1)^j (H^dagger)^j Theta_0 H^(n-j),
-
-    summed here through order ``truncation``.  With Theta_0 = I and
-    truncation 2 this is ``I + i(H - H^dagger)t - (H^2 - 2 H^dagger H +
-    H^dagger^2) t^2/2``.
-    """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    h = as_operator(h)
-    dim = h.shape[0]
-    theta0 = np.eye(dim, dtype=complex) if theta0 is None else as_operator(theta0)
-    hd = h.conj().T
-
-    pow_h = [np.eye(dim, dtype=complex)]
-    pow_hd = [np.eye(dim, dtype=complex)]
-    for _ in range(truncation):
-        pow_h.append(pow_h[-1] @ h)
-        pow_hd.append(pow_hd[-1] @ hd)
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for n in range(truncation + 1):
-        term = np.zeros((dim, dim), dtype=complex)
-        for j in range(n + 1):
-            sign = -1.0 if j % 2 else 1.0
-            term += sign * math.comb(n, j) * (pow_hd[j] @ theta0 @ pow_h[n - j])
-        total += (1j * t) ** n / math.factorial(n) * term
-    return total
-
-
 def eigenbasis_coefficients(system: BiorthogonalSystem, theta) -> np.ndarray:
     """Coefficients of the metric on the left-eigenvector dyads.
 
@@ -299,22 +235,6 @@ def metric_from_eigenbasis(system: BiorthogonalSystem, coeffs) -> np.ndarray:
     """Inverse of :func:`eigenbasis_coefficients`."""
     coeffs = _operator_pair(system.left, coeffs)[1]
     return system.left @ coeffs @ system.left.conj().T
-
-
-def eigenbasis_evolution(system: BiorthogonalSystem, coeffs0, t) -> np.ndarray:
-    """Exact coefficient flow ``c_mn(t) = exp(i (E_n - E_m^*) t) c_mn(0)``.
-
-    Substituting the dyad expansion into the metric flow gives this phase
-    law (the index order follows from bra-side eigenvectors carrying the
-    unconjugated eigenvalue; it is verified against direct integration in
-    the tests).  For a real spectrum the diagonal is constant and
-    off-diagonal moduli are conserved (pure phase rotation); any imaginary
-    eigenvalue parts turn the phases into exponential growth or decay.
-    """
-    coeffs0 = _operator_pair(system.right, coeffs0)[1]
-    e = system.eigenvalues
-    phase = np.exp(1j * (e[None, :] - e[:, None].conj()) * t)
-    return phase * coeffs0
 
 
 def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
@@ -487,8 +407,7 @@ def _accumulate_propagator(schedule, t_from, t_to, rtol, atol):
     """Evolution operator U(t_to, t_from), either direction in time, by
     :func:`magnus_cf4` on ``-i (h0 + factor(t) h_int)``, one segment per
     interval between the schedule's breakpoints, so each sees a smooth factor."""
-    inner = sorted(b for b in schedule.breakpoints() if min(t_from, t_to) < b < max(t_from, t_to))
-    ends = [t_from, *(inner if t_to > t_from else inner[::-1]), t_to]
+    ends = [t_from, *_stops(schedule.breakpoints(), t_from, t_to)]
     a0, a1 = -1j * schedule.h0, -1j * schedule.h_int
     u = np.eye(len(a0), dtype=complex)
     for a, b in zip(ends, ends[1:]):

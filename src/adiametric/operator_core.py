@@ -53,6 +53,9 @@ GAP_TOL = 1e-8
 #: Largest imaginary eigenvalue part a spectrum may have and still count as real.
 SPECTRUM_TOL = 1e-9
 
+#: Largest eigenvector condition number of a matrix that counts as diagonalizable.
+EIGENVECTOR_COND_TOL = 1e12
+
 #: Matrices per stacked chunk: path points, or exponentials of one Taylor call.
 PATH_CHUNK = 256
 
@@ -240,7 +243,7 @@ def biorthogonal_decompose(h) -> BiorthogonalSystem:
     :class:`DegenerateSpectrum` when the smallest eigenvalue gap falls
     below ``GAP_TOL * max(1, ||H||_F)`` and :class:`NotDiagonalizable`
     when the eigenvector matrix is numerically defective (condition
-    number above 1e12).
+    number above ``EIGENVECTOR_COND_TOL``).
     """
     a = as_operator(h)
     vals, vecs = np.linalg.eig(a)
@@ -256,7 +259,7 @@ def biorthogonal_decompose(h) -> BiorthogonalSystem:
 def _require_separated(h, vals, right):
     """``(vals, right)``, the eigensystems ``(n, d)``, ``(n, d, d)`` of a
     ``(n, d, d)`` stack ``h``; raise for a gap below ``GAP_TOL * max(1, ||H||_F)``
-    or an eigenvector condition number above 1e12."""
+    or an eigenvector condition number above ``EIGENVECTOR_COND_TOL``."""
     self_gap = np.diag(np.full(vals.shape[1], np.inf))
     gaps = (np.abs(vals[:, :, None] - vals[:, None, :]) + self_gap).min(axis=(1, 2))
     floor = GAP_TOL * np.maximum(1.0, _frobenius_stack(h))
@@ -266,7 +269,7 @@ def _require_separated(h, vals, right):
             f"minimal eigenvalue gap {gaps[k]:.3e} below tolerance {floor[k]:.3e}"
         )
     cond = np.linalg.cond(right)
-    if not np.all(cond <= 1e12):
+    if not np.all(cond <= EIGENVECTOR_COND_TOL):
         raise NotDiagonalizable(f"eigenvector condition number {np.max(cond):.3e}")
     return vals, right
 

@@ -16,8 +16,10 @@ Moller operators come from the lab-frame propagator of the switched
 generator, integrated to a finite horizon by the commutator-free Magnus
 method (:func:`magnus_cf4`), which carries the free motion exactly; every
 switch is even, so one exponential stack serves the far past and the far
-future.  The switch enters only through its ``factor`` and ``support``;
-:func:`_switch_schedule` alone maps a shape name to a switch.
+future.  The adiabatic metric comes from the same stack by the Moller
+identity, so no metric flow is integrated here.  The switch enters only
+through its ``factor`` and ``support``; :func:`_switch_schedule` alone maps
+a shape name to a switch.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 from ._integrate import magnus_cf4
 from .errors import ConfigError, NoConvergence, NotPositive
-from .metric_flow import SolverConfig, evolve_metric
 from .operator_core import (
     _hermitian_part,
     _operator_pair,
@@ -62,14 +63,12 @@ class ScatteringConfig:
     factor has decayed to ``exp(-horizon_factor)``; convergence of the
     Moller limits is verified by doubling a horizon inside the support.
 
-    ``rtol``/``atol`` set the accuracy of both integrators.  The dressings
-    use :func:`magnus_cf4`, which accepts a propagator ``U`` of dimension d
-    on one segment when its Richardson error estimate is at most
-    ``d * atol + rtol * ||U||_F``.  That estimate, reported as
-    ``error_estimate``, is the unextrapolated pass's; the returned
-    extrapolant is typically about three orders more accurate.
-    :func:`adiabatic_metric` integrates the metric flow with ``solve_ode``
-    at the same ``rtol``/``atol`` per step.
+    ``rtol``/``atol`` set the accuracy of the one integrator, :func:`magnus_cf4`,
+    that gives the dressings and the adiabatic metric.  It accepts a
+    propagator ``U`` of dimension d on one segment when its Richardson error
+    estimate is at most ``d * atol + rtol * ||U||_F``.  That estimate,
+    reported as ``error_estimate``, is the unextrapolated pass's; the
+    returned extrapolant is typically about three orders more accurate.
     """
 
     rtol: float = 1e-10
@@ -99,6 +98,32 @@ def _real_spectrum_pair(h0, h_int):
     return h0, h_int
 
 
+def _free_metric(h0, theta0):
+    """``theta0`` (default: identity) checked as a free metric for ``h0``:
+    :class:`DimensionMismatch` for another shape, :class:`NonHermitianInput`
+    and :class:`NotPositive` for one that is not positive definite."""
+    if theta0 is None:
+        return np.eye(len(h0), dtype=complex)
+    theta0 = _require_hermitian(_operator_pair(h0, theta0)[1])
+    smallest = float(np.linalg.eigvalsh(theta0)[0])
+    if smallest <= 0.0:
+        raise NotPositive(f"theta0's smallest eigenvalue {smallest:.3e} is not positive")
+    return theta0
+
+
+def _mirrored_pass(switch, t0, t1, cfg):
+    """``((U(t1, t0), U(-t0, -t1)), stats)`` of one mirrored :func:`magnus_cf4` pass."""
+    return magnus_cf4(-1j * switch.h0, -1j * switch.h_int, switch.factor, t0, t1,
+                      rtol=cfg.rtol, atol=cfg.atol, mirror=True)
+
+
+def _moller_metric(theta0, u_in):
+    """Theta(0) by the Moller identity ``U^dag Theta_0 U``, ``U = U(-T, 0)``,
+    from ``u_in = U(0, -T)``: the metric flow conserves ``U^-dag Theta U^-1``."""
+    u_past = np.linalg.inv(u_in)
+    return _hermitian_part(u_past.conj().T @ theta0 @ u_past)
+
+
 def _dressing(h0, h_int, eps, config, shape, frame, sides=(0, 1)):
     """Dressings ``K(t) = U(0,t) U_0(t,0)`` at the far past and future.
 
@@ -111,7 +136,6 @@ def _dressing(h0, h_int, eps, config, shape, frame, sides=(0, 1)):
     """
     cfg = config or ScatteringConfig()
     switch = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
-    a0, a1 = -1j * switch.h0, -1j * switch.h_int
     vals, vecs, vecs_inv = frame
     horizon = cfg.horizon_factor / eps
 
@@ -119,13 +143,12 @@ def _dressing(h0, h_int, eps, config, shape, frame, sides=(0, 1)):
         free = [(vecs * np.exp(-1j * vals * s)) @ vecs_inv for s in (-t, t)]
         return u_in @ free[0], np.linalg.solve(u_out, free[1])
 
-    tols = {"rtol": cfg.rtol, "atol": cfg.atol, "mirror": True}
-    (u_out, u_in), stats = magnus_cf4(a0, a1, switch.factor, 0.0, horizon, **tols)
+    (u_out, u_in), stats = _mirrored_pass(switch, 0.0, horizon, cfg)
     at_horizon = dressings(u_out, u_in, horizon)
     # Beyond its support the switch is free to roundoff: nothing to check.
     if not (cfg.check_convergence and horizon < switch.support):
         return (*at_horizon, u_in, stats)
-    (tail_out, tail_in), more = magnus_cf4(a0, a1, switch.factor, horizon, 2 * horizon, **tols)
+    (tail_out, tail_in), more = _mirrored_pass(switch, horizon, 2 * horizon, cfg)
     stats = {key: stats[key] + more[key] for key in stats}
     limits = dressings(tail_out @ u_out, u_in @ tail_in, 2.0 * horizon)
     drift = max(frobenius(limits[i] - at_horizon[i]) for i in sides)
@@ -164,25 +187,24 @@ def adiabatic_metric(
 ) -> np.ndarray:
     """Metric at t=0 grown from the free metric along the switching.
 
-    The free metric is installed at the far-past horizon and pushed
-    forward with the metric flow, the direction consistent with
-    conservation of the dressed inner product.  As the switching rate
-    vanishes the result approaches a static metric of the full generator
-    (diagonal in its adjoint eigenbasis).  Raises
+    The free metric is installed at the far-past horizon ``-T`` and carried
+    forward by the metric flow, the direction consistent with conservation
+    of the dressed inner product.  The flow conserves ``U^-dag Theta
+    U^-1``, so this is the Moller identity ``U^dag Theta_0 U`` with ``U =
+    U(-T, 0)`` from the mirrored :func:`magnus_cf4` pass that gives the
+    dressings; it equals ``s_matrix(...).theta_adiabatic`` bit for bit.  As
+    the switching rate vanishes the result approaches a static metric of
+    the full generator (diagonal in its adjoint eigenbasis).  Raises
     :class:`ComplexSpectrum` when the full generator has no real spectrum,
-    since the metric then grows without bound and no limit exists.
-
-    This integrates the metric flow itself.  :func:`s_matrix` does not
-    call it: there Theta(0) follows from the in-dressing by the Moller
-    identity, and this function is the oracle that identity is tested
-    against.
+    since the metric then grows without bound and no limit exists, and
+    checks ``theta0`` as :func:`s_matrix` does, before any integration.
     """
     cfg = config or ScatteringConfig()
     h0, h_int = _real_spectrum_pair(h0, h_int)
-    schedule = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
-    horizon = cfg.horizon_factor / eps
-    cfg_flow = SolverConfig(rtol=cfg.rtol, atol=cfg.atol, samples=2)
-    return evolve_metric(schedule, theta0, -horizon, 0.0, cfg_flow).final
+    theta0 = _free_metric(h0, theta0)
+    switch = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
+    (_, u_in), _ = _mirrored_pass(switch, 0.0, cfg.horizon_factor / eps, cfg)
+    return _moller_metric(theta0, u_in)
 
 
 def _clenshaw_curtis(n):
@@ -286,30 +308,22 @@ def s_matrix(
 
     The metric flow conserves ``U^-dag Theta U^-1``, so Theta(0) is the
     Moller identity ``K^-dag W^dag Theta_0 W K^-1 = U^dag Theta_0 U``, with
-    K the in-dressing at the single horizon ``-T`` where the integrated
-    flow would start, ``W = U_0(-T, 0)`` and ``U = U(-T, 0)``.  Both
-    dressings and U come from one propagator integration (:func:`_dressing`)
-    and no ``solve_ode`` call; :func:`adiabatic_metric` integrates the flow
-    and is the oracle for the identity.  Raises :class:`ComplexSpectrum`
-    when ``h0 + h_int`` has no real spectrum, :class:`DimensionMismatch`
-    for a ``theta0`` of another shape than ``h0`` and :class:`NotPositive`
-    for one that is not positive definite.
+    K the in-dressing at the single horizon ``-T`` where the flow starts,
+    ``W = U_0(-T, 0)`` and ``U = U(-T, 0)``; :func:`adiabatic_metric` returns
+    the same matrix.  Both dressings and U come from one propagator
+    integration (:func:`_dressing`).  Raises :class:`ComplexSpectrum` when
+    ``h0 + h_int`` has no real spectrum, :class:`DimensionMismatch` for a
+    ``theta0`` of another shape than ``h0`` and :class:`NotPositive` for one
+    that is not positive definite.
     """
     cfg = config or ScatteringConfig()
     h0, h_int = _real_spectrum_pair(h0, h_int)
-    if theta0 is None:
-        theta0 = np.eye(len(h0), dtype=complex)
-    else:
-        theta0 = _require_hermitian(_operator_pair(h0, theta0)[1])
-        smallest = float(np.linalg.eigvalsh(theta0)[0])
-        if smallest <= 0.0:
-            raise NotPositive(f"theta0's smallest eigenvalue {smallest:.3e} is not positive")
+    theta0 = _free_metric(h0, theta0)
     frame = eigenframe(h0)
     basis = frame[1] / np.linalg.norm(frame[1], axis=0, keepdims=True)
 
     om_in, om_out, u_in, stats = _dressing(h0, h_int, eps, cfg, shape, frame)
-    u_past = np.linalg.inv(u_in)  # U(-T, 0)
-    theta = _hermitian_part(u_past.conj().T @ theta0 @ u_past)
+    theta = _moller_metric(theta0, u_in)
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
     defect = frobenius(s.conj().T @ s - np.eye(s.shape[0]))

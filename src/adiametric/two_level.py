@@ -36,11 +36,9 @@ __all__ = [
     "pauli_compose",
     "pauli_decompose",
     "component_generator",
-    "component_flow",
     "static_solution",
     "Regime",
     "classify_regime",
-    "hermitian_precession",
     "CrossedRampSchedule",
     "RampResult",
     "ramp_experiment",
@@ -139,12 +137,6 @@ def component_generator(params: TwoLevelParams) -> np.ndarray:
     return m
 
 
-def component_flow(theta0, vec, params: TwoLevelParams):
-    """Metric-flow right-hand side on Pauli components."""
-    dy = component_generator(params) @ np.concatenate(([theta0], vec))
-    return dy[0], dy[1:]
-
-
 def _check_pseudo_hermitian(params: TwoLevelParams, tol=_PSEUDO_TOL):
     vv, wv = params.v[1:], params.w[1:]
     scale = max(1.0, float(np.linalg.norm(vv)), float(np.linalg.norm(wv)))
@@ -195,26 +187,6 @@ def classify_regime(params: TwoLevelParams) -> Regime:
     if disc > 0.0:
         return Regime(kind="oscillatory", value=math.sqrt(disc))
     return Regime(kind="exponential_growth", value=math.sqrt(-disc))
-
-
-def hermitian_precession(vec0, v_vec, t) -> np.ndarray:
-    """Rotate ``vec0`` about axis ``v_vec`` by angle ``|v_vec| t`` (Rodrigues).
-
-    Exact solution of the w = 0 component flow; the frequency is set by the
-    level splitting alone, independent of the initial condition.
-    """
-    vec0 = np.asarray(vec0, dtype=float)
-    v_vec = np.asarray(v_vec, dtype=float)
-    speed = float(np.linalg.norm(v_vec))
-    if speed == 0.0:
-        return vec0.copy()
-    axis = v_vec / speed
-    angle = speed * t
-    return (
-        vec0 * math.cos(angle)
-        + np.cross(axis, vec0) * math.sin(angle)
-        + axis * (axis @ vec0) * (1.0 - math.cos(angle))
-    )
 
 
 def _crossed_ramp_params(s, amplitude, w3, v0) -> TwoLevelParams:

@@ -7,6 +7,9 @@ import numpy as np
 
 from adiametric._integrate import OdeSolution
 from adiametric.errors import SolverError, StepSizeUnderflow
+from adiametric.metric_flow import SolverConfig, evolve_metric
+from adiametric.operator_core import _operator_pair, as_operator
+from adiametric.scattering import ScatteringConfig, _real_spectrum_pair, _switch_schedule
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -368,6 +371,119 @@ def finite_difference_residuals(trajectory, schedule):
         gen = h_obs - 1j * np.linalg.solve(omegas[i], omega_dot)
         residuals[i] = np.linalg.norm(gen - hs[i]) / max(np.linalg.norm(hs[i]), 1.0)
     return residuals
+
+
+# ------------------------------------------------ alternate metric solvers
+# Closed forms and series the package once shipped beside its integrators,
+# kept here as independent oracles for them.
+
+
+def flow_adiabatic_metric(h0, h_int, theta0, eps, config=None, shape="exp"):
+    """Theta(0) by integrating the metric flow from the far-past horizon with
+    ``evolve_metric``: the oracle for the Moller identity of ``adiabatic_metric``
+    and ``s_matrix``."""
+    cfg = config or ScatteringConfig()
+    h0, h_int = _real_spectrum_pair(h0, h_int)
+    schedule = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
+    horizon = cfg.horizon_factor / eps
+    cfg_flow = SolverConfig(rtol=cfg.rtol, atol=cfg.atol, samples=2)
+    return evolve_metric(schedule, theta0, -horizon, 0.0, cfg_flow).final
+
+
+def picard_iterate(h, theta0, t, order) -> np.ndarray:
+    """k-th Picard iterate of the constant-H metric flow, exact in t.
+
+    The iteration map is ``Theta -> Theta_0 + i int_0^t (Theta H -
+    H^dagger Theta)``, carried on polynomial coefficients in t so no
+    quadrature error enters; only series truncation remains.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    h = as_operator(h)
+    theta0 = as_operator(theta0)
+    coeffs = [theta0]
+    for _ in range(order):
+        new = [theta0]
+        for m, c in enumerate(coeffs):
+            new.append(1j * (c @ h - h.conj().T @ c) / (m + 1))
+        coeffs = new
+    # Horner evaluation of sum_m coeffs[m] t^m.
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = c + t * acc
+    return acc
+
+
+def normal_ordered_exp(h, t, truncation, theta0=None) -> np.ndarray:
+    """Partial sum of the normal-ordered exponential solution.
+
+    For constant H the flow from Theta_0 has the closed form
+    ``exp(-i H^dagger t) Theta_0 exp(i H t)``; expanding and collecting
+    every adjoint factor to the left gives terms
+
+        (i t)^n / n! * sum_j C(n, j) (-1)^j (H^dagger)^j Theta_0 H^(n-j),
+
+    summed here through order ``truncation``.  With Theta_0 = I and
+    truncation 2 this is ``I + i(H - H^dagger)t - (H^2 - 2 H^dagger H +
+    H^dagger^2) t^2/2``.
+    """
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    h = as_operator(h)
+    dim = h.shape[0]
+    theta0 = np.eye(dim, dtype=complex) if theta0 is None else as_operator(theta0)
+    hd = h.conj().T
+
+    pow_h = [np.eye(dim, dtype=complex)]
+    pow_hd = [np.eye(dim, dtype=complex)]
+    for _ in range(truncation):
+        pow_h.append(pow_h[-1] @ h)
+        pow_hd.append(pow_hd[-1] @ hd)
+
+    total = np.zeros((dim, dim), dtype=complex)
+    for n in range(truncation + 1):
+        term = np.zeros((dim, dim), dtype=complex)
+        for j in range(n + 1):
+            sign = -1.0 if j % 2 else 1.0
+            term += sign * math.comb(n, j) * (pow_hd[j] @ theta0 @ pow_h[n - j])
+        total += (1j * t) ** n / math.factorial(n) * term
+    return total
+
+
+def eigenbasis_evolution(system, coeffs0, t) -> np.ndarray:
+    """Exact coefficient flow ``c_mn(t) = exp(i (E_n - E_m^*) t) c_mn(0)``.
+
+    Substituting the dyad expansion into the metric flow gives this phase
+    law (the index order follows from bra-side eigenvectors carrying the
+    unconjugated eigenvalue; it is verified against direct integration in
+    the tests).  For a real spectrum the diagonal is constant and
+    off-diagonal moduli are conserved (pure phase rotation); any imaginary
+    eigenvalue parts turn the phases into exponential growth or decay.
+    """
+    coeffs0 = _operator_pair(system.right, coeffs0)[1]
+    e = system.eigenvalues
+    phase = np.exp(1j * (e[None, :] - e[:, None].conj()) * t)
+    return phase * coeffs0
+
+
+def hermitian_precession(vec0, v_vec, t) -> np.ndarray:
+    """Rotate ``vec0`` about axis ``v_vec`` by angle ``|v_vec| t`` (Rodrigues).
+
+    Exact solution of the w = 0 component flow; the frequency is set by the
+    level splitting alone, independent of the initial condition.
+    """
+    vec0 = np.asarray(vec0, dtype=float)
+    v_vec = np.asarray(v_vec, dtype=float)
+    speed = float(np.linalg.norm(v_vec))
+    if speed == 0.0:
+        return vec0.copy()
+    axis = v_vec / speed
+    angle = speed * t
+    return (
+        vec0 * math.cos(angle)
+        + np.cross(axis, vec0) * math.sin(angle)
+        + axis * (axis @ vec0) * (1.0 - math.cos(angle))
+    )
 
 
 # ------------------------------------------------------- Fraction oracle

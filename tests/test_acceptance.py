@@ -16,8 +16,6 @@ from adiametric.metric_flow import (
     evolve_metric,
     evolve_metric_via_propagator,
     hermitian_representation,
-    normal_ordered_exp,
-    picard_iterate,
     quasi_hermiticity_residual,
     static_metric,
 )
@@ -40,6 +38,8 @@ from adiametric.two_level import ramp_experiment
 from helpers import (
     SX,
     SZ,
+    normal_ordered_exp,
+    picard_iterate,
     random_bounded_nonhermitian,
     random_hermitian,
     random_quasi_hermitian,

@@ -25,12 +25,9 @@ from adiametric.errors import ConfigError
 from adiametric.ioutil import CSV_HEADER, dump_json, json_to_matrix, write_csv
 from adiametric.metric_flow import SolverConfig
 from adiametric.scattering import s_matrix
-from adiametric.two_level import (
-    TwoLevelParams,
-    hermitian_precession,
-    ramp_experiment,
-    static_solution,
-)
+from adiametric.two_level import TwoLevelParams, ramp_experiment, static_solution
+
+from helpers import hermitian_precession
 
 
 def csv_rows(text):
@@ -353,6 +350,16 @@ class TestMoyalCheck:
         names = {c["name"] for c in report["result"]["checks"]}
         assert "canonical_commutator" in names
 
+    def test_reversed_transport_fails(self, tmp_path, monkeypatch):
+        # a rotation the wrong way round still returns theta after a whole
+        # period, so only a check at an angle the reduction keeps can see it
+        forward = cli.harmonic_transport_check
+        monkeypatch.setattr(cli, "harmonic_transport_check", lambda theta, t: forward(theta, -t))
+        code, text = run_cli(tmp_path, "moyal-check")
+        assert code == 3
+        failed = [c["name"] for c in json.loads(text)["result"]["checks"] if not c["passed"]]
+        assert failed == ["transport_solves_flow"]
+
 
 class TestParser:
     def test_successive_calls_share_no_state(self, tmp_path, capsys):
@@ -500,25 +507,30 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_cli_runs_without_jsonschema(self, tmp_path):
-        # jsonschema is a test dependency only: with its import made to fail,
-        # the CLI still starts, loads and validates a configuration
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(TWO_LEVEL_STATIC))
+        # jsonschema and scipy are test dependencies only: with their imports
+        # made to fail, the CLI still starts, loads and validates a
+        # configuration, and runs every command on the shipped configs
+        runs = [["moyal-check"], ["static", "--config", str(CONFIGS / "two_level_static.json")],
+                *(["evolve", "--config", str(CONFIGS / f"{name}.json")]
+                  for name in ("cubic_switch", "two_level_ramp", "two_level_static")),
+                ["sweep", "--config", str(CONFIGS / "sweep_durations.json")],
+                ["smatrix", "--config", str(CONFIGS / "smatrix_ladder.json")]]
         script = (
-            "import sys\n"
-            "sys.modules['jsonschema'] = None\n"
+            "import json, sys\n"
+            "sys.modules['jsonschema'] = sys.modules['scipy'] = None\n"
             "from adiametric import cli\n"
-            "out = sys.argv[1]\n"
-            "codes = [cli.main(['moyal-check', '--out', out]),\n"
-            "         cli.main(['static', '--config', sys.argv[2], '--out', out])]\n"
+            "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+            "codes = [cli.main([*argv, '--out', f'{out}.{k}']) for k, argv in enumerate(runs)]\n"
             "sys.exit(max(codes))\n"
         )
         src = str(Path(adiametric.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.json"), str(cfg)],
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", script, str(out), json.dumps(runs)],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads((tmp_path / "out.json").read_text())["result"]["components"]
+        assert json.loads((tmp_path / "out.1").read_text())["result"]["components"]
+        assert all((tmp_path / f"out.{k}").stat().st_size for k in range(len(runs)))
 
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "evolve", {"model": {"kind": "nonsense"}})

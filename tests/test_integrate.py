@@ -227,6 +227,14 @@ def test_sample_on_a_breakpoint_takes_the_stepped_state():
     )
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, 2.0), (2.0, 0.0)], ids=["forward", "backward"])
+def test_stops_keep_breakpoints_strictly_inside_the_window(t0, t1):
+    # on the ends (0, 2), outside (-1, 3) or repeated (0.5): only 0.5 and 1.5 stay
+    stops = _integrate._stops([3.0, 1.5, 0.0, 0.5, -1.0, 2.0, 0.5], t0, t1)
+    assert stops == ([0.5, 1.5] if t1 > t0 else [1.5, 0.5]) + [t1]
+    assert _integrate._stops([0.0, 1.0], 1.0, 1.0) == [1.0]
+
+
 def test_tableau_matches_scipy_transcription():
     from scipy.integrate._ivp import dop853_coefficients as coeffs
 

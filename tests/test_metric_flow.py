@@ -26,15 +26,12 @@ from adiametric.metric_flow import (
     _hermitian_flow_rhs,
     adiabatic_transport_prediction,
     eigenbasis_coefficients,
-    eigenbasis_evolution,
     evolve_metric,
     evolve_metric_via_propagator,
     flow_rhs,
     hermitian_representation,
     metric_from_eigenbasis,
-    normal_ordered_exp,
     observable_hamiltonian,
-    picard_iterate,
     quasi_hermiticity_residual,
     static_metric,
     transition_probability,
@@ -54,10 +51,13 @@ from helpers import (
     SY,
     SZ,
     dp5_propagator,
+    eigenbasis_evolution,
     entrywise_sum,
     evolve_metric_oracle,
     finite_difference_residuals,
     hermitian_representation_oracle,
+    normal_ordered_exp,
+    picard_iterate,
     random_bounded_nonhermitian,
     random_hermitian,
     random_quasi_hermitian,

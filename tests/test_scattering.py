@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiametric import scattering
 from adiametric._integrate import magnus_cf4
 from adiametric.errors import (
     ComplexSpectrum,
@@ -41,6 +42,7 @@ from helpers import (
     SZ,
     dp5_dressing,
     dp5_propagator,
+    flow_adiabatic_metric,
     random_hermitian,
     random_quasi_hermitian,
 )
@@ -143,6 +145,14 @@ class TestAdiabaticMetric:
     def test_complex_spectrum_rejected(self):
         with pytest.raises(ComplexSpectrum):
             adiabatic_metric(0.5 * SZ, 2.0j * SX, np.eye(2), 0.1, FAST)
+
+    def test_indefinite_theta0_rejected_before_integration(self, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("theta0 must be checked before any integration")
+
+        monkeypatch.setattr(scattering, "magnus_cf4", no_integration)
+        with pytest.raises(NotPositive, match="theta0's smallest eigenvalue"):
+            adiabatic_metric(H0, HI, np.diag([1.0, -0.5]), 0.4, FAST)
 
     def test_shape_independent_limit(self):
         # two different switching profiles grow the same metric from
@@ -392,7 +402,8 @@ def _pt_coupling(dim, levels, ratios, seed):
 
 
 class TestMollerIdentityMetric:
-    """``s_matrix`` takes Theta(0) from the in-dressing; the flow is the oracle."""
+    """``s_matrix`` and ``adiabatic_metric`` take Theta(0) from the in-dressing;
+    the integrated flow of :func:`helpers.flow_adiabatic_metric` is the oracle."""
 
     CFG = ScatteringConfig(check_convergence=False)
 
@@ -415,22 +426,33 @@ class TestMollerIdentityMetric:
         q = v if static else _pt_coupling(dim, levels, ratios, seed + 1)[0]
         theta0 = q @ np.diag(weights[:dim]) @ q.conj().T
         result = s_matrix(h0, h_int, eps, theta0, self.CFG, shape)
-        oracle = adiabatic_metric(h0, h_int, theta0, eps, self.CFG, shape)
+        oracle = flow_adiabatic_metric(h0, h_int, theta0, eps, self.CFG, shape)
         assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
 
     def test_exp_horizon_check_keeps_single_horizon_metric(self):
         # the doubled-horizon dressing differs by the e^-12 damping tail;
         # Theta(0) must pair with the flow's start at the single horizon
         result = s_matrix(H0, HI, 1.6)
-        oracle = adiabatic_metric(H0, HI, np.eye(2), 1.6)
+        oracle = flow_adiabatic_metric(H0, HI, np.eye(2), 1.6)
         assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
 
     @pytest.mark.parametrize("shape", ["smooth", "exp"])
     def test_non_static_theta0_matches_flow(self, shape):
         theta0 = np.eye(2) + 0.3 * SX  # does not commute with H0
         result = s_matrix(H0, HI, 0.8, theta0, self.CFG, shape)
-        oracle = adiabatic_metric(H0, HI, theta0, 0.8, self.CFG, shape)
+        oracle = flow_adiabatic_metric(H0, HI, theta0, 0.8, self.CFG, shape)
         assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
+
+    @pytest.mark.parametrize("shape", ["smooth", "exp"])
+    @pytest.mark.parametrize("config", [None, CFG], ids=["checked", "unchecked"])
+    def test_adiabatic_metric_is_s_matrix_metric(self, shape, config):
+        # the same mirrored pass and pull-back: equal bit for bit, whether or
+        # not s_matrix also runs the horizon-doubling tail
+        _, h0, h_int = _pt_coupling(3, [1.2, 2.0], [0.4, 0.3], 7)
+        theta0 = np.eye(3) + 0.2 * random_hermitian(np.random.default_rng(3), 3)
+        result = s_matrix(h0, h_int, 0.8, theta0, config, shape)
+        theta = adiabatic_metric(h0, h_int, theta0, 0.8, config, shape)
+        assert np.array_equal(theta, result.theta_adiabatic)
 
 
 def _cf4_dressing(h0, h_int, eps, config, form, direction, shape):

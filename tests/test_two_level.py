@@ -26,16 +26,14 @@ from adiametric.two_level import (
     MetricComponents,
     TwoLevelParams,
     classify_regime,
-    component_flow,
     component_generator,
-    hermitian_precession,
     pauli_compose,
     pauli_decompose,
     ramp_experiment,
     static_solution,
 )
 
-from helpers import dp5_ramp
+from helpers import dp5_ramp, hermitian_precession
 
 FIXTURE = TwoLevelParams(v=np.array([0.0, 4.0, 0.0, 0.0]), w=np.array([0.0, 0.0, 0.0, 3.0]))
 
@@ -84,13 +82,13 @@ class TestComponentFlow:
             v = np.concatenate([[rng.normal()], rng.normal(size=3)])
             params = TwoLevelParams(v=v, w=np.zeros(4))
             theta0, vec = rng.normal(), rng.normal(size=3)
-            d0, dvec = component_flow(theta0, vec, params)
+            d0, *dvec = component_generator(params) @ np.concatenate(([theta0], vec))
             assert d0 == 0.0
             np.testing.assert_allclose(dvec, np.cross(v[1:], vec), atol=1e-14)
 
     def test_collinear_is_stationary(self):
         params = TwoLevelParams(v=np.array([0.0, 1, 2, 3.0]), w=np.zeros(4))
-        d0, dvec = component_flow(1.0, 2.5 * params.v[1:], params)
+        d0, *dvec = component_generator(params) @ np.concatenate(([1.0], 2.5 * params.v[1:]))
         assert d0 == 0.0
         np.testing.assert_allclose(dvec, 0.0, atol=1e-15)
 
@@ -99,7 +97,7 @@ class TestComponentFlow:
         for _ in range(1000):
             params = TwoLevelParams(v=rng.normal(size=4), w=rng.normal(size=4))
             comp = MetricComponents(theta0=rng.normal(), vec=rng.normal(size=3))
-            d0, dvec = component_flow(comp.theta0, comp.vec, params)
+            d0, *dvec = component_generator(params) @ comp.four_vector()
             component_form = MetricComponents(theta0=d0, vec=dvec).matrix()
             matrix_form = flow_rhs(pauli_compose(params), comp.matrix())
             np.testing.assert_allclose(component_form, matrix_form, atol=1e-12)
@@ -125,7 +123,7 @@ class TestStaticSolution:
             w_vec /= max(np.linalg.norm(w_vec), 1e-3)
             params = TwoLevelParams(v=v, w=np.concatenate([[0.0], w_vec]))
             comp = static_solution(params, theta0_s=1.4, alpha=rng.normal())
-            d0, dvec = component_flow(comp.theta0, comp.vec, params)
+            d0, *dvec = component_generator(params) @ comp.four_vector()
             assert abs(d0) < 1e-14
             np.testing.assert_allclose(dvec, 0.0, atol=1e-14)
 
@@ -299,9 +297,7 @@ class TestRampExperiment:
     def test_selected_static_is_static(self):
         res = ramp_experiment(30.0)
         sched = CrossedRampSchedule(30.0)
-        d0, dvec = component_flow(
-            res.selected_static.theta0, res.selected_static.vec, sched.params_at(30.0)
-        )
+        d0, *dvec = component_generator(sched.params_at(30.0)) @ res.selected_static.four_vector()
         bound = 1e-12 * np.linalg.norm(res.selected_static.four_vector())
         assert abs(d0) <= bound
         assert np.linalg.norm(dvec) <= bound
