@@ -22,10 +22,12 @@ endpoint or, as dense output, at uniform sample times.  It is the
 4th-order commutator-free Magnus method of Blanes & Moan (Appl. Numer.
 Math. 56 (2006) 1519): two matrix exponentials per step, formed by the
 stacked Taylor kernel of :mod:`.operator_core`, so the ``A0`` motion is
-carried exactly and the step is set by how ``f`` varies.  It serves both
-scattering dressings and the adiabatic metric from one stack, the
-two-level ramp and the propagator of ``transition_probability``; the
-metric flow stays on :func:`solve_ode`.
+carried exactly and the step is set by how ``f`` varies.  One rule divides
+the work: :func:`solve_ode` serves metric trajectories only (its one caller
+is ``metric_flow.evolve_metric``), and every single-time metric quantity,
+the adiabatic metric and the transition probability, comes from a CF4
+propagator U by the flow's conservation law ``Theta(t) = U^-dagger Theta_0
+U^-1``.  CF4 also gives the scattering dressings and the two-level ramp.
 """
 
 from __future__ import annotations
@@ -477,9 +479,11 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None, mirror
     Returns ``(U, stats)`` with ``stats`` counting the accepted ``steps``,
     the ``exponentials`` formed over all passes and the final
     ``error_estimate`` (the largest over the samples and products).  Raises
-    :class:`SolverError` when the factor or the propagator turns
+    :class:`SolverError` when t0 or t1, the factor or the propagator is
     non-finite or the tolerance needs more than ``MAGNUS_MAX_STEPS`` steps.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise SolverError(f"non-finite CF4 window [{t0}, {t1}]")
     a0, a1 = np.asarray(a0), np.asarray(a1)
     dtype = np.result_type(a0, a1, float)
     a0, a1 = a0.astype(dtype), a1.astype(dtype)

@@ -62,7 +62,10 @@ __all__ = [
 
 def _gaussian(value):
     """A coefficient value, exactly, as the Gaussian rational ``(re, im, den)``, ``den > 0``."""
-    re, im = map(Fraction, value if isinstance(value, tuple) else (value.real, value.imag))
+    parts = value if isinstance(value, tuple) else (value.real, value.imag)
+    if any(isinstance(x, float) and not math.isfinite(x) for x in parts):
+        raise OutOfRange(f"coefficient {value!r} is not finite")
+    re, im = map(Fraction, parts)
     den = math.lcm(re.denominator, im.denominator)
     return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
@@ -109,7 +112,8 @@ class PhasePolynomial:
     numerators ``(re, im)`` over the one positive denominator ``_den``, kept
     in lowest terms with no zero numerators, so equal polynomials are equal
     structurally.  Accepts int, float, Fraction, complex, or pair coefficient
-    values; floats convert exactly (every float is a dyadic rational).
+    values; finite floats convert exactly (every float is a dyadic rational),
+    and a NaN or infinite part raises :class:`OutOfRange`.
     """
 
     __slots__ = ("_terms", "_den")
@@ -214,22 +218,22 @@ class PhasePolynomial:
         return PhasePolynomial._over(_derivative(self._terms, 0, 1), self._den)
 
     def substitute_linear(self, pp, pq, qp, qq):
-        """Compose with p -> pp*p + pq*q, q -> qp*p + qq*q (exact scalars)."""
+        """Compose with p -> pp*p + pq*q, q -> qp*p + qq*q (exact scalars): every
+        term summed over the one denominator ``den dp^I dq^J`` (dp, dq those of the
+        new p and q, I, J the largest powers of p and q) and reduced once."""
         new_p = PhasePolynomial({(1, 0): pp, (0, 1): pq})
         new_q = PhasePolynomial({(1, 0): qp, (0, 1): qq})
-        # precompute powers up to needed degree
         max_i = max((i for i, _ in self._terms), default=0)
         max_j = max((j for _, j in self._terms), default=0)
-        pow_p = [ONE]
-        for _ in range(max_i):
-            pow_p.append(pow_p[-1].pointwise_mul(new_p))
-        pow_q = [ONE]
-        for _ in range(max_j):
-            pow_q.append(pow_q[-1].pointwise_mul(new_q))
-        total = PhasePolynomial()
-        for (i, j), v in self._terms.items():  # numerators: divide by _den once, below
-            total = total + pow_p[i].pointwise_mul(pow_q[j]).scale(v)
-        return total.scale(Fraction(1, self._den))
+        pow_p, pow_q = [{(0, 0): (1, 0)}], [{(0, 0): (1, 0)}]  # numerators over dp^i, dq^j
+        for pows, new, count in ((pow_p, new_p, max_i), (pow_q, new_q, max_j)):
+            for _ in range(count):
+                pows.append(_mul_into({}, pows[-1], new._terms))
+        total = {}
+        for (i, j), (re, im) in self._terms.items():
+            w = new_p._den ** (max_i - i) * new_q._den ** (max_j - j)
+            _mul_into(total, _scaled(pow_p[i], re * w, im * w), pow_q[j])
+        return PhasePolynomial._over(total, self._den * new_p._den**max_i * new_q._den**max_j)
 
 
 ONE = PhasePolynomial.monomial(0, 0)
@@ -280,8 +284,11 @@ def harmonic_transport_check(theta0: PhasePolynomial, t) -> PhasePolynomial:
     Solves ``dTheta/dt = 2 (q d_p - p d_q) Theta`` by composing with the
     rotation ``p -> p cos 2t + q sin 2t, q -> -p sin 2t + q cos 2t``.
     The angle is reduced modulo the flow period pi first, so transport by
-    any whole multiple of pi is the identity bit-exactly.
+    any whole multiple of pi is the identity bit-exactly.  A non-finite t
+    raises :class:`OutOfRange`.
     """
+    if not math.isfinite(t):
+        raise OutOfRange(f"transport time must be finite, got {t}")
     reduced = math.remainder(float(t), math.pi)
     if reduced == 0.0:
         return theta0

@@ -180,13 +180,15 @@ def extrapolate_to_zero(parameters, values):
     """First-order Richardson extrapolation of ``values`` to parameter 0.
 
     Fits ``value = a + b * parameter`` through the two smallest parameters
-    and returns ``a``; two equal smallest parameters raise :class:`ConfigError`.
-    Callers studying a slow-ramp limit pass 1/T as the parameter.  Works
-    elementwise on array-valued results.
+    and returns ``a``; two equal smallest parameters or a non-finite one raise
+    :class:`ConfigError`.  Callers studying a slow-ramp limit pass 1/T as the
+    parameter.  Works elementwise on array-valued results.
     """
     params = np.asarray(parameters, dtype=float)
     if params.size < 2:
         raise ConfigError("extrapolation needs at least two parameters")
+    if not np.all(np.isfinite(params)):
+        raise ConfigError(f"extrapolation parameters must be finite, got {params.tolist()}")
     order = np.argsort(np.abs(params))
     p1, p2 = params[order[0]], params[order[1]]
     if p1 == p2:

@@ -6,9 +6,14 @@ from fractions import Fraction
 import numpy as np
 
 from adiametric._integrate import OdeSolution
-from adiametric.errors import SolverError, StepSizeUnderflow
-from adiametric.metric_flow import SolverConfig, evolve_metric
-from adiametric.operator_core import _operator_pair, as_operator
+from adiametric.errors import DimensionMismatch, SolverError, StepSizeUnderflow
+from adiametric.metric_flow import (
+    SolverConfig,
+    _accumulate_propagator,
+    _metric_normalized,
+    evolve_metric,
+)
+from adiametric.operator_core import _operator_pair, _require_hermitian, as_operator
 from adiametric.scattering import ScatteringConfig, _real_spectrum_pair, _switch_schedule
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -378,6 +383,60 @@ def finite_difference_residuals(trajectory, schedule):
 # kept here as independent oracles for them.
 
 
+# largest gap allowed between the forward and pull-back amplitude forms
+_FORMS_TOL = 1e-10
+
+
+def transition_probability_oracle(
+    phi,
+    psi,
+    schedule,
+    t_from,
+    t_to,
+    theta_from,
+    config: SolverConfig | None = None,
+) -> float:
+    """Probability of finding ``phi`` at ``t_to`` after preparing ``psi``.
+
+    Both states are normalized in the metric inner product of their own
+    time (psi under Theta(t_from), phi under Theta(t_to)); the returned
+    value is ``|<phi|Theta(t_to) U(t_to, t_from) psi>|^2``, with U from
+    :func:`magnus_cf4` on the schedule's ``h0``, ``h_int`` and ``factor``,
+    independent of the metric flow.  The algebraically equivalent pull-back
+    form through Theta(t_from) is evaluated as well and a
+    :class:`SolverError` is raised if the two disagree beyond 1e-10, which
+    would signal integration failure of the conservation law.  A state
+    whose metric norm is not positive (an indefinite ``theta_from``) raises
+    :class:`NotPositive`; a state or ``theta_from`` of another size than
+    the schedule raises :class:`DimensionMismatch`.
+
+    Theta(t_to) by ``evolve_metric`` (DOP853) and both amplitude forms: the
+    oracle for ``transition_probability``.
+    """
+    cfg = config or SolverConfig(rtol=1e-11, atol=1e-13, samples=2)
+    phi = np.asarray(phi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    theta_from = _require_hermitian(_operator_pair(schedule.h0, theta_from)[1])
+    if not phi.shape == psi.shape == theta_from.shape[:1]:
+        raise DimensionMismatch(f"states of shapes {phi.shape} and {psi.shape} do not match "
+                                f"the {theta_from.shape} metric")
+    psi_n = _metric_normalized(psi, theta_from)
+
+    theta_to = evolve_metric(schedule, theta_from, t_from, t_to, cfg).final
+    phi_n = _metric_normalized(phi, theta_to)
+    u = _accumulate_propagator(schedule, t_from, t_to, cfg.rtol, cfg.atol)
+
+    amp_forward = phi_n.conj() @ theta_to @ (u @ psi_n)
+    # pull-back form: <phi| U(t_from,t_to)^dagger Theta(t_from) |psi>
+    amp_pullback = np.linalg.solve(u, phi_n).conj() @ (theta_from @ psi_n)
+    if abs(amp_forward - amp_pullback) > _FORMS_TOL:
+        raise SolverError(
+            "transition amplitude forms disagree by "
+            f"{abs(amp_forward - amp_pullback):.3e}"
+        )
+    return float(abs(amp_forward) ** 2)
+
+
 def flow_adiabatic_metric(h0, h_int, theta0, eps, config=None, shape="exp"):
     """Theta(0) by integrating the metric flow from the far-past horizon with
     ``evolve_metric``: the oracle for the Moller identity of ``adiabatic_metric``
@@ -700,3 +759,34 @@ def fraction_moyal_product(f: FractionPolynomial, g: FractionPolynomial) -> Frac
                 continue
             total = total + left.pointwise_mul(right).scale(coeff)
     return total
+
+
+# ------------------------------------------------ per-term substitution
+# PhasePolynomial.substitute_linear before its one-denominator sum, on the
+# package's own ring operations.
+
+
+def substitute_linear_per_term(poly, pp, pq, qp, qq):
+    """Compose with p -> pp*p + pq*q, q -> qp*p + qq*q (exact scalars).
+
+    ``PhasePolynomial.substitute_linear`` as the package ran it before its
+    one-denominator sum: every term added and reduced on its own.  The
+    oracle for that sum.
+    """
+    from adiametric.moyal import ONE, PhasePolynomial
+
+    new_p = PhasePolynomial({(1, 0): pp, (0, 1): pq})
+    new_q = PhasePolynomial({(1, 0): qp, (0, 1): qq})
+    # precompute powers up to needed degree
+    max_i = max((i for i, _ in poly._terms), default=0)
+    max_j = max((j for _, j in poly._terms), default=0)
+    pow_p = [ONE]
+    for _ in range(max_i):
+        pow_p.append(pow_p[-1].pointwise_mul(new_p))
+    pow_q = [ONE]
+    for _ in range(max_j):
+        pow_q.append(pow_q[-1].pointwise_mul(new_q))
+    total = PhasePolynomial()
+    for (i, j), v in poly._terms.items():  # numerators: divide by _den once, below
+        total = total + pow_p[i].pointwise_mul(pow_q[j]).scale(v)
+    return total.scale(Fraction(1, poly._den))

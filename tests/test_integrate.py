@@ -345,6 +345,15 @@ def test_cf4_non_finite_factor_raises():
         magnus_cf4(A0, A1, lambda t: np.where(t > 1.0, np.nan, 1.0), 0.0, 2.0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                    (-math.inf, 0.0)],
+                         ids=["nan-end", "nan-start", "inf-end", "inf-start"])
+def test_cf4_non_finite_window_raises(t0, t1):
+    # math.ceil once raised an untyped ValueError or OverflowError
+    with pytest.raises(SolverError, match="non-finite CF4 window"):
+        magnus_cf4(A0, A1, _factor, t0, t1)
+
+
 def test_cf4_empty_interval_is_identity():
     u, stats = magnus_cf4(A0, A1, _factor, 1.0, 1.0)
     np.testing.assert_array_equal(u, np.eye(2))

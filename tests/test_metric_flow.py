@@ -18,6 +18,7 @@ from adiametric.errors import (
     NonpositiveWeight,
     NotPositive,
     SingularMetric,
+    SolverError,
 )
 from adiametric.metric_flow import (
     _REP_BLOCK,
@@ -61,6 +62,7 @@ from helpers import (
     random_bounded_nonhermitian,
     random_hermitian,
     random_quasi_hermitian,
+    transition_probability_oracle,
     two_level_matrix,
 )
 
@@ -734,6 +736,29 @@ class TestTransitionProbability:
                 psi, psi, Constant(SZ), 0.0, 1.0, np.diag([1.0, -0.5])
             )
 
+    def test_integrates_no_metric_flow(self, monkeypatch):
+        # phi is pulled back by one CF4 propagator; DOP853 is never run
+        def refuse(*args, **kwargs):
+            raise AssertionError("transition_probability called solve_ode")
+
+        monkeypatch.setattr(metric_flow, "solve_ode", refuse)
+        schedule = ExponentialSwitch(H_TL, 0.5 * SZ, 0.5)
+        p = transition_probability(np.ones(2), np.array([1.0, 1j]), schedule, -3.0, 2.0,
+                                   THETA_TL)
+        assert 0.0 <= p <= 1.0 + 1e-12
+
+    def test_empty_window_raises_config_error(self):
+        with pytest.raises(ConfigError, match="empty"):
+            transition_probability(np.ones(2), np.ones(2), Constant(H_TL), 1.0, 1.0, THETA_TL)
+
+    @pytest.mark.parametrize("t_from, t_to", [(0.0, math.nan), (math.nan, 1.0),
+                                              (0.0, math.inf), (-math.inf, 1.0)],
+                             ids=["nan-to", "nan-from", "inf-to", "inf-from"])
+    def test_non_finite_window_raises_solver_error(self, t_from, t_to):
+        with pytest.raises(SolverError, match="non-finite"):
+            transition_probability(np.ones(2), np.ones(2), Constant(H_TL), t_from, t_to,
+                                   THETA_TL)
+
 
 class TestAccumulatedPropagator:
     """The CF4 propagator behind :func:`transition_probability` against DP5."""
@@ -760,6 +785,46 @@ class TestAccumulatedPropagator:
         want = dp5_propagator(schedule, t0, t1, 1e-13, 1e-15)
         got = metric_flow._accumulate_propagator(schedule, t0, t1, 1e-11, 1e-13)
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("t1", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_end_raises_solver_error(self, t1):
+        # math.ceil once raised an untyped ValueError or OverflowError
+        with pytest.raises(SolverError, match="non-finite CF4 window"):
+            metric_flow._accumulate_propagator(Constant(H_TL), 0.0, t1, 1e-11, 1e-13)
+
+
+class TestTransitionPullBack:
+    """:func:`transition_probability` against the two-integrator oracle: DOP853's
+    Theta(t_to) with the forward and the pull-back amplitude forms."""
+
+    SPANS = TestAccumulatedPropagator.SPANS
+
+    @staticmethod
+    def start_metric(schedule, kind):
+        """The identity, or a static metric of the free generator: ``H0`` for
+        the three-level spans (``Constant``'s own h0 has a complex spectrum),
+        the crossed ramp's start for the two-level one."""
+        if kind == "identity":
+            return np.eye(len(schedule.h0))
+        free = TestAccumulatedPropagator.H0 if len(schedule.h0) == 3 else schedule.h0
+        return static_metric(biorthogonal_decompose(free), np.linspace(1.0, 2.0, len(free)))
+
+    @pytest.mark.parametrize("metric", ["identity", "quasi_hermitian"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("name", list(SPANS))
+    def test_matches_two_form_oracle(self, name, backward, metric):
+        # P <= 1; the oracle's forms agree within 1e-10 in amplitude and its
+        # Theta(t_to) is held to rtol 1e-11; the bound was fixed before the first run
+        schedule, t0, t1 = self.SPANS[name]
+        if backward:
+            t0, t1 = t1, t0
+        theta = self.start_metric(schedule, metric)
+        rng = np.random.default_rng(43)
+        dim = len(theta)
+        phi, psi = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        want = transition_probability_oracle(phi, psi, schedule, t0, t1, theta)
+        got = transition_probability(phi, psi, schedule, t0, t1, theta)
+        assert abs(got - want) <= 1e-9
 
 
 class TestTransportPrediction:

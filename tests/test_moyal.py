@@ -23,7 +23,7 @@ from adiametric.moyal import (
     star_flow_rhs,
 )
 
-from helpers import FractionPolynomial, fraction_moyal_product
+from helpers import FractionPolynomial, fraction_moyal_product, substitute_linear_per_term
 
 H0 = PhasePolynomial({(2, 0): 1, (0, 2): 1})
 
@@ -120,6 +120,47 @@ class TestFractionOracle:
     def test_substitute_linear(self, f, coeffs):
         assert_agrees(f[0].substitute_linear(*coeffs),
                       f[1].substitute_linear(*map(Fraction, coeffs)))
+
+
+@given(oracle_pairs(),
+       st.lists(st.tuples(exact_scalars(), exact_scalars()).map(lambda ri: as_coefficient(*ri)),
+                min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_substitute_linear_equals_per_term_sum(f, coeffs):
+    # one common denominator, reduced once, against every term reduced on its own
+    assert f[0].substitute_linear(*coeffs) == substitute_linear_per_term(f[0], *coeffs)
+
+
+class TestNonFiniteCoefficients:
+    """A NaN or infinite coefficient raises OutOfRange wherever it enters;
+    each once raised an untyped ValueError or OverflowError."""
+
+    BAD = [math.nan, math.inf, -math.inf, complex(1.0, math.nan), (math.inf, 0)]
+    IDS = ["nan", "inf", "-inf", "complex-nan", "pair-inf"]
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_construction_and_scale(self, bad):
+        with pytest.raises(OutOfRange, match="not finite"):
+            PhasePolynomial({(1, 0): 1, (0, 2): bad})
+        with pytest.raises(OutOfRange, match="not finite"):
+            P.scale(bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
+    def test_substitute_linear(self, bad):
+        with pytest.raises(OutOfRange, match="not finite"):
+            H0.substitute_linear(1.0, bad, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_cubic_static_constants(self, bad):
+        with pytest.raises(OutOfRange, match="not finite"):
+            cubic_static_first_order(bad)
+        with pytest.raises(OutOfRange, match="not finite"):
+            cubic_static_first_order(0.0, bad)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_transport_time(self, t):
+        with pytest.raises(OutOfRange):
+            harmonic_transport_check(H0, t)
 
 
 class TestAlgebra:

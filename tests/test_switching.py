@@ -208,6 +208,12 @@ class TestSweep:
             extrapolate_to_zero(params, values), [1.0, 0.0], atol=1e-12
         )
 
+    @pytest.mark.parametrize("params", [[math.nan, 1.0], [0.1, math.inf]], ids=["nan", "inf"])
+    def test_extrapolation_rejects_non_finite(self, params):
+        # [nan, 1.0] once returned nan, and [0.1, inf] the value at 0.1, with no error
+        with pytest.raises(ConfigError, match="finite"):
+            extrapolate_to_zero(params, [1.0, 2.0])
+
     def test_extrapolation_needs_two_points(self):
         with pytest.raises(ConfigError):
             extrapolate_to_zero([0.1], [1.0])
