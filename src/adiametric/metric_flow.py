@@ -14,7 +14,8 @@ by midpoint propagators from the stacked Taylor exponential), constructs
 static metrics from biorthogonal eigensystems, maps metrics to and from the
 left-eigenbasis coefficient picture where the flow is diagonal, and derives
 the quasi-Hermitian "observable" generator along with its Hermitian
-representation and that representation's exact generator residual.
+representation in the Cholesky gauge and the gauge-free residual of its
+metric correction.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     NonpositiveWeight,
     NotPositive,
     SingularMetric,
+    SolverError,
 )
 from .operator_core import (
     PATH_CHUNK,
@@ -42,6 +44,7 @@ from .operator_core import (
     _hermiticity_defects,
     _hermitian_part,
     _is_hermitian,
+    _lower_inverse,
     _operator_pair,
     _require_hermitian,
     _require_positive,
@@ -195,8 +198,18 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     order in the step for smooth schedules.  The step exponentials are
     formed ``PATH_CHUNK`` at a time by one stacked Taylor evaluation.  A
     ``theta0`` of another shape than the generator raises
-    :class:`DimensionMismatch`.
+    :class:`DimensionMismatch`, an ``nsteps`` that is not a positive integer
+    or an empty window :class:`ConfigError`, and a non-finite window
+    :class:`SolverError`.
     """
+    if not isinstance(nsteps, numbers.Integral):  # numpy integers pass
+        raise ConfigError(f"propagator steps must be an integer, got {nsteps!r}")
+    if nsteps < 1:
+        raise ConfigError(f"propagator steps must be at least 1, got {nsteps}")
+    if t1 == t0:
+        raise ConfigError(f"evolution window [{t0}, {t1}] is empty: t1 must differ from t0")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise SolverError(f"non-finite evolution window [{t0}, {t1}]")
     theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
     dim = theta0.shape[0]
     grid = np.linspace(t0, t1, nsteps + 1)
@@ -310,14 +323,18 @@ def observable_hamiltonian(h, theta, theta_dot) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianRepresentation:
-    """Similarity-transformed generator samples along a trajectory.
+    """Hermitian counterpart of the observable generator along a trajectory.
 
-    ``generator_residuals`` reports how far ``H_obs - i Omega^-1 dOmega/dt``
-    is from the schedule Hamiltonian, relative to ``max(||H||_F, 1)``.
-    With dTheta/dt from the flow, the gap is exactly the ordering term
-    ``(i/2) Omega^-2 [dOmega/dt, Omega]`` of the ``Omega = Theta^(1/2)``
-    gauge: finite at every sample, ends included, zero where dTheta/dt
-    commutes with Theta, and vanishing in the slow-driving limit.
+    ``h_ops`` holds ``eta H_obs eta^-1`` in the Cholesky gauge ``eta = L^dagger``,
+    ``Theta = L L^dagger``.  Every factor ``eta^dagger eta = Theta`` gives a
+    Hermitian matrix unitarily equivalent to this one; the principal root
+    ``Omega = Theta^(1/2)`` gives ``Q^dagger h_ops Q``, ``Q = L^dagger Omega^-1``,
+    so the spectrum and the Hermiticity do not depend on the choice.
+    ``generator_residuals`` is the gauge-free part of the metric correction:
+    ``||Herm((i/2) Theta^-1 dTheta/dt)||_F`` with dTheta/dt from the flow,
+    relative to ``max(||H||_F, 1)``.  It is finite at every sample, ends
+    included, zero exactly where dTheta/dt commutes with Theta, and
+    vanishes in the slow-driving limit.
     """
 
     times: np.ndarray
@@ -327,15 +344,18 @@ class HermitianRepresentation:
 
 
 def hermitian_representation(trajectory: MetricTrajectory, schedule):
-    """Hermitian counterpart ``Omega H_obs Omega^-1`` at every sample.
+    """Hermitian counterpart ``eta H_obs eta^-1`` at every sample, ``eta = L^dagger``.
 
     ``H_obs`` is :func:`observable_hamiltonian` with dTheta/dt from the
     flow.  The samples are taken ``_REP_BLOCK`` at a time, each block on its
-    own: one batched ``eigh`` of its metrics gives the condition number, the
-    positivity test and the eigenbasis in which ``h_ops`` and the residuals
-    are formed.  A sample the per-sample path rejects raises the same error:
-    :class:`DimensionMismatch` for non-finite entries, :class:`SingularMetric`
-    past condition number 1e12, :class:`NonHermitianInput` and :class:`NotPositive`.
+    own: one batched Cholesky factorization ``Theta = L L^dagger`` and one
+    triangular inverse give ``h_ops`` and the residuals, and the Frobenius
+    bound ``(||L||_F ||L^-1||_F)^2 >= cond(Theta)`` screens the condition
+    number; a block past it is decided on its eigenvalues.  A sample the
+    per-sample path rejects raises the same error: :class:`DimensionMismatch`
+    for non-finite entries or a schedule of another size than the metrics,
+    :class:`SingularMetric` past condition number 1e12,
+    :class:`NonHermitianInput` and :class:`NotPositive`.
     """
     times = np.asarray(trajectory.times, dtype=float)
     thetas = np.asarray(trajectory.metrics, dtype=complex)
@@ -348,45 +368,72 @@ def hermitian_representation(trajectory: MetricTrajectory, schedule):
     for start in range(0, n, _REP_BLOCK):
         block = slice(start, start + _REP_BLOCK)
         h = np.array([schedule.at(t) for t in times[block]], dtype=complex)
-        h_rep, ordering = _representation_factors(h, thetas[block])
+        if h.shape != thetas[block].shape:
+            raise DimensionMismatch(
+                f"schedule operators of shape {h.shape[1:]} against metrics of shape "
+                f"{thetas.shape[1:]}")
+        h_rep, correction = _representation_factors(h, thetas[block])
         h_ops[block] = h_rep
         defects[block] = _hermiticity_defects(h_rep) / (
             np.maximum(_frobenius_stack(h_rep), 1e-300))
-        residuals[block] = _frobenius_stack(ordering) / np.maximum(_frobenius_stack(h), 1.0)
+        residuals[block] = _frobenius_stack(correction) / np.maximum(_frobenius_stack(h), 1.0)
     return HermitianRepresentation(times, h_ops, defects, residuals)
 
 
 def _representation_factors(h, theta):
-    """``(Omega H_obs Omega^-1, R)`` of a block of samples from one batched ``eigh``.
+    """``(L^dagger H_obs L^-dagger, C)`` of a block of samples, ``Theta = L L^dagger``.
 
-    With ``Theta = V diag(lam) V^dagger``, ``s = sqrt(lam)``, ``Hv = V^dagger H V``
-    and ``A = diag(lam) Hv``, the flow gives ``V^dagger dTheta/dt V = X = i (A -
-    A^dagger)`` and ``V^dagger dOmega/dt V = X_ij / (s_i + s_j)``.  So ``Omega H_obs
-    Omega^-1 = V M V^dagger``, ``M_ij = (s_i / s_j) Hv_ij + (i/2) X_ij / (s_i s_j)``,
-    and R, the ordering term in the eigenbasis, is ``(i/2) X_ij (s_j - s_i) /
-    (lam_i (s_i + s_j))``.  Nothing is symmetrized after the last product.
-    Every array is C-contiguous: a stacked ``@`` copies a transposed view.
+    The flow gives ``H_obs = (H + Theta^-1 H^dagger Theta) / 2``, so with
+    ``B = (L^dagger H) L^-dagger`` and ``D = L^-1 (H^dagger L)`` the representation
+    is ``(B + D) / 2``.  B and D are separate products and nothing is
+    symmetrized after them, so the Hermiticity defect measures their
+    rounding.  ``G = H - L^-dagger D L^dagger = -i Theta^-1 dTheta/dt``, and C is
+    ``(G + G^dagger) / 4``, the Hermitian part of the metric correction
+    ``H_obs - H``.  Every array is C-contiguous: a stacked ``@`` copies a
+    transposed view.
     """
     ok = np.isfinite(h).all(axis=(1, 2)) & np.isfinite(theta).all(axis=(1, 2))
     ok &= _is_hermitian(theta)
     if not ok.all():
         _raise_first_fault(h, theta, ~ok)
-    vals, vecs = np.linalg.eigh(_hermitian_part(theta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the singular values of a Hermitian matrix are its |eigenvalues|
-        cond = np.abs(vals).max(axis=1) / np.abs(vals).min(axis=1)
-    bad = ~(cond <= _MAX_COND) | (vals[:, 0] <= 0.0)
-    if bad.any():
-        _raise_first_fault(h, theta, bad)
-    vecs_h = np.ascontiguousarray(vecs.conj().swapaxes(1, 2))
-    hv = (vecs_h @ h) @ vecs
-    lam = vals[:, :, None]
-    a = lam * hv
-    x = 1j * (a - a.conj().swapaxes(1, 2))
-    s_i = np.sqrt(lam)
-    s_j = s_i.swapaxes(1, 2)
-    m = (s_i / s_j) * hv + 0.5j * x / (s_i * s_j)
-    return (vecs @ m) @ vecs_h, 0.5j * x * (s_j - s_i) / (lam * (s_i + s_j))
+    low, low_inv = _metric_factors(h, theta)
+    low_h = np.ascontiguousarray(low.conj().swapaxes(1, 2))
+    low_inv_h = np.ascontiguousarray(low_inv.conj().swapaxes(1, 2))
+    h_h = np.ascontiguousarray(h.conj().swapaxes(1, 2))
+    b = (low_h @ h) @ low_inv_h
+    d = low_inv @ (h_h @ low)
+    g = h - (low_inv_h @ d) @ low_h
+    return 0.5 * (b + d), 0.25 * (g + g.conj().swapaxes(1, 2))
+
+
+def _metric_factors(h, theta):
+    """``(L, L^-1)`` with ``Theta = L L^dagger`` for a block of finite Hermitian metrics.
+
+    A block whose Cholesky factorization fails, or whose Frobenius bound
+    ``(||L||_F ||L^-1||_F)^2`` passes ``_MAX_COND``, is decided on its
+    eigenvalues as the per-sample path decides it: a sample past the
+    condition limit or not positive goes to :func:`_raise_first_fault`.
+    """
+    herm = _hermitian_part(theta)
+    try:
+        low = np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        low, wide = None, np.ones(len(theta), dtype=bool)
+    else:
+        low_inv = _lower_inverse(low)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (_frobenius_stack(low) * _frobenius_stack(low_inv)) ** 2
+        wide = ~(bound <= _MAX_COND)
+    if wide.any():
+        vals = np.linalg.eigvalsh(herm[wide])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the singular values of a Hermitian matrix are its |eigenvalues|
+            cond = np.abs(vals).max(axis=1) / np.abs(vals).min(axis=1)
+        bad = np.zeros(len(theta), dtype=bool)
+        bad[wide] = ~(cond <= _MAX_COND) | (vals[:, 0] <= 0.0)
+        if bad.any() or low is None:  # a failed factorization with no bad sample is at the limit
+            _raise_first_fault(h, theta, bad if bad.any() else wide)
+    return low, low_inv
 
 
 def _raise_first_fault(h, theta, flagged):
@@ -394,12 +441,16 @@ def _raise_first_fault(h, theta, flagged):
 
     The samples up to it go through the per-sample checks in order, so an
     earlier sample those checks reject raises first, as it would there.
+    Those checks (the condition number from an SVD, positivity from
+    ``eigh``) are the reference: the Cholesky screen and the eigenvalue test
+    of :func:`_metric_factors` only choose the samples sent here.
     """
     for k in range(int(np.argmax(flagged)) + 1):
         observable_hamiltonian(h[k], theta[k], flow_rhs(h[k], theta[k]))
         hermitian_sqrt(theta[k])
-    # only a condition number that eigh puts just past the limit and the SVD
-    # of the per-sample check does not gets here
+    # only a condition number that eigvalsh puts just past the limit and the
+    # SVD of the per-sample check does not, or a block whose Cholesky
+    # factorization fails though its eigenvalues pass, gets here
     raise SingularMetric(f"metric condition number at the limit {_MAX_COND:.0e}")
 
 

@@ -2,7 +2,8 @@
 
 Everything downstream (metric evolution, scattering, toy models) builds on
 the operations here: Hermiticity and positivity predicates, the Hermitian
-principal square root, biorthogonal eigendecompositions of diagonalizable
+principal square root, the inverse of stacked lower-triangular (Cholesky)
+factors, biorthogonal eigendecompositions of diagonalizable
 non-Hermitian matrices, the eigenframe ``H = V diag(E) V^-1`` behind every
 free propagator, eigensystems continued along a path of matrices, and the
 package's one matrix exponential: a stacked Taylor kernel with scaling and
@@ -160,6 +161,29 @@ def hermitian_sqrt(theta) -> np.ndarray:
     if vals[0] <= 0.0:
         raise NotPositive(f"smallest eigenvalue {vals[0]:.3e} is not positive")
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+_TRI_LEAF = 16  # largest triangle :func:`_lower_inverse` hands to ``inv``
+
+
+def _lower_inverse(low) -> np.ndarray:
+    """Inverse of each lower-triangular matrix of a ``(n, d, d)`` stack.
+
+    Halving ``L = [[A, 0], [C, D]]`` gives ``L^-1 = [[A^-1, 0], [-D^-1 C A^-1,
+    D^-1]]``, so only the diagonal triangles of at most ``_TRI_LEAF`` rows
+    go to ``np.linalg.inv``; their upper triangles are set to zero.
+    """
+    dim = low.shape[-1]
+    if dim <= _TRI_LEAF:
+        return np.tril(np.linalg.inv(low))
+    half = dim // 2
+    a_inv = _lower_inverse(low[:, :half, :half])
+    d_inv = _lower_inverse(low[:, half:, half:])
+    out = np.zeros_like(low)
+    out[:, :half, :half] = a_inv
+    out[:, half:, half:] = d_inv
+    out[:, half:, :half] = -(d_inv @ low[:, half:, :half]) @ a_inv
+    return out
 
 
 @dataclass(frozen=True)

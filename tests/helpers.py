@@ -322,6 +322,18 @@ def evolve_metric_oracle(schedule, theta0, t0, t1, config):
     return np.array(sol.states), sol.stats
 
 
+def root_representation(h, theta):
+    """``Omega H_obs Omega^-1`` of one sample: Omega by ``hermitian_sqrt``,
+    ``H_obs`` by ``observable_hamiltonian`` with dTheta/dt from ``flow_rhs``
+    and ``inv`` for Omega^-1."""
+    from adiametric.metric_flow import flow_rhs, observable_hamiltonian
+    from adiametric.operator_core import hermitian_sqrt
+
+    h_obs = observable_hamiltonian(h, theta, flow_rhs(h, theta))
+    omega = hermitian_sqrt(theta)
+    return omega @ h_obs @ np.linalg.inv(omega)
+
+
 def hermitian_representation_oracle(trajectory, schedule):
     """Per-sample Hermitian representation: the oracle for ``hermitian_representation``.
 
@@ -333,16 +345,15 @@ def hermitian_representation_oracle(trajectory, schedule):
     Returns ``(h_ops, hermiticity_defects, generator_residuals)`` and raises
     what those functions raise, sample by sample.
     """
-    from adiametric.metric_flow import flow_rhs, observable_hamiltonian
+    from adiametric.metric_flow import flow_rhs
     from adiametric.operator_core import hermitian_sqrt
 
     h_ops, defects, residuals = [], [], []
     for t, theta in zip(trajectory.times, trajectory.metrics):
         h = schedule.at(t)
         theta_dot = flow_rhs(h, theta)
-        h_obs = observable_hamiltonian(h, theta, theta_dot)
+        h_rep = root_representation(h, theta)
         omega = hermitian_sqrt(theta)
-        h_rep = omega @ h_obs @ np.linalg.inv(omega)
         h_ops.append(h_rep)
         defects.append(np.linalg.norm(h_rep - h_rep.conj().T)
                        / max(np.linalg.norm(h_rep), 1e-300))
@@ -355,12 +366,41 @@ def hermitian_representation_oracle(trajectory, schedule):
     return np.array(h_ops), np.array(defects), np.array(residuals)
 
 
+def cholesky_gauge(theta):
+    """``Q = L^dagger Omega^-1`` with ``Theta = L L^dagger`` and ``Omega = Theta^(1/2)``.
+
+    Q is unitary (``Q Q^dagger = L^dagger Theta^-1 L = I``) and moves a
+    representation in the principal-root gauge to the Cholesky gauge:
+    ``L^dagger H_obs L^-dagger = Q (Omega H_obs Omega^-1) Q^dagger``.
+    """
+    from adiametric.operator_core import hermitian_sqrt
+
+    low = np.linalg.cholesky(0.5 * (theta + theta.conj().T))
+    return np.linalg.solve(hermitian_sqrt(theta).T, low.conj()).T
+
+
+def metric_correction_residuals(trajectory, schedule):
+    """``||Herm((i/2) Theta^-1 dTheta/dt)||_F / max(||H||_F, 1)`` sample by sample,
+    with dTheta/dt from ``flow_rhs`` and one ``solve``: the oracle for the
+    generator residuals of ``hermitian_representation``."""
+    from adiametric.metric_flow import flow_rhs
+
+    residuals = []
+    for t, theta in zip(trajectory.times, trajectory.metrics):
+        h = schedule.at(t)
+        correction = 0.5j * np.linalg.solve(theta, flow_rhs(h, theta))
+        hermitian = 0.5 * (correction + correction.conj().T)
+        residuals.append(np.linalg.norm(hermitian) / max(np.linalg.norm(h), 1.0))
+    return np.array(residuals)
+
+
 def finite_difference_residuals(trajectory, schedule):
     """Generator residual ``||H_obs - i Omega^-1 dOmega/dt - H||_F / max(||H||_F, 1)``
     with dOmega/dt from central differences of the sampled square roots.
 
-    NaN at both ends; at the inner samples it tends to the exact residual
-    at second order in the sample spacing.
+    NaN at both ends; at the inner samples it tends to the exact ordering
+    term of :func:`hermitian_representation_oracle` at second order in the
+    sample spacing.
     """
     from adiametric.metric_flow import flow_rhs, observable_hamiltonian
     from adiametric.operator_core import hermitian_sqrt

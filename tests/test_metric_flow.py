@@ -51,17 +51,20 @@ from helpers import (
     I2,
     SY,
     SZ,
+    cholesky_gauge,
     dp5_propagator,
     eigenbasis_evolution,
     entrywise_sum,
     evolve_metric_oracle,
     finite_difference_residuals,
     hermitian_representation_oracle,
+    metric_correction_residuals,
     normal_ordered_exp,
     picard_iterate,
     random_bounded_nonhermitian,
     random_hermitian,
     random_quasi_hermitian,
+    root_representation,
     transition_probability_oracle,
     two_level_matrix,
 )
@@ -376,6 +379,29 @@ class TestPropagatorConjugationSolver:
         for m in traj.metrics:
             np.testing.assert_allclose(np.linalg.eigvalsh(m), ev0, atol=1e-10)
 
+    @pytest.mark.parametrize("nsteps", [0, -3, 2.5])
+    def test_steps_not_a_positive_integer_is_config_error(self, nsteps):
+        # 0 once returned Theta_0 at t0 as the final metric, -3 raised numpy's
+        # ValueError and 2.5 a TypeError
+        with pytest.raises(ConfigError, match="propagator steps must be"):
+            evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), 0.0, 1.0, nsteps)
+
+    def test_numpy_integer_steps_pass(self):
+        traj = evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), 0.0, 1.0, np.int64(4))
+        assert traj.times[-1] == 1.0 and traj.stats == {"nsteps": 4}
+
+    def test_empty_window_is_config_error(self):
+        # once a one-sample trajectory
+        with pytest.raises(ConfigError, match=r"evolution window \[1.5, 1.5\] is empty"):
+            evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), 1.5, 1.5)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                        (-math.inf, 0.0)])
+    def test_non_finite_window_is_solver_error(self, t0, t1):
+        # once NaN metrics with no error
+        with pytest.raises(SolverError, match="non-finite evolution window"):
+            evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), t0, t1, 8)
+
     def test_agrees_with_rk_on_ramp_schedule(self):
         from adiametric.two_level import CrossedRampSchedule, static_solution
 
@@ -551,7 +577,8 @@ class TestHermitianRepresentation:
         rep = hermitian_representation(traj, Constant(H_TL))
         om = hermitian_sqrt(THETA_TL)
         oracle = om @ H_TL @ np.linalg.inv(om)
-        np.testing.assert_allclose(rep.h_ops[0], oracle, atol=1e-9)
+        gauge = cholesky_gauge(THETA_TL)
+        np.testing.assert_allclose(rep.h_ops[0], gauge @ oracle @ gauge.conj().T, atol=1e-9)
         assert hermiticity_defect(oracle) < 1e-10
         assert rep.hermiticity_defects.max() < 1e-9
 
@@ -597,7 +624,7 @@ class TestHermitianRepresentation:
         for samples in (49, 193, 769):
             traj = evolve_metric(sched, theta0, 0.0, 3.0,
                                  SolverConfig(rtol=1e-12, atol=1e-15, samples=samples))
-            exact = hermitian_representation(traj, sched).generator_residuals
+            exact = hermitian_representation_oracle(traj, sched)[2]
             gaps.append(np.max(np.abs(finite_difference_residuals(traj, sched) - exact)[1:-1]))
         # the spacing shrinks fourfold per step: order p shrinks the gap 4**p-fold
         orders = np.log(np.divide(gaps[:-1], gaps[1:])) / np.log(4.0)
@@ -634,7 +661,8 @@ class TestHermitianRepresentation:
         # with dTheta/dt from the flow, H_obs = (H + Theta^-1 H^dag Theta) / 2,
         # so Omega H_obs Omega^-1 is the Hermitian part of X = Omega H Omega^-1
         # (Omega = Theta^(1/2), X^dag = Omega^-1 H^dag Omega): an identity free
-        # of H_obs, checked here with scipy's matrix square root
+        # of H_obs, checked here with scipy's matrix square root and moved to
+        # the Cholesky gauge by the unitary Q = L^dag Omega^-1, Theta = L L^dag
         rng = np.random.default_rng(seed)
         h, _ = random_quasi_hermitian(rng, dim, 2.0)
         roots = [random_quasi_hermitian(rng, dim)[1] for _ in range(3)]
@@ -644,8 +672,80 @@ class TestHermitianRepresentation:
         for theta, h_rep in zip(metrics, rep.h_ops):
             omega = scipy.linalg.sqrtm(theta)
             x = omega @ np.linalg.solve(omega.T, h.T).T
-            want = 0.5 * (x + x.conj().T)
+            gauge = np.linalg.solve(omega.T, np.linalg.cholesky(theta).conj()).T
+            want = gauge @ (0.5 * (x + x.conj().T)) @ gauge.conj().T
             assert np.linalg.norm(h_rep - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+           mixing=st.sampled_from([0.3, 0.5]))
+    @example(seed=0, dim=32, mixing=0.5)
+    @example(seed=1, dim=64, mixing=0.5)
+    def test_cholesky_gauge_is_unitarily_equivalent_to_the_root_gauge(self, seed, dim, mixing):
+        # metrics S^2 with cond(S) <= (1 + mixing) / (1 - mixing), read against
+        # a ramp whose generator moves between two quasi-Hermitian ends; the
+        # samples cross a block boundary
+        rng = np.random.default_rng(seed)
+        (ha, _), (hb, _) = (random_quasi_hermitian(rng, dim, 2.0) for _ in range(2))
+        schedule = LinearRamp(ha, hb, 1.0)
+        roots = [random_quasi_hermitian(rng, dim, mixing=mixing)[1]
+                 for _ in range(_REP_BLOCK + 1)]
+        metrics = np.array([s @ s for s in roots], dtype=complex)
+        times = np.linspace(0.0, 1.0, len(metrics))
+        traj = MetricTrajectory(times=times, metrics=metrics, solver="test")
+        rep = hermitian_representation(traj, schedule)
+        residuals = metric_correction_residuals(traj, schedule)
+        for t, theta, h_rep in zip(times, metrics, rep.h_ops):
+            h_root = root_representation(schedule.at(t), theta)
+            want = np.linalg.eigvalsh(h_root)
+            gap = np.max(np.abs(np.linalg.eigvalsh(h_rep) - want))
+            assert gap <= 1e-13 * np.max(np.abs(want))
+            gauge = cholesky_gauge(theta)
+            moved = gauge @ h_root @ gauge.conj().T
+            assert np.linalg.norm(h_rep - moved) <= 1e-12 * np.linalg.norm(moved)
+        np.testing.assert_allclose(rep.generator_residuals, residuals, rtol=1e-12, atol=1e-15)
+
+    def test_frobenius_bound_past_the_limit_is_decided_on_eigenvalues(self, monkeypatch):
+        # eight eigenvalues at 1 and eight at 2e-12, rotated: cond = 5e11 is
+        # inside the limit, the bound (8 + 1.6e-11)(8 + 4e12) = 3.2e13 is not
+        rng = np.random.default_rng(30)
+        q = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))[0]
+        theta = (q * np.repeat([1.0, 2e-12], 8)) @ q.conj().T
+        theta = 0.5 * (theta + theta.conj().T)
+        low = np.linalg.cholesky(theta)
+        assert (np.linalg.norm(low) * np.linalg.norm(np.linalg.inv(low))) ** 2 > 1e12
+        assert np.linalg.cond(theta) <= 1e12
+        h, s = random_quasi_hermitian(rng, 16, 2.0)
+        metrics = np.array([s @ s, theta, s @ s], dtype=complex)
+        traj = MetricTrajectory(times=np.arange(3.0), metrics=metrics, solver="test")
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(len(a)) or eigvalsh(a))
+        rep = hermitian_representation(traj, Constant(h))
+        assert calls == [1]  # the one sample past the bound
+        assert np.isfinite(rep.h_ops).all() and np.isfinite(rep.generator_residuals).all()
+        monkeypatch.undo()
+        hermitian_representation_oracle(traj, Constant(h))  # the per-sample path accepts it too
+
+    def test_well_conditioned_read_decomposes_nothing(self, monkeypatch):
+        schedule, theta0, t0, t1 = random_flow(31, 6, False)
+        traj = evolve_metric(schedule, theta0, t0, t1, SolverConfig(samples=2 * _REP_BLOCK + 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigendecomposition on the read path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rep = hermitian_representation(traj, schedule)
+        monkeypatch.undo()
+        assert_matches_oracle(rep, traj, schedule)
+
+    def test_schedule_of_another_size_is_dimension_mismatch(self):
+        # once numpy's "matmul: Input operand 1 has a mismatch in its core dimension"
+        traj = evolve_metric(Constant(H_TL), THETA_TL, 0.0, 1.0, SolverConfig(samples=3))
+        with pytest.raises(DimensionMismatch, match=r"\(3, 3\) against metrics of shape \(2, 2\)"):
+            hermitian_representation(traj, Constant(np.eye(3)))
 
     @pytest.mark.parametrize(
         "faults, error",
@@ -687,13 +787,18 @@ class TestHermitianRepresentation:
 
 
 def assert_matches_oracle(rep, traj, schedule):
-    """``rep`` against the per-sample oracle, within 1e-12 relative.
+    """``rep`` against the per-sample oracles, within 1e-12 relative.
 
-    Defects and residuals are already relative quantities; the defects,
-    roundoff in size, are held to 1e-12 absolute, and residuals at the
-    roundoff of a static sample to 1e-15 absolute.
+    ``h_ops`` is the principal-root oracle's moved to the Cholesky gauge by
+    the unitary ``cholesky_gauge``, and the residuals are the per-sample
+    metric-correction norms.  Defects and residuals are already relative
+    quantities; the defects, roundoff in size, are held to 1e-12 absolute,
+    and residuals at the roundoff of a static sample to 1e-15 absolute.
     """
-    h_ops, defects, residuals = hermitian_representation_oracle(traj, schedule)
+    h_root, defects, _ = hermitian_representation_oracle(traj, schedule)
+    gauges = np.array([cholesky_gauge(theta) for theta in traj.metrics])
+    h_ops = gauges @ h_root @ gauges.conj().swapaxes(1, 2)
+    residuals = metric_correction_residuals(traj, schedule)
     err = np.linalg.norm(rep.h_ops - h_ops, axis=(1, 2))
     assert np.all(err <= 1e-12 * np.linalg.norm(h_ops, axis=(1, 2)))
     np.testing.assert_allclose(rep.hermiticity_defects, defects, rtol=0.0, atol=1e-12)

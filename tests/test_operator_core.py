@@ -29,6 +29,7 @@ from adiametric.operator_core import (
     _hermiticity_defects,
     _hermitian_part,
     _is_hermitian,
+    _lower_inverse,
     _require_hermitian,
     biorthogonal_decompose,
     continued_eigensystems,
@@ -170,6 +171,18 @@ class TestHermitianSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositive):
             hermitian_sqrt(I2 + 1.5 * SY)
+
+
+def test_lower_inverse_matches_inv():
+    # every size from a single leaf through three halvings, odd sizes included
+    rng = np.random.default_rng(12)
+    for dim in range(1, 71):
+        a = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+        low = np.linalg.cholesky(a @ a.conj().swapaxes(1, 2) / dim + np.eye(dim))
+        got, want = _lower_inverse(low), np.linalg.inv(low)
+        assert not np.triu(got, 1).any(), dim
+        err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.all(err <= 1e-13), (dim, err)
 
 
 class TestBiorthogonalDecompose:
