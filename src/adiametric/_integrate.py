@@ -27,7 +27,9 @@ the work: :func:`solve_ode` serves metric trajectories only (its one caller
 is ``metric_flow.evolve_metric``), and every single-time metric quantity,
 the adiabatic metric and the transition probability, comes from a CF4
 propagator U by the flow's conservation law ``Theta(t) = U^-dagger Theta_0
-U^-1``.  CF4 also gives the scattering dressings and the two-level ramp.
+U^-1``.  CF4 also gives the scattering dressings, the two-level ramp and,
+with fixed steps, the propagator-conjugation metric solver.  A chunk of its
+steps holds at most 2^16 / d^2 of them, capped at ``PATH_CHUNK`` (d <= 16).
 """
 
 from __future__ import annotations
@@ -382,6 +384,7 @@ MAGNUS_START_STEPS = 16
 
 #: Most steps one segment may take before :func:`magnus_cf4` gives up.
 MAGNUS_MAX_STEPS = 1 << 20
+_CF4_CHUNK_ENTRIES = 1 << 16  # steps times d^2 of a CF4 chunk, at most PATH_CHUNK steps
 
 
 def _ordered_product(mats):
@@ -408,19 +411,21 @@ def _prefix_products(mats):
 def _cf4_propagator(a0, a1, f, t0, t1, steps, samples=1, mirror=False):
     """``(samples, d, d)`` CF4 propagators from t0 to the ends of ``samples``
     equal subintervals, by ``steps`` uniform steps (a multiple of ``samples``)
-    taken ``PATH_CHUNK`` at a time: whole subintervals, or part of a long one;
-    ``mirror`` appends their product in the opposite order."""
+    taken a chunk (``d^2`` times its steps at most ``_CF4_CHUNK_ENTRIES``) at a
+    time: whole subintervals, or part of a long one; ``mirror`` appends
+    their product in the opposite order."""
     h = (t1 - t0) / steps
     per = steps // samples
+    chunk = min(PATH_CHUNK, max(1, _CF4_CHUNK_ENTRIES // a0.size))
     half = 0.5 * a0
     u = v = np.eye(len(a0), dtype=half.dtype)
     out = []
     start = 0
     while start < steps:
-        if per > PATH_CHUNK:  # a piece of one subinterval
-            stop = min(start + PATH_CHUNK, (start // per + 1) * per)
+        if per > chunk:  # a piece of one subinterval
+            stop = min(start + chunk, (start // per + 1) * per)
         else:  # whole subintervals
-            stop = min(start + per * (PATH_CHUNK // per), steps)
+            stop = min(start + per * (chunk // per), steps)
         k = np.arange(start, stop, dtype=float)
         phi = f(t0 + (k[:, None] + _GAUSS) * h) @ _CF4_WEIGHTS.T
         if not np.all(np.isfinite(phi)):
@@ -471,10 +476,10 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None, mirror
     with h negated, so its exponentials invert these, and ``U(-t0, -t1)``
     is their product in the opposite order.  Both pass the test above.
 
-    Each pass forms its exponentials ``PATH_CHUNK`` steps at a time in one
+    Each pass forms its exponentials a chunk of steps at a time in one
     stacked Taylor evaluation and reduces them by pairwise batched
-    products, so memory stays O(``PATH_CHUNK`` d^2).  Real generators give
-    real propagators.
+    products, so memory stays O(``_CF4_CHUNK_ENTRIES`` + d^2).  Real
+    generators give real propagators.
 
     Returns ``(U, stats)`` with ``stats`` counting the accepted ``steps``,
     the ``exponentials`` formed over all passes and the final

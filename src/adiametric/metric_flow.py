@@ -10,7 +10,7 @@ DOP853 pair with interpolated samples, on a right-hand side that is
 Hermitian entry by entry); a metric at one time comes from a CF4
 propagator U instead, as the flow conserves ``U^-dagger Theta U^-1``.  It
 provides one alternative solver that cross-validates the flow (conjugation
-by midpoint propagators from the stacked Taylor exponential), constructs
+by the fixed-step CF4 propagator of ``-i H^dagger``), constructs
 static metrics from biorthogonal eigensystems, maps metrics to and from the
 left-eigenbasis coefficient picture where the flow is diagonal, and derives
 the quasi-Hermitian "observable" generator along with its Hermitian
@@ -26,20 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._integrate import _stops, magnus_cf4, solve_ode
+from ._integrate import _cf4_propagator, _stops, magnus_cf4, solve_ode
 from .errors import (
     ConfigError,
     DimensionMismatch,
     NonpositiveWeight,
     NotPositive,
     SingularMetric,
-    SolverError,
 )
 from .operator_core import (
     PATH_CHUNK,
     BiorthogonalSystem,
     _continued_levels,
-    _expm_stack,
     _frobenius_stack,
     _hermiticity_defects,
     _hermitian_part,
@@ -50,6 +48,7 @@ from .operator_core import (
     _require_positive,
     _require_real_spectrum,
     _require_separated,
+    _require_window,
     as_operator,
     frobenius,
     hermitian_sqrt,
@@ -167,11 +166,10 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
     costs 12 rhs calls (the last first-same-as-last), 3 more when a sample
     falls inside it; ``stats["ndense"]`` counts those steps.  A ``theta0``
     of another shape than the generator raises :class:`DimensionMismatch`,
-    and an empty window, ``t1 == t0``, :class:`ConfigError`.
+    an empty window :class:`ConfigError` and a non-finite one :class:`SolverError`.
     """
     cfg = config or SolverConfig()
-    if t1 == t0:
-        raise ConfigError(f"evolution window [{t0}, {t1}] is empty: t1 must differ from t0")
+    _require_window(t0, t1, "evolution")
     theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
     t_eval = np.linspace(t0, t1, cfg.samples)
     sol = solve_ode(lambda t, y: _hermitian_flow_rhs(schedule.at(t), y), t0, t1, theta0,
@@ -189,45 +187,28 @@ def evolve_metric(schedule, theta0, t0, t1, config: SolverConfig | None = None):
 
 
 def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
-    """Metric evolution by conjugation with accumulated short-time propagators.
+    """Metric evolution as the flow's exact congruence ``V Theta_0 V^dagger``.
 
-    Each step contributes ``exp(+i h H(t_mid))`` to the backward evolution
-    operator B(t) mapping states at t to states at t0; the metric is then
-    ``B^dagger Theta_0 B``, an exact solution of the flow whenever H is
-    piecewise constant.  Midpoint sampling makes the accumulation second
-    order in the step for smooth schedules.  The step exponentials are
-    formed ``PATH_CHUNK`` at a time by one stacked Taylor evaluation.  A
-    ``theta0`` of another shape than the generator raises
-    :class:`DimensionMismatch`, an ``nsteps`` that is not a positive integer
-    or an empty window :class:`ConfigError`, and a non-finite window
-    :class:`SolverError`.
+    V, the propagator of ``-i H^dagger`` from t0, is one CF4 pass of
+    ``nsteps`` uniform steps, fourth order, sampled at t0 and the ends of
+    ``gcd(nsteps, 200)`` equal subintervals.  A ``theta0`` of another
+    shape than the generator raises :class:`DimensionMismatch`, an
+    ``nsteps`` that is not a positive integer or an empty window
+    :class:`ConfigError`, and a non-finite window :class:`SolverError`.
     """
     if not isinstance(nsteps, numbers.Integral):  # numpy integers pass
         raise ConfigError(f"propagator steps must be an integer, got {nsteps!r}")
     if nsteps < 1:
         raise ConfigError(f"propagator steps must be at least 1, got {nsteps}")
-    if t1 == t0:
-        raise ConfigError(f"evolution window [{t0}, {t1}] is empty: t1 must differ from t0")
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise SolverError(f"non-finite evolution window [{t0}, {t1}]")
+    _require_window(t0, t1, "evolution")
     theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
-    dim = theta0.shape[0]
-    grid = np.linspace(t0, t1, nsteps + 1)
-    back = np.eye(dim, dtype=complex)
-    times, metrics = [t0], [theta0.copy()]
-    sample_every = max(1, nsteps // 200)
-    for start in range(0, nsteps, PATH_CHUNK):
-        ks = range(start, min(start + PATH_CHUNK, nsteps))
-        mids = np.array([as_operator(schedule.at(0.5 * (grid[k] + grid[k + 1]))) for k in ks])
-        widths = np.diff(grid[ks.start : ks.stop + 1])[:, None, None]
-        for k, step in zip(ks, _expm_stack(1j * widths * mids)):
-            back = back @ step
-            if (k + 1) % sample_every == 0 or k == nsteps - 1:
-                times.append(grid[k + 1])
-                metrics.append(_hermitian_part(back.conj().T @ theta0 @ back))
+    samples = math.gcd(nsteps, 200)
+    v = _cf4_propagator(-1j * schedule.h0.conj().T, -1j * schedule.h_int.conj().T,
+                        schedule.factor, t0, t1, nsteps, samples)
+    v = np.concatenate([np.eye(len(theta0), dtype=complex)[None], v])
     return MetricTrajectory(
-        times=np.array(times),
-        metrics=np.array(metrics),
+        times=np.linspace(t0, t1, samples + 1),
+        metrics=_hermitian_part(v @ theta0 @ v.conj().swapaxes(1, 2)),
         solver="propagator_conjugation",
         stats={"nsteps": nsteps},
     )
@@ -497,6 +478,7 @@ def transition_probability(
     window :class:`ConfigError` and a non-finite one :class:`SolverError`.
     """
     cfg = config or SolverConfig(rtol=1e-11, atol=1e-13)
+    _require_window(t_from, t_to, "transition")
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     theta_from = _require_hermitian(_operator_pair(schedule.h0, theta_from)[1])
@@ -504,8 +486,6 @@ def transition_probability(
         raise DimensionMismatch(f"states of shapes {phi.shape} and {psi.shape} do not match "
                                 f"the {theta_from.shape} metric")
     psi_n = _metric_normalized(psi, theta_from)
-    if t_to == t_from:
-        raise ConfigError(f"transition window [{t_from}, {t_to}] is empty")
     pulled = _accumulate_propagator(schedule, t_to, t_from, cfg.rtol, cfg.atol) @ phi
     phi_n = _metric_normalized(pulled, theta_from)
     return float(abs(phi_n.conj() @ theta_from @ psi_n) ** 2)

@@ -80,6 +80,14 @@ def _require_positive(value, name) -> None:
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_window(t0, t1, what) -> None:
+    """:class:`ConfigError` for an empty window, :class:`SolverError` for a non-finite one."""
+    if t1 == t0:
+        raise ConfigError(f"{what} window [{t0}, {t1}] is empty")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise SolverError(f"non-finite {what} window [{t0}, {t1}]")
+
+
 def _operator_pair(a, b):
     """``a`` and ``b`` by :func:`as_operator`; :class:`DimensionMismatch` unless one shape."""
     a, b = as_operator(a), as_operator(b)

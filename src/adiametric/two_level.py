@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import magnus_cf4
-from .errors import DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
+from .errors import ConfigError, DimensionMismatch, NotPseudoHermitian, RealSpectrumViolated
 from .metric_flow import SolverConfig
 from .switching import LinearRamp, _freeze
 
@@ -202,12 +202,15 @@ class CrossedRampSchedule(LinearRamp):
     generator is constant.  H is affine in the ramp parameter, so this is
     the :class:`LinearRamp` between the generators at s = 0 and s = 1: the
     matrix-level counterpart of the component-flow experiment, usable with
-    :func:`adiametric.metric_flow.evolve_metric`.
+    :func:`adiametric.metric_flow.evolve_metric`.  A non-finite amplitude,
+    w3 or v0 raises :class:`ConfigError`.
     """
 
     def __init__(self, duration, amplitude=5.0, w3=3.0, v0=0.0):
-        for name, value in (("amplitude", amplitude), ("w3", w3), ("v0", v0)):
-            object.__setattr__(self, name, float(value))
+        for name, value in (("amplitude", float(amplitude)), ("w3", float(w3)), ("v0", float(v0))):
+            if not math.isfinite(value):
+                raise ConfigError(f"crossed-ramp {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         ends = (_crossed_ramp_params(s, self.amplitude, self.w3, self.v0) for s in (0.0, 1.0))
         super().__init__(*map(pauli_compose, ends), float(duration))
 

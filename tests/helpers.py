@@ -1,19 +1,28 @@
 """Shared fixture builders for the test suite."""
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from adiametric._integrate import OdeSolution
-from adiametric.errors import DimensionMismatch, SolverError, StepSizeUnderflow
+from adiametric.errors import ConfigError, DimensionMismatch, SolverError, StepSizeUnderflow
 from adiametric.metric_flow import (
+    MetricTrajectory,
     SolverConfig,
     _accumulate_propagator,
     _metric_normalized,
     evolve_metric,
 )
-from adiametric.operator_core import _operator_pair, _require_hermitian, as_operator
+from adiametric.operator_core import (
+    PATH_CHUNK,
+    _expm_stack,
+    _hermitian_part,
+    _operator_pair,
+    _require_hermitian,
+    as_operator,
+)
 from adiametric.scattering import ScatteringConfig, _real_spectrum_pair, _switch_schedule
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -475,6 +484,54 @@ def transition_probability_oracle(
             f"{abs(amp_forward - amp_pullback):.3e}"
         )
     return float(abs(amp_forward) ** 2)
+
+
+def midpoint_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
+    """Metric evolution by conjugation with accumulated short-time propagators.
+
+    Each step contributes ``exp(+i h H(t_mid))`` to the backward evolution
+    operator B(t) mapping states at t to states at t0; the metric is then
+    ``B^dagger Theta_0 B``, an exact solution of the flow whenever H is
+    piecewise constant.  Midpoint sampling makes the accumulation second
+    order in the step for smooth schedules.  The step exponentials are
+    formed ``PATH_CHUNK`` at a time by one stacked Taylor evaluation.  A
+    ``theta0`` of another shape than the generator raises
+    :class:`DimensionMismatch`, an ``nsteps`` that is not a positive integer
+    or an empty window :class:`ConfigError`, and a non-finite window
+    :class:`SolverError`.
+
+    The second-order exponential-midpoint stepper ``evolve_metric_via_propagator``
+    ran before it was rebuilt on CF4, kept as its oracle.
+    """
+    if not isinstance(nsteps, numbers.Integral):  # numpy integers pass
+        raise ConfigError(f"propagator steps must be an integer, got {nsteps!r}")
+    if nsteps < 1:
+        raise ConfigError(f"propagator steps must be at least 1, got {nsteps}")
+    if t1 == t0:
+        raise ConfigError(f"evolution window [{t0}, {t1}] is empty: t1 must differ from t0")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise SolverError(f"non-finite evolution window [{t0}, {t1}]")
+    theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
+    dim = theta0.shape[0]
+    grid = np.linspace(t0, t1, nsteps + 1)
+    back = np.eye(dim, dtype=complex)
+    times, metrics = [t0], [theta0.copy()]
+    sample_every = max(1, nsteps // 200)
+    for start in range(0, nsteps, PATH_CHUNK):
+        ks = range(start, min(start + PATH_CHUNK, nsteps))
+        mids = np.array([as_operator(schedule.at(0.5 * (grid[k] + grid[k + 1]))) for k in ks])
+        widths = np.diff(grid[ks.start : ks.stop + 1])[:, None, None]
+        for k, step in zip(ks, _expm_stack(1j * widths * mids)):
+            back = back @ step
+            if (k + 1) % sample_every == 0 or k == nsteps - 1:
+                times.append(grid[k + 1])
+                metrics.append(_hermitian_part(back.conj().T @ theta0 @ back))
+    return MetricTrajectory(
+        times=np.array(times),
+        metrics=np.array(metrics),
+        solver="propagator_conjugation",
+        stats={"nsteps": nsteps},
+    )
 
 
 def flow_adiabatic_metric(h0, h_int, theta0, eps, config=None, shape="exp"):

@@ -11,7 +11,7 @@ from adiametric import _integrate
 from adiametric._integrate import _cf4_propagator, magnus_cf4, solve_ode
 from adiametric.errors import SolverError, StepSizeUnderflow
 
-from helpers import SX, SZ, dp5_solve_ode
+from helpers import SX, SZ, dp5_solve_ode, random_hermitian
 
 # the solve_ode contract holds for the package's DOP853 stepper and for the
 # DP5 stepper the tests keep as an oracle
@@ -317,6 +317,24 @@ def test_cf4_error_estimate_tracks_true_error(steps):
     estimate = np.linalg.norm(fine - coarse) / 15.0
     true = np.linalg.norm(fine - ref)
     assert 0.5 < estimate / true < 2.0
+
+
+@pytest.mark.parametrize("dim", [2, 16, 32, 64])
+@pytest.mark.parametrize("samples, mirror", [(3, False), (1, True)], ids=["samples", "mirror"])
+def test_cf4_entry_bounded_chunks_match_path_chunks(dim, samples, mirror, monkeypatch):
+    # chunks bounded by matrix entries are PATH_CHUNK steps up to d = 16, so
+    # those products are the same bits; beyond, only the grouping of the
+    # products differs.  300 steps cross both chunk branches: subintervals
+    # of 100 steps are whole in a 256-step chunk and cut in a 64-step one.
+    rng = np.random.default_rng(dim)
+    a0, a1 = (-1j * random_hermitian(rng, dim, 3.0) for _ in range(2))
+    bounded = _cf4_propagator(a0, a1, _factor, 0.0, 1.0, 300, samples, mirror)
+    monkeypatch.setattr(_integrate, "_CF4_CHUNK_ENTRIES", 1 << 40)
+    whole = _cf4_propagator(a0, a1, _factor, 0.0, 1.0, 300, samples, mirror)
+    if dim <= 16:
+        np.testing.assert_array_equal(bounded, whole)
+    else:
+        assert np.linalg.norm(bounded - whole) <= 1e-13 * np.linalg.norm(whole)
 
 
 def test_cf4_through_exceptional_point():

@@ -1,6 +1,8 @@
 """Metric-flow solvers, static metrics, eigenbasis laws, observables."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +61,7 @@ from helpers import (
     finite_difference_residuals,
     hermitian_representation_oracle,
     metric_correction_residuals,
+    midpoint_metric_via_propagator,
     normal_ordered_exp,
     picard_iterate,
     random_bounded_nonhermitian,
@@ -412,6 +415,120 @@ class TestPropagatorConjugationSolver:
         )
         pc = evolve_metric_via_propagator(sched, theta0, 0.0, 5.0, 4000)
         np.testing.assert_allclose(pc.final, rk.final, atol=1e-6)
+
+
+def _dense_flow(seed, dim, shape):
+    """A schedule and span of the benchmark's flow-dense kind: between two
+    random quasi-Hermitian generators of norm sqrt(d), a ``LinearRamp`` over
+    [0, 1] or an ``ExponentialSwitch`` of rate 2 over [-1, 0]."""
+    rng = np.random.default_rng(seed)
+    ha, hb = (random_quasi_hermitian(rng, dim, math.sqrt(dim))[0] for _ in range(2))
+    if shape == "ramp":
+        return LinearRamp(ha, hb, 1.0), 0.0, 1.0
+    return ExponentialSwitch(ha, hb - ha, 2.0), -1.0, 0.0
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestConjugationOnCF4:
+    """The CF4 rebuild of :func:`evolve_metric_via_propagator` against DOP853
+    and against the exponential-midpoint stepper it replaced; every bound was
+    fixed before the first run."""
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("shape", ["ramp", "exp"])
+    def test_matches_dop853_at_64_steps(self, shape, backward):
+        schedule, t0, t1 = _dense_flow(3, 8, shape)
+        if backward:
+            t0, t1 = t1, t0
+        want = evolve_metric(schedule, np.eye(8), t0, t1,
+                             SolverConfig(rtol=1e-13, atol=1e-15, samples=2)).final
+        got = evolve_metric_via_propagator(schedule, np.eye(8), t0, t1, 64).final
+        assert _rel(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("shape", ["ramp", "exp"])
+    def test_fourth_order(self, shape):
+        # successive differences shrink by 2^p per halving of the step
+        schedule, t0, t1 = _dense_flow(4, 8, shape)
+        finals = [evolve_metric_via_propagator(schedule, np.eye(8), t0, t1, n).final
+                  for n in (16, 32, 64)]
+        order = math.log2(np.linalg.norm(finals[0] - finals[1])
+                          / np.linalg.norm(finals[1] - finals[2]))
+        assert order >= 3.8
+
+    @pytest.mark.parametrize("shape", ["ramp", "exp"])
+    def test_within_midpoint_stepper_error_estimate(self, shape):
+        # the midpoint stepper is second order, so ||Theta_2n - Theta_n|| / 3
+        # estimates the error of Theta_2n; 1.5 allows for its own h^2 error
+        schedule, t0, t1 = _dense_flow(5, 8, shape)
+        coarse, fine = (midpoint_metric_via_propagator(schedule, np.eye(8), t0, t1, n).final
+                        for n in (200, 400))
+        got = evolve_metric_via_propagator(schedule, np.eye(8), t0, t1, 64).final
+        assert np.linalg.norm(got - fine) <= 1.5 * np.linalg.norm(fine - coarse) / 3.0
+
+    @pytest.mark.parametrize("nsteps", [1, 3, 7, 64, 200])
+    def test_exact_on_constant_schedule(self, nsteps):
+        rng = np.random.default_rng(12)
+        h = random_bounded_nonhermitian(rng, 3, 0.6, 0.4)
+        theta0 = random_hermitian(rng, 3) + 2.0 * np.eye(3)
+        traj = evolve_metric_via_propagator(Constant(h), theta0, 0.0, 3.0, nsteps)
+        for t, got in zip(traj.times, traj.metrics):
+            v = scipy.linalg.expm(-1j * h.conj().T * t)
+            want = v @ theta0 @ v.conj().T
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("nsteps", [200, 400, 2000])
+    def test_samples_on_the_201_point_grid(self, nsteps):
+        traj = evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), -0.3, 1.7, nsteps)
+        np.testing.assert_array_equal(traj.times, np.linspace(-0.3, 1.7, 201))
+        assert traj.metrics.shape == (201, 2, 2)
+
+    @pytest.mark.parametrize("nsteps, samples", [(1, 1), (64, 8), (250, 50), (4000, 200)])
+    def test_samples_divide_the_steps(self, nsteps, samples):
+        traj = evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), 0.0, 1.0, nsteps)
+        np.testing.assert_array_equal(traj.times, np.linspace(0.0, 1.0, samples + 1))
+        np.testing.assert_array_equal(traj.metrics[0], np.eye(2))
+
+    @pytest.mark.parametrize("nsteps", [500, 2000])
+    def test_peak_memory_below_midpoint_stepper(self, nsteps):
+        schedule, t0, t1 = _dense_flow(2, 32, "exp")
+        peaks = []
+        for solver in (evolve_metric_via_propagator, midpoint_metric_via_propagator):
+            tracemalloc.start()
+            try:
+                solver(schedule, np.eye(32), t0, t1, nsteps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
+
+
+class TestMetricWindow:
+    """One window check, ``operator_core._require_window``, for the three
+    metric entry points, before any work."""
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0),
+                                        (-math.inf, 0.0)])
+    def test_evolve_metric_non_finite_window(self, t0, t1):
+        # [0, inf] once built np.linspace(0, inf, 201): a RuntimeWarning, or a
+        # SolverError about a t_eval the caller never passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"non-finite evolution window \["):
+                evolve_metric(Constant(2.0 * SZ), np.eye(2), t0, t1)
+
+    def test_transition_names_the_window_as_given(self):
+        # once "non-finite CF4 window [0.0, inf]": reversed, naming the integrator
+        with pytest.raises(SolverError, match=r"non-finite transition window \[inf, 0.0\]"):
+            transition_probability(np.ones(2), np.ones(2), Constant(H_TL), math.inf, 0.0,
+                                   THETA_TL)
+
+    def test_window_checked_before_the_states(self):
+        # an empty window is reported even when the states do not fit
+        with pytest.raises(ConfigError, match=r"transition window \[1.0, 1.0\] is empty"):
+            transition_probability(np.ones(3), np.ones(2), Constant(H_TL), 1.0, 1.0, THETA_TL)
 
 
 class TestSeriesSolvers:

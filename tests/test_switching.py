@@ -157,6 +157,15 @@ class TestSchedules:
         with pytest.raises(error):
             build(value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["amplitude", "w3", "v0"])
+    @pytest.mark.parametrize("build", [CrossedRampSchedule, ramp_experiment],
+                             ids=["schedule", "ramp_experiment"])
+    def test_crossed_ramp_non_finite_parameter_is_config_error(self, build, name, value):
+        # once DimensionMismatch (CLI exit 4) from the two-level parameters
+        with pytest.raises(ConfigError, match=f"crossed-ramp {name} must be finite"):
+            build(3.0, **{name: value})
+
     @pytest.mark.parametrize("build", [
         lambda h0, h_int: ExponentialSwitch(h0, h_int, 0.5),
         lambda h0, h_int: SmoothSwitch(h0, h_int, 2.0),
@@ -213,6 +222,14 @@ class TestSweep:
         # [nan, 1.0] once returned nan, and [0.1, inf] the value at 0.1, with no error
         with pytest.raises(ConfigError, match="finite"):
             extrapolate_to_zero(params, [1.0, 2.0])
+
+    @pytest.mark.parametrize("params, values", [([0.3, 0.2, 0.1], [1.0, 2.0]),
+                                                ([0.2, 0.1], [1.0, 2.0, 3.0])],
+                             ids=["fewer", "more"])
+    def test_extrapolation_rejects_values_of_another_length(self, params, values):
+        # fewer values once raised an untyped IndexError; more were dropped
+        with pytest.raises(ConfigError, match="values for"):
+            extrapolate_to_zero(params, values)
 
     def test_extrapolation_needs_two_points(self):
         with pytest.raises(ConfigError):
