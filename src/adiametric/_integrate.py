@@ -28,8 +28,8 @@ is ``metric_flow.evolve_metric``), and every single-time metric quantity,
 the adiabatic metric and the transition probability, comes from a CF4
 propagator U by the flow's conservation law ``Theta(t) = U^-dagger Theta_0
 U^-1``.  CF4 also gives the scattering dressings, the two-level ramp and,
-with fixed steps, the propagator-conjugation metric solver.  A chunk of its
-steps holds at most 2^16 / d^2 of them, capped at ``PATH_CHUNK`` (d <= 16).
+with fixed steps, the propagator-conjugation metric solver.  CF4 takes its
+steps in chunks of at most 2^16 / d^2, and of ``PATH_CHUNK`` up to d = 16.
 """
 
 from __future__ import annotations

@@ -417,21 +417,6 @@ class TestPropagatorConjugationSolver:
         np.testing.assert_allclose(pc.final, rk.final, atol=1e-6)
 
 
-def _dense_flow(seed, dim, shape):
-    """A schedule and span of the benchmark's flow-dense kind: between two
-    random quasi-Hermitian generators of norm sqrt(d), a ``LinearRamp`` over
-    [0, 1] or an ``ExponentialSwitch`` of rate 2 over [-1, 0]."""
-    rng = np.random.default_rng(seed)
-    ha, hb = (random_quasi_hermitian(rng, dim, math.sqrt(dim))[0] for _ in range(2))
-    if shape == "ramp":
-        return LinearRamp(ha, hb, 1.0), 0.0, 1.0
-    return ExponentialSwitch(ha, hb - ha, 2.0), -1.0, 0.0
-
-
-def _rel(a, b):
-    return np.linalg.norm(a - b) / np.linalg.norm(b)
-
-
 class TestConjugationOnCF4:
     """The CF4 rebuild of :func:`evolve_metric_via_propagator` against DOP853
     and against the exponential-midpoint stepper it replaced; every bound was
@@ -440,19 +425,19 @@ class TestConjugationOnCF4:
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("shape", ["ramp", "exp"])
     def test_matches_dop853_at_64_steps(self, shape, backward):
-        schedule, t0, t1 = _dense_flow(3, 8, shape)
+        schedule, theta0, t0, t1 = random_flow(3, 8, shape == "exp")
         if backward:
             t0, t1 = t1, t0
-        want = evolve_metric(schedule, np.eye(8), t0, t1,
+        want = evolve_metric(schedule, theta0, t0, t1,
                              SolverConfig(rtol=1e-13, atol=1e-15, samples=2)).final
-        got = evolve_metric_via_propagator(schedule, np.eye(8), t0, t1, 64).final
-        assert _rel(got, want) <= 1e-9
+        got = evolve_metric_via_propagator(schedule, theta0, t0, t1, 64).final
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("shape", ["ramp", "exp"])
     def test_fourth_order(self, shape):
         # successive differences shrink by 2^p per halving of the step
-        schedule, t0, t1 = _dense_flow(4, 8, shape)
-        finals = [evolve_metric_via_propagator(schedule, np.eye(8), t0, t1, n).final
+        schedule, theta0, t0, t1 = random_flow(4, 8, shape == "exp")
+        finals = [evolve_metric_via_propagator(schedule, theta0, t0, t1, n).final
                   for n in (16, 32, 64)]
         order = math.log2(np.linalg.norm(finals[0] - finals[1])
                           / np.linalg.norm(finals[1] - finals[2]))
@@ -462,10 +447,10 @@ class TestConjugationOnCF4:
     def test_within_midpoint_stepper_error_estimate(self, shape):
         # the midpoint stepper is second order, so ||Theta_2n - Theta_n|| / 3
         # estimates the error of Theta_2n; 1.5 allows for its own h^2 error
-        schedule, t0, t1 = _dense_flow(5, 8, shape)
-        coarse, fine = (midpoint_metric_via_propagator(schedule, np.eye(8), t0, t1, n).final
+        schedule, theta0, t0, t1 = random_flow(5, 8, shape == "exp")
+        coarse, fine = (midpoint_metric_via_propagator(schedule, theta0, t0, t1, n).final
                         for n in (200, 400))
-        got = evolve_metric_via_propagator(schedule, np.eye(8), t0, t1, 64).final
+        got = evolve_metric_via_propagator(schedule, theta0, t0, t1, 64).final
         assert np.linalg.norm(got - fine) <= 1.5 * np.linalg.norm(fine - coarse) / 3.0
 
     @pytest.mark.parametrize("nsteps", [1, 3, 7, 64, 200])
@@ -493,12 +478,12 @@ class TestConjugationOnCF4:
 
     @pytest.mark.parametrize("nsteps", [500, 2000])
     def test_peak_memory_below_midpoint_stepper(self, nsteps):
-        schedule, t0, t1 = _dense_flow(2, 32, "exp")
+        schedule, theta0, t0, t1 = random_flow(2, 32, True)
         peaks = []
         for solver in (evolve_metric_via_propagator, midpoint_metric_via_propagator):
             tracemalloc.start()
             try:
-                solver(schedule, np.eye(32), t0, t1, nsteps)
+                solver(schedule, theta0, t0, t1, nsteps)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
