@@ -191,7 +191,9 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
 
     V, the propagator of ``-i H^dagger`` from t0, is one CF4 pass of
     ``nsteps`` uniform steps, fourth order, sampled at t0 and the ends of
-    ``gcd(nsteps, 200)`` equal subintervals.  A ``theta0`` of another
+    ``gcd(nsteps, 200)`` equal subintervals.  Fourth order needs a smooth
+    factor, so a schedule breakpoint strictly inside the window raises
+    :class:`ConfigError`; split the window there.  A ``theta0`` of another
     shape than the generator raises :class:`DimensionMismatch`, an
     ``nsteps`` that is not a positive integer or an empty window
     :class:`ConfigError`, and a non-finite window :class:`SolverError`.
@@ -201,6 +203,9 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     if nsteps < 1:
         raise ConfigError(f"propagator steps must be at least 1, got {nsteps}")
     _require_window(t0, t1, "evolution")
+    kinks = _stops(schedule.breakpoints(), t0, t1)[:-1]
+    if kinks:
+        raise ConfigError(f"schedule breakpoint {kinks[0]} inside the window [{t0}, {t1}]")
     theta0 = _require_hermitian(_operator_pair(schedule.h0, theta0)[1])
     samples = math.gcd(nsteps, 200)
     v = _cf4_propagator(-1j * schedule.h0.conj().T, -1j * schedule.h_int.conj().T,
@@ -332,7 +337,7 @@ def hermitian_representation(trajectory: MetricTrajectory, schedule):
     own: one batched Cholesky factorization ``Theta = L L^dagger`` and one
     triangular inverse give ``h_ops`` and the residuals, and the Frobenius
     bound ``(||L||_F ||L^-1||_F)^2 >= cond(Theta)`` screens the condition
-    number; a block past it is decided on its eigenvalues.  A sample the
+    number; the per-sample checks decide a block past it.  A sample the
     per-sample path rejects raises the same error: :class:`DimensionMismatch`
     for non-finite entries or a schedule of another size than the metrics,
     :class:`SingularMetric` past condition number 1e12,
@@ -375,8 +380,8 @@ def _representation_factors(h, theta):
     """
     ok = np.isfinite(h).all(axis=(1, 2)) & np.isfinite(theta).all(axis=(1, 2))
     ok &= _is_hermitian(theta)
-    if not ok.all():
-        _raise_first_fault(h, theta, ~ok)
+    if not ok.all():  # the mask uses the checks' own predicates, so they raise
+        _check_samples(h, theta, ~ok)
     low, low_inv = _metric_factors(h, theta)
     low_h = np.ascontiguousarray(low.conj().swapaxes(1, 2))
     low_inv_h = np.ascontiguousarray(low_inv.conj().swapaxes(1, 2))
@@ -391,48 +396,34 @@ def _metric_factors(h, theta):
     """``(L, L^-1)`` with ``Theta = L L^dagger`` for a block of finite Hermitian metrics.
 
     A block whose Cholesky factorization fails, or whose Frobenius bound
-    ``(||L||_F ||L^-1||_F)^2`` passes ``_MAX_COND``, is decided on its
-    eigenvalues as the per-sample path decides it: a sample past the
-    condition limit or not positive goes to :func:`_raise_first_fault`.
+    ``(||L||_F ||L^-1||_F)^2`` passes ``_MAX_COND``, goes through
+    :func:`_check_samples`, which decides alone: a block it passes keeps its
+    factors, and a failed factorization it passes is at the limit.
     """
-    herm = _hermitian_part(theta)
     try:
-        low = np.linalg.cholesky(herm)
+        low = np.linalg.cholesky(_hermitian_part(theta))
     except np.linalg.LinAlgError:
-        low, wide = None, np.ones(len(theta), dtype=bool)
-    else:
-        low_inv = _lower_inverse(low)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = (_frobenius_stack(low) * _frobenius_stack(low_inv)) ** 2
-        wide = ~(bound <= _MAX_COND)
+        _check_samples(h, theta, np.ones(len(theta), dtype=bool))
+        raise SingularMetric(f"metric condition number at the limit {_MAX_COND:.0e}") from None
+    low_inv = _lower_inverse(low)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~((_frobenius_stack(low) * _frobenius_stack(low_inv)) ** 2 <= _MAX_COND)
     if wide.any():
-        vals = np.linalg.eigvalsh(herm[wide])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the singular values of a Hermitian matrix are its |eigenvalues|
-            cond = np.abs(vals).max(axis=1) / np.abs(vals).min(axis=1)
-        bad = np.zeros(len(theta), dtype=bool)
-        bad[wide] = ~(cond <= _MAX_COND) | (vals[:, 0] <= 0.0)
-        if bad.any() or low is None:  # a failed factorization with no bad sample is at the limit
-            _raise_first_fault(h, theta, bad if bad.any() else wide)
+        _check_samples(h, theta, wide)
     return low, low_inv
 
 
-def _raise_first_fault(h, theta, flagged):
-    """Raise what the per-sample path raises for the first flagged sample.
+def _check_samples(h, theta, flagged):
+    """Run the per-sample checks on every sample up to the last flagged one.
 
-    The samples up to it go through the per-sample checks in order, so an
-    earlier sample those checks reject raises first, as it would there.
-    Those checks (the condition number from an SVD, positivity from
-    ``eigh``) are the reference: the Cholesky screen and the eigenvalue test
-    of :func:`_metric_factors` only choose the samples sent here.
+    The samples go in order, so the first sample the checks reject raises
+    what the per-sample path raises for it.  Those checks (the condition
+    number from an SVD, positivity from ``eigh``) are the reference: the
+    Cholesky screen only chooses the blocks sent here.
     """
-    for k in range(int(np.argmax(flagged)) + 1):
+    for k in range(len(flagged) - int(np.argmax(flagged[::-1]))):
         observable_hamiltonian(h[k], theta[k], flow_rhs(h[k], theta[k]))
         hermitian_sqrt(theta[k])
-    # only a condition number that eigvalsh puts just past the limit and the
-    # SVD of the per-sample check does not, or a block whose Cholesky
-    # factorization fails though its eigenvalues pass, gets here
-    raise SingularMetric(f"metric condition number at the limit {_MAX_COND:.0e}")
 
 
 def _accumulate_propagator(schedule, t_from, t_to, rtol, atol):

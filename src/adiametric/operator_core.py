@@ -240,34 +240,6 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_eigenpair(a, lam, v):
-    """Newton refinement of one eigenpair via the bordered system.
-
-    Solves ``[[A - lam I, -v], [v^dag, 0]] (dv, dlam) = (-r, 0)`` so the
-    eigenvector correction stays orthogonal to the current iterate; two
-    iterations push the residual to roundoff even for poorly separated
-    spectra, which is what keeps downstream static-metric residuals at
-    the 1e-12 scale.
-    """
-    n = a.shape[0]
-    eye = np.eye(n)
-    for _ in range(2):
-        residual = a @ v - lam * v
-        bordered = np.zeros((n + 1, n + 1), dtype=complex)
-        bordered[:n, :n] = a - lam * eye
-        bordered[:n, n] = -v
-        bordered[n, :n] = v.conj()
-        rhs = np.concatenate([-residual, [0.0]])
-        try:
-            sol = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError:
-            break
-        v = v + sol[:n]
-        lam = lam + sol[n]
-        v = v / np.linalg.norm(v)
-    return lam, v
-
-
 def biorthogonal_decompose(h) -> BiorthogonalSystem:
     """Decompose a diagonalizable matrix into a biorthonormal eigensystem.
 
@@ -279,8 +251,6 @@ def biorthogonal_decompose(h) -> BiorthogonalSystem:
     """
     a = as_operator(h)
     vals, vecs = np.linalg.eig(a)
-    for n in range(a.shape[0]):
-        vals[n], vecs[:, n] = _refine_eigenpair(a, vals[n], vecs[:, n])
     order = np.lexsort((vals.imag, vals.real))
     vals, right = vals[order], _fix_phases(vecs[:, order])
     _require_separated(a[None], vals[None], right[None])

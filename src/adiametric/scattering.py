@@ -31,13 +31,12 @@ import numpy as np
 from ._integrate import magnus_cf4
 from .errors import ConfigError, NoConvergence, NotPositive
 from .operator_core import (
+    _continued_levels,
     _hermitian_part,
     _operator_pair,
     _require_hermitian,
     _require_positive,
     _require_real_spectrum,
-    as_operator,
-    continued_eigensystems,
     eigenframe,
     frobenius,
 )
@@ -89,13 +88,6 @@ def _switch_schedule(h0, h_int, eps, shape, horizon_factor):
     if shape == "smooth":
         return SmoothSwitch(h0, h_int, width=horizon_factor / eps)
     raise ConfigError(f"unknown switch shape {shape!r}")
-
-
-def _real_spectrum_pair(h0, h_int):
-    h0, h_int = _operator_pair(h0, h_int)
-    _require_real_spectrum(np.linalg.eigvals(as_operator(h0 + h_int)),
-                           "full generator has complex spectrum; adiabatic metric undefined")
-    return h0, h_int
 
 
 def _free_metric(h0, theta0):
@@ -194,15 +186,15 @@ def adiabatic_metric(
     U(-T, 0)`` from the mirrored :func:`magnus_cf4` pass that gives the
     dressings; it equals ``s_matrix(...).theta_adiabatic`` bit for bit.  As
     the switching rate vanishes the result approaches a static metric of
-    the full generator (diagonal in its adjoint eigenbasis).  Raises
-    :class:`ComplexSpectrum` when the full generator has no real spectrum,
-    since the metric then grows without bound and no limit exists, and
-    checks ``theta0`` as :func:`s_matrix` does, before any integration.
+    the full generator (diagonal in its adjoint eigenbasis).  Before any
+    integration it raises :class:`ComplexSpectrum` off a real spectrum on
+    the switch (:func:`_switch_levels`), where the metric grows without
+    bound, and checks ``theta0`` as :func:`s_matrix` does.
     """
     cfg = config or ScatteringConfig()
-    h0, h_int = _real_spectrum_pair(h0, h_int)
-    theta0 = _free_metric(h0, theta0)
     switch = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
+    _switch_levels(switch)
+    theta0 = _free_metric(switch.h0, theta0)
     (_, u_in), _ = _mirrored_pass(switch, 0.0, cfg.horizon_factor / eps, cfg)
     return _moller_metric(theta0, u_in)
 
@@ -221,6 +213,19 @@ def _clenshaw_curtis(n):
 _PHASE_RULE = _clenshaw_curtis(512)  # the dynamical-phase quadrature rule
 
 
+def _switch_levels(switch):
+    """Levels ``(513, d)`` of ``H_0 + f(t) H_I`` at the ``_PHASE_RULE`` nodes on
+    ``[0, support]``, continued from the free end in the (real, imag) order
+    of the free spectrum.  Their one batched ``eig`` decides real spectrum on
+    the whole switch (:class:`ComplexSpectrum`), as finely as the nodes do: a
+    complex window narrower than their spacing can fall between them."""
+    factors = switch.factor(switch.support * _PHASE_RULE[0])
+    vals, right = np.linalg.eig(switch.h0 + factors[:, None, None] * switch.h_int)
+    _require_real_spectrum(vals, "complex spectrum along the switch; adiabatic metric undefined")
+    ((levels, _, _),) = _continued_levels([(vals, right)])  # 513 nodes: one chunk
+    return levels
+
+
 def dynamical_phase_integrals(
     h0, h_int, eps, shape="exp", horizon_factor=ScatteringConfig.horizon_factor
 ) -> np.ndarray:
@@ -231,16 +236,12 @@ def dynamical_phase_integrals(
     unbounded dynamical phase.  Multiplying half the counterphase onto
     each side of the S-matrix removes the divergence and leaves a
     switching-shape-independent limit.  It is ``2 int_0^support`` by one
-    Clenshaw-Curtis rule along ``H_0 + f(t) H_I``, with the levels followed
-    from the free end t = support by :func:`continued_eigensystems`, in the
-    (real, imag) order of the free spectrum; only the real parts of their
-    eigenvalues contribute (real-spectrum paths).
+    Clenshaw-Curtis rule on the levels of :func:`_switch_levels`; it raises
+    :class:`ComplexSpectrum` where they are not real.
     """
     switch = _switch_schedule(h0, h_int, eps, shape, horizon_factor)
-    nodes, weights = _PHASE_RULE
-    path = switch.h0 + switch.factor(switch.support * nodes)[:, None, None] * switch.h_int
-    ((levels, _, _),) = continued_eigensystems([path])  # 513 nodes: one chunk
-    return 2.0 * switch.support * (weights @ (levels.real - levels[0].real))
+    levels = _switch_levels(switch)
+    return 2.0 * switch.support * (_PHASE_RULE[1] @ (levels.real - levels[0].real))
 
 
 @dataclass(frozen=True)
@@ -311,13 +312,15 @@ def s_matrix(
     K the in-dressing at the single horizon ``-T`` where the flow starts,
     ``W = U_0(-T, 0)`` and ``U = U(-T, 0)``; :func:`adiabatic_metric` returns
     the same matrix.  Both dressings and U come from one propagator
-    integration (:func:`_dressing`).  Raises :class:`ComplexSpectrum` when
-    ``h0 + h_int`` has no real spectrum, :class:`DimensionMismatch` for a
+    integration (:func:`_dressing`).  Before any integration it raises
+    :class:`ComplexSpectrum` for a switch without real spectrum (the phases
+    come first, on :func:`_switch_levels`), :class:`DimensionMismatch` for a
     ``theta0`` of another shape than ``h0`` and :class:`NotPositive` for one
     that is not positive definite.
     """
     cfg = config or ScatteringConfig()
-    h0, h_int = _real_spectrum_pair(h0, h_int)
+    phases = dynamical_phase_integrals(h0, h_int, eps, shape, cfg.horizon_factor)
+    h0, h_int = _operator_pair(h0, h_int)
     theta0 = _free_metric(h0, theta0)
     frame = eigenframe(h0)
     basis = frame[1] / np.linalg.norm(frame[1], axis=0, keepdims=True)
@@ -327,7 +330,6 @@ def s_matrix(
 
     s = basis.conj().T @ om_out.conj().T @ theta @ om_in @ basis
     defect = frobenius(s.conj().T @ s - np.eye(s.shape[0]))
-    phases = dynamical_phase_integrals(h0, h_int, eps, shape, cfg.horizon_factor)
     return ScatteringResult(
         s_matrix=s,
         theta_adiabatic=theta,

@@ -137,12 +137,12 @@ def component_generator(params: TwoLevelParams) -> np.ndarray:
     return m
 
 
-def _check_pseudo_hermitian(params: TwoLevelParams, tol=_PSEUDO_TOL):
+def _check_pseudo_hermitian(params: TwoLevelParams):
     vv, wv = params.v[1:], params.w[1:]
     scale = max(1.0, float(np.linalg.norm(vv)), float(np.linalg.norm(wv)))
-    if abs(params.w[0]) > tol * scale:
+    if abs(params.w[0]) > _PSEUDO_TOL * scale:
         raise NotPseudoHermitian(f"w_0 = {params.w[0]:.3e} must vanish")
-    if abs(vv @ wv) > tol * scale**2:
+    if abs(vv @ wv) > _PSEUDO_TOL * scale**2:
         raise NotPseudoHermitian(f"v.w = {vv @ wv:.3e} must vanish")
     return vv, wv
 

@@ -21,9 +21,10 @@ from adiametric.operator_core import (
     _hermitian_part,
     _operator_pair,
     _require_hermitian,
+    _require_real_spectrum,
     as_operator,
 )
-from adiametric.scattering import ScatteringConfig, _real_spectrum_pair, _switch_schedule
+from adiametric.scattering import ScatteringConfig, _switch_schedule
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -537,9 +538,12 @@ def midpoint_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
 def flow_adiabatic_metric(h0, h_int, theta0, eps, config=None, shape="exp"):
     """Theta(0) by integrating the metric flow from the far-past horizon with
     ``evolve_metric``: the oracle for the Moller identity of ``adiabatic_metric``
-    and ``s_matrix``."""
+    and ``s_matrix``.  It checks the real spectrum of ``h0 + h_int`` on its
+    own, at that one point, independently of the library's switch path."""
     cfg = config or ScatteringConfig()
-    h0, h_int = _real_spectrum_pair(h0, h_int)
+    h0, h_int = _operator_pair(h0, h_int)
+    _require_real_spectrum(np.linalg.eigvals(h0 + h_int),
+                           "full generator has complex spectrum; adiabatic metric undefined")
     schedule = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
     horizon = cfg.horizon_factor / eps
     cfg_flow = SolverConfig(rtol=cfg.rtol, atol=cfg.atol, samples=2)

@@ -398,6 +398,20 @@ class TestPropagatorConjugationSolver:
         with pytest.raises(ConfigError, match=r"evolution window \[1.5, 1.5\] is empty"):
             evolve_metric_via_propagator(Constant(2.0 * SZ), np.eye(2), 1.5, 1.5)
 
+    @pytest.mark.parametrize("shape, t0, t1, kink", [
+        ("exp", -0.7, 1.3, 0.0), ("ramp", -0.3, 1.4, 0.0), ("ramp", 1.4, -0.3, 1.0)])
+    def test_breakpoint_inside_the_window_is_config_error(self, shape, t0, t1, kink):
+        # fixed CF4 steps across the kink of the factor once fell to orders
+        # 1.5-2.5 (exp switch on [-0.7, 1.3], 16-128 steps, against DOP853)
+        rng = np.random.default_rng(5)
+        (ha, _), (hb, _) = (random_quasi_hermitian(rng, 4, 2.0) for _ in range(2))
+        if shape == "exp":
+            schedule = ExponentialSwitch(ha, hb - ha, 2.0)
+        else:
+            schedule = LinearRamp(ha, hb, 1.0)
+        with pytest.raises(ConfigError, match=f"schedule breakpoint {kink} inside"):
+            evolve_metric_via_propagator(schedule, np.eye(4), t0, t1, 64)
+
     @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
                                         (-math.inf, 0.0)])
     def test_non_finite_window_is_solver_error(self, t0, t1):
@@ -820,12 +834,14 @@ class TestHermitianRepresentation:
         h, s = random_quasi_hermitian(rng, 16, 2.0)
         metrics = np.array([s @ s, theta, s @ s], dtype=complex)
         traj = MetricTrajectory(times=np.arange(3.0), metrics=metrics, solver="test")
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        calls, checked = [], []
+        eigvalsh, sqrt = np.linalg.eigvalsh, metric_flow.hermitian_sqrt
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(metric_flow, "hermitian_sqrt", lambda t: checked.append(t) or sqrt(t))
         rep = hermitian_representation(traj, Constant(h))
-        assert calls == [1]  # the one sample past the bound
+        # no eigenvalue screen: the per-sample checks run up to the sample past the bound
+        assert calls == [] and len(checked) == 2
         assert np.isfinite(rep.h_ops).all() and np.isfinite(rep.generator_residuals).all()
         monkeypatch.undo()
         hermitian_representation_oracle(traj, Constant(h))  # the per-sample path accepts it too

@@ -21,6 +21,7 @@ from adiametric.errors import (
     NotPositive,
     SolverError,
 )
+from adiametric.metric_flow import quasi_hermiticity_residual, static_metric
 from adiametric.operator_core import (
     HERMITICITY_TOL,
     PATH_CHUNK,
@@ -220,6 +221,31 @@ class TestBiorthogonalDecompose:
         # right vectors unit norm, first significant component real positive
         norms = np.linalg.norm(a.right, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+           mixing=st.floats(0.3, 0.9), gap_exp=st.floats(-6.0, -2.0),
+           near_degenerate=st.booleans())
+    def test_lapack_eigenpairs_hold_roundoff_residuals(self, seed, dim, mixing, gap_exp,
+                                                       near_degenerate):
+        # LAPACK's pairs, unrefined: a quasi-Hermitian S^-1 h S, or a
+        # non-normal V diag(E) V^-1 (cond V <= 3) with one real gap 10^gap_exp
+        rng = np.random.default_rng(seed)
+        if near_degenerate:
+            dim = min(dim, 6)
+            levels = np.cumsum(rng.uniform(0.2, 1.0, dim))
+            levels[1] = levels[0] + 10.0**gap_exp
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            v = np.eye(dim) + 0.5 * g / np.linalg.norm(g, 2)
+            h = np.linalg.solve(v.T, (v * levels).T).T
+        else:
+            h, _ = random_quasi_hermitian(rng, dim, mixing=mixing)
+        system = biorthogonal_decompose(h)
+        theta = static_metric(system, rng.uniform(0.5, 2.0, dim))
+        scale = np.linalg.norm(h)
+        assert quasi_hermiticity_residual(h, theta) <= 1e-13 * scale * np.linalg.norm(theta)
+        assert system.eigen_residual(h) <= 1e-12 * scale
+        assert system.biorthonormality_residual() <= 1e-12
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrum):

@@ -253,6 +253,30 @@ class TestSMatrix:
         with pytest.raises(ComplexSpectrum):
             s_matrix(0.5 * SZ, 2.0j * SX, 0.1)
 
+    @pytest.mark.parametrize("c", [0.3, 0.1, 0.03, 0.01])
+    def test_mid_switch_exceptional_point_rejected_before_integration(self, monkeypatch, c):
+        # diag(0, 1) + f [[2, ic], [ic, 0]] has real levels at f = 0 and f = 1
+        # and a complex pair near f = 1/2; once a SolverError ("eigenvector
+        # matching failed") after the dressings or, from c = 0.03 down, an
+        # S-matrix, and a metric at every c
+        def no_integration(*args, **kwargs):
+            raise AssertionError("the switch's spectrum must be checked before any integration")
+
+        monkeypatch.setattr(scattering, "magnus_cf4", no_integration)
+        h0, h_int = np.diag([0.0, 1.0]), np.array([[2.0, 1j * c], [1j * c, 0.0]])
+        for shape in ("exp", "smooth"):
+            with pytest.raises(ComplexSpectrum, match="along the switch"):
+                s_matrix(h0, h_int, 0.2, shape=shape)
+            with pytest.raises(ComplexSpectrum, match="along the switch"):
+                adiabatic_metric(h0, h_int, None, 0.2, shape=shape)
+
+    @pytest.mark.parametrize("shape", ["exp", "smooth"])
+    @pytest.mark.parametrize("ratio", [0.999, 1 - 1e-5, 1 - 1e-7])
+    def test_couplings_next_to_an_exceptional_point_keep_real_levels(self, shape, ratio):
+        # 2 sigma_z + 2 i r f sigma_x: levels +-2 sqrt(1 - r^2 f^2), real on the whole switch
+        phases = dynamical_phase_integrals(2.0 * SZ, 2j * ratio * SX, 0.4, shape)
+        assert phases[0] > 0.0 and abs(phases.sum()) <= 1e-10 * phases[0]
+
     def test_metric_of_another_shape_rejected(self):
         # once an untyped numpy matmul ValueError, raised after the dressings
         with pytest.raises(DimensionMismatch, match=r"shapes \(2, 2\) and \(3, 3\)"):
