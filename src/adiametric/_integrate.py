@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError, StepSizeUnderflow
-from .operator_core import PATH_CHUNK, _expm_stack, _frobenius_stack
+from .errors import ConfigError, SolverError, StepSizeUnderflow
+from .operator_core import PATH_CHUNK, _expm_stack, _frobenius_stack, _require_count
 
 # DOP853: the 8(5,3) pair of Hairer, Norsett & Wanner, "Solving Ordinary
 # Differential Equations I" (2nd ed., 1993), Sec. II.5, with the 7th-order
@@ -484,8 +484,10 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None, mirror
     Returns ``(U, stats)`` with ``stats`` counting the accepted ``steps``,
     the ``exponentials`` formed over all passes and the final
     ``error_estimate`` (the largest over the samples and products).  Raises
-    :class:`SolverError` when t0 or t1, the factor or the propagator is
-    non-finite or the tolerance needs more than ``MAGNUS_MAX_STEPS`` steps.
+    :class:`ConfigError` for ``samples`` that is not an integer of at least 1
+    or comes with ``mirror``, and :class:`SolverError` when t0 or t1, the
+    factor or the propagator is non-finite or the tolerance needs more than
+    ``MAGNUS_MAX_STEPS`` steps.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise SolverError(f"non-finite CF4 window [{t0}, {t1}]")
@@ -493,11 +495,10 @@ def magnus_cf4(a0, a1, f, t0, t1, *, rtol=1e-9, atol=1e-12, samples=None, mirror
     dtype = np.result_type(a0, a1, float)
     a0, a1 = a0.astype(dtype), a1.astype(dtype)
     dim = len(a0)
-    count = 1 if samples is None else int(samples)
-    if count < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    count = 1 if samples is None else samples
+    _require_count(count, "CF4 samples", 1)
     if mirror and samples is not None:
-        raise ValueError("mirror gives endpoints only; it takes no samples")
+        raise ConfigError("mirror gives endpoints only; it takes no samples")
     eye = np.eye(dim, dtype=dtype)
     ends = np.repeat(eye[None], count + mirror, axis=0)
     stats = {"steps": 0, "exponentials": 0, "error_estimate": 0.0}

@@ -6,8 +6,8 @@ Subcommands: ``evolve`` (metric trajectories to CSV/JSON), ``sweep``
 (exact star-product self-verification).  All state lives in the JSON
 configuration; outputs are deterministic and schema-versioned.  Exit
 codes: 0 success, 2 configuration error, 3 solver failure, 4 violated
-physics precondition (with a structured JSON error report when JSON
-output is selected).  ``--format`` picks CSV or JSON for ``evolve`` and
+physics precondition (with a structured JSON error report when the
+command writes JSON).  ``--format`` picks CSV or JSON for ``evolve`` and
 ``sweep``; the other commands always write JSON.
 """
 
@@ -53,9 +53,8 @@ def _check_out(out) -> None:
 
 
 def _emit(args, config, result, diagnostics, table=None) -> None:
-    """Write ``table`` as CSV when CSV is selected, else the JSON report.
-
-    ``table`` is ``(columns, rows)``; commands without one always write JSON.
+    """Write ``table``, ``(columns, rows)``, as CSV when CSV is selected, else
+    the JSON report; only ``evolve`` and ``sweep`` select CSV (:func:`main`).
     An ``--out`` that cannot be opened raises :class:`ConfigError` (exit 2).
     """
     try:
@@ -63,7 +62,7 @@ def _emit(args, config, result, diagnostics, table=None) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     try:
-        if table is not None and args.format == "csv":
+        if args.format == "csv":
             write_csv(stream, *table)
         else:
             dump_json(stream, {"config": config.raw if config else {},
@@ -386,8 +385,10 @@ def main(argv=None) -> int:
         try:
             _check_out(args.out)
             config = load_config(args.config) if args.config else None
-            if args.format is None:
-                args.format = config.output_format if config else "json"
+            if args.command not in ("evolve", "sweep"):  # the commands with a CSV form
+                args.format = "json"
+            elif args.format is None:
+                args.format = config.output_format
             return _COMMANDS[args.command](config, args)
         except PhysicsError as exc:
             if args.format == "json":

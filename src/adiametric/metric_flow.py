@@ -21,7 +21,6 @@ metric correction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +43,12 @@ from .operator_core import (
     _is_hermitian,
     _lower_inverse,
     _operator_pair,
+    _require_count,
     _require_hermitian,
     _require_positive,
     _require_real_spectrum,
     _require_separated,
     _require_window,
-    as_operator,
     frobenius,
     hermitian_sqrt,
 )
@@ -83,10 +82,7 @@ class SolverConfig:
     def __post_init__(self):
         _require_positive(self.rtol, "solver rtol")
         _require_positive(self.atol, "solver atol")
-        if not isinstance(self.samples, numbers.Integral):  # numpy integers pass
-            raise ConfigError(f"solver samples must be an integer, got {self.samples!r}")
-        if self.samples < 2:  # the samples span [t0, t1], both ends included
-            raise ConfigError(f"solver samples must be at least 2, got {self.samples}")
+        _require_count(self.samples, "solver samples", 2)  # t0 and t1 both included
 
 
 @dataclass(frozen=True)
@@ -198,10 +194,7 @@ def evolve_metric_via_propagator(schedule, theta0, t0, t1, nsteps=2000):
     ``nsteps`` that is not a positive integer or an empty window
     :class:`ConfigError`, and a non-finite window :class:`SolverError`.
     """
-    if not isinstance(nsteps, numbers.Integral):  # numpy integers pass
-        raise ConfigError(f"propagator steps must be an integer, got {nsteps!r}")
-    if nsteps < 1:
-        raise ConfigError(f"propagator steps must be at least 1, got {nsteps}")
+    _require_count(nsteps, "propagator steps", 1)
     _require_window(t0, t1, "evolution")
     kinks = _stops(schedule.breakpoints(), t0, t1)[:-1]
     if kinks:
@@ -254,12 +247,13 @@ def adiabatic_transport_prediction(hamiltonians, theta0) -> np.ndarray:
     slow-switching experiments.  Path points :func:`biorthogonal_decompose`
     would reject raise the same errors, decided on the one ``eig`` of each
     path chunk before its levels are matched; an empty path raises
-    :class:`ConfigError`.
+    :class:`ConfigError`, and a path point or ``theta0`` of another shape
+    than the first point :class:`DimensionMismatch`.
     """
     if len(hamiltonians) == 0:
         raise ConfigError("hamiltonian path must not be empty")
-    theta0 = _operator_pair(hamiltonians[0], theta0)[1]
-    chunks = (np.array([as_operator(h) for h in hamiltonians[i : i + PATH_CHUNK]])
+    first, theta0 = _operator_pair(hamiltonians[0], theta0)
+    chunks = (np.array([_operator_pair(first, h)[1] for h in hamiltonians[i : i + PATH_CHUNK]])
               for i in range(0, len(hamiltonians), PATH_CHUNK))
     gauge = None
     levels = _continued_levels(_require_separated(c, *np.linalg.eig(c)) for c in chunks)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._integrate import _output_times
 from .errors import OutOfRange
-from .operator_core import _expm_orbit
+from .operator_core import _expm_orbit, _require_count
 
 __all__ = [
     "PhasePolynomial",
@@ -113,7 +113,9 @@ class PhasePolynomial:
     in lowest terms with no zero numerators, so equal polynomials are equal
     structurally.  Accepts int, float, Fraction, complex, or pair coefficient
     values; finite floats convert exactly (every float is a dyadic rational),
-    and a NaN or infinite part raises :class:`OutOfRange`.
+    and a NaN or infinite part raises :class:`OutOfRange`.  A key that is not a
+    pair is refused, and an exponent that is not an integer of at least 0
+    raises :class:`ConfigError`.
     """
 
     __slots__ = ("_terms", "_den")
@@ -121,10 +123,10 @@ class PhasePolynomial:
     def __init__(self, terms=None):
         exact = {}
         for key, value in (terms or {}).items():
-            i, j = int(key[0]), int(key[1])
-            if i < 0 or j < 0:
-                raise ValueError("exponents must be nonnegative")
-            exact[(i, j)] = _gaussian(value)
+            i, j = key
+            _require_count(i, "PhasePolynomial exponent", 0)
+            _require_count(j, "PhasePolynomial exponent", 0)
+            exact[(int(i), int(j))] = _gaussian(value)
         den = math.lcm(*(d for _, _, d in exact.values()))
         self._terms, self._den = _lowest_terms(
             {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in exact.items()}, den

@@ -16,6 +16,7 @@ complex dtype and are never mutated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,15 @@ def _require_positive(value, name) -> None:
     """Raise :class:`ConfigError` unless the scalar parameter ``name`` is finite and positive."""
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_count(value, name, least) -> None:
+    """Raise :class:`ConfigError` unless the count ``name`` is an integer (numpy
+    integers pass) of at least ``least``; nothing is truncated."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 def _require_window(t0, t1, what) -> None:

@@ -54,13 +54,19 @@ __all__ = [
 ]
 
 
+#: Largest change of a Moller limit under horizon doubling that counts as settled.
+MOLLER_DRIFT_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class ScatteringConfig:
-    """Horizon and accuracy knobs shared by all scattering operations.
+    """Accuracy and horizon shared by all scattering operations.
 
     The integration horizon is ``horizon_factor / eps``, where the damping
-    factor has decayed to ``exp(-horizon_factor)``; convergence of the
-    Moller limits is verified by doubling a horizon inside the support.
+    factor has decayed to ``exp(-horizon_factor)``.  A dressing whose
+    horizon lies inside the switch's support (the exp shape) is taken at the
+    doubled horizon, and its Moller limit must have moved by at most
+    ``MOLLER_DRIFT_TOL`` there (:func:`_dressing`).
 
     ``rtol``/``atol`` set the accuracy of the one integrator, :func:`magnus_cf4`,
     that gives the dressings and the adiabatic metric.  It accepts a
@@ -73,11 +79,9 @@ class ScatteringConfig:
     rtol: float = 1e-10
     atol: float = 1e-13
     horizon_factor: float = 12.0
-    check_convergence: bool = True
-    convergence_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "horizon_factor", "convergence_tol"):
+        for name in ("rtol", "atol", "horizon_factor"):
             _require_positive(getattr(self, name), f"scattering {name}")
 
 
@@ -122,9 +126,11 @@ def _dressing(h0, h_int, eps, config, shape, frame, sides=(0, 1)):
     ``K(-T) = U(0,-T) W(-T)`` and ``K(T) = U(T,0)^-1 W(T)``, with ``W(t) = V
     diag(exp(-i E t)) V^-1`` from ``frame = (E, V, V^-1)``.  The switch is
     even, so one mirrored :func:`magnus_cf4` pass from 0 to T gives ``U(T, 0)``
-    and ``U(0, -T)``.  With the check on and T < ``support``, a tail pass gives
-    the limits at 2T, and those in ``sides`` (0 past, 1 future) must settle.
-    Returns ``(k_in, k_out, U(0, -T), stats)``, counts summed over segments.
+    and ``U(0, -T)``.  Exactly when T < ``support`` (the exp shape, never the
+    smooth one), a tail pass gives the limits at 2T, which are returned, and
+    those in ``sides`` (0 past, 1 future) must have moved by at most
+    ``MOLLER_DRIFT_TOL`` (else :class:`NoConvergence`).  Returns ``(k_in,
+    k_out, U(0, -T), stats)``, counts summed over segments.
     """
     cfg = config or ScatteringConfig()
     switch = _switch_schedule(h0, h_int, eps, shape, cfg.horizon_factor)
@@ -138,13 +144,13 @@ def _dressing(h0, h_int, eps, config, shape, frame, sides=(0, 1)):
     (u_out, u_in), stats = _mirrored_pass(switch, 0.0, horizon, cfg)
     at_horizon = dressings(u_out, u_in, horizon)
     # Beyond its support the switch is free to roundoff: nothing to check.
-    if not (cfg.check_convergence and horizon < switch.support):
+    if horizon >= switch.support:
         return (*at_horizon, u_in, stats)
     (tail_out, tail_in), more = _mirrored_pass(switch, horizon, 2 * horizon, cfg)
     stats = {key: stats[key] + more[key] for key in stats}
     limits = dressings(tail_out @ u_out, u_in @ tail_in, 2.0 * horizon)
     drift = max(frobenius(limits[i] - at_horizon[i]) for i in sides)
-    if drift > cfg.convergence_tol:
+    if drift > MOLLER_DRIFT_TOL:
         raise NoConvergence(f"Moller limit moved by {drift:.3e} when doubling the horizon")
     return (*limits, u_in, stats)
 

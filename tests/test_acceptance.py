@@ -224,7 +224,7 @@ def test_criterion_06_eigenbasis_law():
 def test_criterion_07_scattering_ladder():
     h0 = 2.0 * SZ
     h_int = 0.75j * SX
-    cfg = ScatteringConfig(rtol=1e-10, atol=1e-13, check_convergence=False)
+    cfg = ScatteringConfig(rtol=1e-10, atol=1e-13)
 
     free = s_matrix(h0, np.zeros((2, 2)), 0.1, config=cfg)
     free_ok = float(np.max(np.abs(free.s_matrix - np.eye(2)))) < 1e-12

@@ -119,6 +119,22 @@ class TestStatic:
         report = json.loads(text)
         assert report["result"]["components"] == [1.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("model, weights", [
+        ({"h": [[[2.0, 0.0], [0.0, 0.75]], [[0.0, 0.75], [-2.0, 0.0]]], "weights": [1, 2]},
+         [1.0, 2.0]),
+        ({"schedule": {"type": "exponential-switch", "h0": SMATRIX["scattering"]["h0"],
+                       "h_int": SMATRIX["scattering"]["h_int"], "eps": 0.5}}, [1.0, 1.0]),
+    ], ids=["h-weights", "schedule-at-0"])
+    def test_matrix_model_report(self, tmp_path, model, weights):
+        # 2 sigma_z + 0.75 i sigma_x, given as h or as the switch read at t = 0
+        code, text = run_cli(tmp_path, "static", {"model": {"kind": "matrix", **model}})
+        assert code == 0
+        report = json.loads(text)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["result"]["weights"] == weights
+        assert report["diagnostics"]["positive_definite"] is True
+        assert report["diagnostics"]["quasi_hermiticity_residual"] < 1e-14
+
     def test_complex_spectrum_structured_error(self, tmp_path):
         cfg = {
             "model": {
@@ -540,6 +556,24 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "sweep", {"model": {"kind": "two-level"}})
         assert code == 2
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("static", {"model": {"kind": "two-level"}},
+         "two-level model needs 'v' and 'w' 4-vectors"),
+        ("static", {"model": {"kind": "matrix", "h": [[[1, 0], [0, 0]], [[0, 0]]]}},
+         "bad matrix field 'h'"),
+        ("sweep", {"model": {"kind": "two-level"}, "sweep": {"kind": "two-level-deviation"}},
+         "two-level sweep needs 'durations'"),
+        ("sweep", {"model": {"kind": "matrix"},
+                   "sweep": {"kind": "smatrix-defect", "h0": SMATRIX["scattering"]["h0"],
+                             "h_int": SMATRIX["scattering"]["h_int"]}},
+         "smatrix sweep needs 'eps_ladder'"),
+    ], ids=["two-level-without-v-w", "ragged-matrix", "sweep-without-durations",
+            "sweep-without-eps-ladder"])
+    def test_incomplete_model_or_sweep_is_config_error(self, tmp_path, capsys, command, cfg,
+                                                      message):
+        assert run_cli(tmp_path, command, cfg) == (2, "")
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+
     def test_static_matrix_without_generator_is_config_error(self, tmp_path):
         # a matrix model with neither 'h' nor 'schedule', like smatrix configs
         code, _ = run_cli(tmp_path, "static", SMATRIX)
@@ -619,6 +653,23 @@ class TestExitCodes:
         code, text = run_cli(tmp_path, "smatrix", cfg)
         assert code == 4
         assert json.loads(text)["diagnostics"]["error"]["type"] == "NotPositive"
+
+    @pytest.mark.parametrize("fmt", [None, "csv"], ids=["configured", "csv-flag"])
+    def test_json_only_command_writes_error_report_without_output_section(self, tmp_path,
+                                                                         fmt):
+        # the switch meets an exceptional point halfway; with no 'output'
+        # section the configured format is CSV, and the report was once lost
+        cfg = {"model": {"kind": "matrix"},
+               "scattering": {"h0": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+                              "h_int": [[[2, 0], [0, 0.01]], [[0, 0.01], [0, 0]]], "eps": 0.2}}
+        code, text = run_cli(tmp_path, "smatrix", cfg, fmt)
+        assert code == 4
+        assert json.loads(text)["diagnostics"]["error"]["type"] == "ComplexSpectrum"
+
+    def test_csv_command_writes_no_error_report(self, tmp_path):
+        cfg = {"model": {"kind": "matrix", "h": SMATRIX["scattering"]["h0"],
+                         "theta0": self.I3}}
+        assert run_cli(tmp_path, "evolve", cfg) == (4, "")
 
     def test_physics_error_is_exit_4(self, tmp_path):
         cfg = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from adiametric import _integrate
 from adiametric._integrate import _cf4_propagator, magnus_cf4, solve_ode
-from adiametric.errors import SolverError, StepSizeUnderflow
+from adiametric.errors import ConfigError, SolverError, StepSizeUnderflow
 
 from helpers import SX, SZ, dp5_solve_ode, random_hermitian
 
@@ -370,6 +370,23 @@ def test_cf4_non_finite_window_raises(t0, t1):
     # math.ceil once raised an untyped ValueError or OverflowError
     with pytest.raises(SolverError, match="non-finite CF4 window"):
         magnus_cf4(A0, A1, _factor, t0, t1)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"samples": 2.7}, "CF4 samples must be an integer, got 2.7"),
+    ({"samples": 0}, "CF4 samples must be at least 1, got 0"),
+    ({"samples": 2, "mirror": True}, "mirror gives endpoints only"),
+], ids=["fraction", "zero", "mirror"])
+def test_cf4_samples_not_a_count_rejected(options, message):
+    # 2.7 once took 2 samples and returned 3 propagators; the others raised
+    # an untyped ValueError
+    with pytest.raises(ConfigError, match=message):
+        magnus_cf4(A0, A1, _factor, 0.0, 1.0, **options)
+
+
+def test_cf4_numpy_integer_samples_accepted():
+    dense, _ = magnus_cf4(A0, A1, _factor, 0.0, 1.0, samples=np.int64(2))
+    assert dense.shape == (3, 2, 2)
 
 
 def test_cf4_empty_interval_is_identity():

@@ -1104,6 +1104,7 @@ I3 = np.eye(3)
 @pytest.mark.parametrize("call, error", [
     (lambda: adiabatic_transport_prediction([], I2), ConfigError),
     (lambda: adiabatic_transport_prediction([H_TL, H_TL], I3), DimensionMismatch),
+    (lambda: adiabatic_transport_prediction([H_TL, I3, H_TL], I2), DimensionMismatch),
     (lambda: transition_probability(np.ones(3), np.ones(2), Constant(H_TL), 0.0, 1.0, THETA_TL),
      DimensionMismatch),
     (lambda: transition_probability(np.ones(2), np.ones(3), Constant(H_TL), 0.0, 1.0, THETA_TL),
@@ -1117,7 +1118,7 @@ I3 = np.eye(3)
     (lambda: metric_from_eigenbasis(SYSTEM_TL, I3), DimensionMismatch),
     (lambda: eigenbasis_evolution(SYSTEM_TL, I3, 1.0), DimensionMismatch),
     (lambda: eigenbasis_evolution(SYSTEM_TL, np.eye(1), 1.0), DimensionMismatch),
-], ids=["transport-empty", "transport-metric", "transition-phi", "transition-psi",
+], ids=["transport-empty", "transport-metric", "transport-path", "transition-phi", "transition-psi",
         "transition-metric", "observable-metric", "observable-derivative", "residual",
         "coefficients", "from-eigenbasis", "evolution", "evolution-broadcast"])
 def test_mismatched_operands_raise_typed_errors(call, error):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiametric.errors import OutOfRange, SolverError
+from adiametric.errors import ConfigError, OutOfRange, SolverError
 from adiametric.moyal import (
     ANSATZ_NAMES,
     ONE,
@@ -161,6 +161,27 @@ class TestNonFiniteCoefficients:
     def test_transport_time(self, t):
         with pytest.raises(OutOfRange):
             harmonic_transport_check(H0, t)
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1.5, 0), "exponent must be an integer, got 1.5"),
+    ((0, -1), "exponent must be at least 0, got -1"),
+], ids=["fraction", "negative"])
+def test_exponent_not_a_count_rejected(key, message):
+    # (1.5, 0) once became p silently, and -1 raised an untyped ValueError
+    with pytest.raises(ConfigError, match=message):
+        PhasePolynomial({key: 1})
+
+
+@pytest.mark.parametrize("key", [(1, 0, 2), (1,)], ids=["three", "one"])
+def test_key_not_a_pair_rejected(key):
+    # (1, 0, 2) once became p silently, and (1,) raised an IndexError
+    with pytest.raises(ValueError, match="values to unpack"):
+        PhasePolynomial({key: 1})
+
+
+def test_numpy_integer_exponents_accepted():
+    assert PhasePolynomial({(np.int64(1), np.int32(0)): 1}) == P
 
 
 class TestAlgebra:

@@ -1,5 +1,6 @@
 """Moller operators, adiabatic metrics, dressed S-matrices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from adiametric.operator_core import biorthogonal_decompose, eigenframe
 from adiametric.scattering import (
     ScatteringConfig,
     _dressing,
+    _mirrored_pass,
     _switch_schedule,
     adiabatic_metric,
     dynamical_phase_integrals,
@@ -52,7 +54,7 @@ from helpers import (
 H0 = 2.0 * SZ
 HI = 0.75j * SX
 
-FAST = ScatteringConfig(rtol=1e-9, atol=1e-12, check_convergence=False)
+FAST = ScatteringConfig(rtol=1e-9, atol=1e-12)
 
 
 class TestMollerOperators:
@@ -67,13 +69,14 @@ class TestMollerOperators:
             assert np.linalg.norm(op.conj().T @ op - np.eye(2)) < 1e-8
 
     def test_composition_identity(self):
-        # U_0(0,t+) U(t+,t-) U_0(t-,0) equals moller_plus . moller_minus
+        # U_0(0,t+) U(t+,t-) U_0(t-,0) equals moller_plus . moller_minus,
+        # at the doubled horizon where the exp dressings are taken
         eps = 0.25
-        cfg = ScatteringConfig(rtol=1e-11, atol=1e-13, check_convergence=False)
+        cfg = ScatteringConfig(rtol=1e-11, atol=1e-13)
         om_p = moller_plus(H0, HI, eps, cfg)
         om_m = moller_minus(H0, HI, eps, cfg)
 
-        horizon = cfg.horizon_factor / eps
+        horizon = 2.0 * cfg.horizon_factor / eps
         sched = ExponentialSwitch(H0, HI, eps)
         u_full = dp5_propagator(sched, -horizon, horizon, 1e-11, 1e-13)
         u0 = lambda dt: scipy.linalg.expm(-1j * H0 * dt)
@@ -81,10 +84,10 @@ class TestMollerOperators:
         np.testing.assert_allclose(direct, om_p @ om_m, atol=1e-8)
 
     def test_out_dressing_inverts_moller_plus(self):
-        # against G = U_0(0, T) U(T, 0) integrated on its own by DP5, since
+        # against G = U_0(0, 2T) U(2T, 0) integrated on its own by DP5, since
         # moller_plus is inv(out_dressing) by construction
-        cfg = ScatteringConfig(rtol=1e-11, atol=1e-13, check_convergence=False)
-        om_g = dp5_dressing(H0, HI, 0.2, cfg, "G", +1, "exp")
+        cfg = ScatteringConfig(rtol=1e-11, atol=1e-13)
+        om_g = _dp5_limit(H0, HI, 0.2, cfg, "G", +1, "exp")
         np.testing.assert_allclose(out_dressing(H0, HI, 0.2, cfg) @ om_g, np.eye(2), atol=1e-8)
         np.testing.assert_allclose(moller_plus(H0, HI, 0.2, cfg), om_g, atol=1e-8)
 
@@ -95,16 +98,17 @@ class TestMollerOperators:
 
     def test_no_convergence_detection(self):
         # a horizon far too short cannot have settled the limit
-        cfg = ScatteringConfig(horizon_factor=0.5, convergence_tol=1e-6)
+        cfg = ScatteringConfig(horizon_factor=0.5)
         with pytest.raises(NoConvergence):
             moller_minus(H0, HI, 0.2, cfg)
 
     def test_each_dressing_checks_only_its_own_limit(self):
-        # doubling the horizon moves K(-T) by 0.245 and K(T) by 0.157 here
+        # doubling the horizon moves K(-T) by 1.43e-3 and K(T) by 7.6e-4 here,
+        # astride MOLLER_DRIFT_TOL = 1e-3
         h0 = np.diag([2.0, 0.5, -1.5]).astype(complex)
         rng = np.random.default_rng(3)
         h_int = 0.4 * random_hermitian(rng, 3) + 0.3j * random_hermitian(rng, 3)
-        cfg = ScatteringConfig(horizon_factor=1.0, convergence_tol=0.2)
+        cfg = ScatteringConfig(horizon_factor=6.6)
         with pytest.raises(NoConvergence):
             moller_minus(h0, h_int, 0.5, cfg)
         with pytest.raises(NoConvergence):  # both sides, as s_matrix checks
@@ -157,7 +161,7 @@ class TestAdiabaticMetric:
     def test_shape_independent_limit(self):
         # two different switching profiles grow the same metric from
         # unity once extrapolated to the slow limit
-        cfg = ScatteringConfig(rtol=1e-10, atol=1e-13, check_convergence=False)
+        cfg = ScatteringConfig(rtol=1e-10, atol=1e-13)
         ladder = [0.1, 0.05]
         runs = {
             shape: [
@@ -191,11 +195,12 @@ class TestInOutIsometry:
 
     def test_out_pairing_conservation_mirror(self):
         # forward evolution: <psi_out | Theta_out phi_out> = <psi|Theta(0) phi>
-        # with Theta_out the free-frame pull-back of the late-time metric
+        # with Theta_out the free-frame pull-back of the late-time metric, at
+        # the doubled horizon where the exp dressings are taken
         rng = np.random.default_rng(1)
         eps = 0.1
-        cfg = ScatteringConfig(rtol=1e-11, atol=1e-13, check_convergence=False)
-        horizon = cfg.horizon_factor / eps
+        cfg = ScatteringConfig(rtol=1e-11, atol=1e-13)
+        horizon = 2.0 * cfg.horizon_factor / eps
         sched = ExponentialSwitch(H0, HI, eps)
         theta0 = adiabatic_metric(H0, HI, np.eye(2), eps, cfg)
         from adiametric.metric_flow import SolverConfig, evolve_metric
@@ -216,11 +221,10 @@ class TestInOutIsometry:
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("field", ["rtol", "atol", "horizon_factor", "convergence_tol"])
+@pytest.mark.parametrize("field", ["rtol", "atol", "horizon_factor"])
 def test_scattering_config_rejects_nonpositive_or_non_finite(field, value):
-    # horizon_factor=0 once returned S = Theta(0) = I with defect 0, a NaN
-    # convergence_tol silently skipped the horizon-doubling check, and a NaN
-    # or negative rtol raised an untyped ValueError or TypeError in the solver
+    # horizon_factor=0 once returned S = Theta(0) = I with defect 0, and a
+    # NaN or negative rtol raised an untyped ValueError or TypeError in the solver
     with pytest.raises(ConfigError, match=f"scattering {field} must be finite and positive"):
         ScatteringConfig(**{field: value})
 
@@ -429,7 +433,7 @@ class TestMollerIdentityMetric:
     """``s_matrix`` and ``adiabatic_metric`` take Theta(0) from the in-dressing;
     the integrated flow of :func:`helpers.flow_adiabatic_metric` is the oracle."""
 
-    CFG = ScatteringConfig(check_convergence=False)
+    CFG = ScatteringConfig()
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -468,14 +472,13 @@ class TestMollerIdentityMetric:
         assert np.max(np.abs(result.theta_adiabatic - oracle)) < 1e-8
 
     @pytest.mark.parametrize("shape", ["smooth", "exp"])
-    @pytest.mark.parametrize("config", [None, CFG], ids=["checked", "unchecked"])
-    def test_adiabatic_metric_is_s_matrix_metric(self, shape, config):
-        # the same mirrored pass and pull-back: equal bit for bit, whether or
-        # not s_matrix also runs the horizon-doubling tail
+    def test_adiabatic_metric_is_s_matrix_metric(self, shape):
+        # the same mirrored pass and pull-back: equal bit for bit, although
+        # s_matrix also runs the horizon-doubling tail on the exp shape
         _, h0, h_int = _pt_coupling(3, [1.2, 2.0], [0.4, 0.3], 7)
         theta0 = np.eye(3) + 0.2 * random_hermitian(np.random.default_rng(3), 3)
-        result = s_matrix(h0, h_int, 0.8, theta0, config, shape)
-        theta = adiabatic_metric(h0, h_int, theta0, 0.8, config, shape)
+        result = s_matrix(h0, h_int, 0.8, theta0, shape=shape)
+        theta = adiabatic_metric(h0, h_int, theta0, 0.8, shape=shape)
         assert np.array_equal(theta, result.theta_adiabatic)
 
 
@@ -486,12 +489,21 @@ def _cf4_dressing(h0, h_int, eps, config, form, direction, shape):
     return k if form == "K" else np.linalg.inv(k)
 
 
+def _dp5_limit(h0, h_int, eps, config, form, direction, shape):
+    """:func:`helpers.dp5_dressing` at the horizon :func:`_dressing` returns:
+    the doubled one on the exp shape, whose ``horizon_factor`` moves only
+    the horizon."""
+    if shape == "exp":
+        config = dataclasses.replace(config, horizon_factor=2.0 * config.horizon_factor)
+    return dp5_dressing(h0, h_int, eps, config, form, direction, shape)
+
+
 class TestCF4Dressings:
     """The lab-frame CF4 dressings against the interaction-picture DP5 oracle."""
 
-    CFG = ScatteringConfig(check_convergence=False)
-    ORACLE = ScatteringConfig(rtol=1e-12, atol=1e-14, check_convergence=False)
-    REFERENCE = ScatteringConfig(rtol=1e-13, atol=1e-15, check_convergence=False)
+    CFG = ScatteringConfig()
+    ORACLE = ScatteringConfig(rtol=1e-12, atol=1e-14)
+    REFERENCE = ScatteringConfig(rtol=1e-13, atol=1e-15)
 
     @settings(max_examples=16, deadline=None)
     @given(
@@ -507,7 +519,7 @@ class TestCF4Dressings:
         _, h0, h_int = _pt_coupling(dim, levels, ratios, seed)
         form, direction = form_direction
         cf4 = _cf4_dressing(h0, h_int, eps, self.CFG, form, direction, shape)
-        oracle = dp5_dressing(h0, h_int, eps, self.ORACLE, form, direction, shape)
+        oracle = _dp5_limit(h0, h_int, eps, self.ORACLE, form, direction, shape)
         assert np.max(np.abs(cf4 - oracle)) < 1e-9
 
     @settings(max_examples=16, deadline=None)
@@ -535,8 +547,8 @@ class TestCF4Dressings:
     @pytest.mark.parametrize("shape", ["smooth", "exp"])
     def test_no_less_accurate_than_dp5_default(self, shape):
         _, h0, h_int = _pt_coupling(4, [2.0, 1.1], [0.4, 0.3], 3)
-        reference = dp5_dressing(h0, h_int, 0.8, self.REFERENCE, "K", -1, shape)
-        dp5 = dp5_dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape)
+        reference = _dp5_limit(h0, h_int, 0.8, self.REFERENCE, "K", -1, shape)
+        dp5 = _dp5_limit(h0, h_int, 0.8, self.CFG, "K", -1, shape)
         cf4 = _cf4_dressing(h0, h_int, 0.8, self.CFG, "K", -1, shape)
         assert np.max(np.abs(cf4 - reference)) <= np.max(np.abs(dp5 - reference))
 
@@ -573,13 +585,13 @@ class TestCF4Dressings:
     def test_horizon_tail_only_inside_support(self, shape, tail):
         # the smooth horizon is its support: the doubled-horizon segment
         # would integrate the free motion, so the dressing skips it
-        frame = eigenframe(H0)
-        checked = _dressing(H0, HI, 0.8, ScatteringConfig(), shape, frame)
-        single = _dressing(H0, HI, 0.8, self.CFG, shape, frame)
-        assert (checked[3]["steps"] > single[3]["steps"]) == tail
+        dressed = _dressing(H0, HI, 0.8, self.CFG, shape, eigenframe(H0))
+        switch = _switch_schedule(H0, HI, 0.8, shape, self.CFG.horizon_factor)
+        (_, u_in), single = _mirrored_pass(switch, 0.0, self.CFG.horizon_factor / 0.8, self.CFG)
+        assert (dressed[3]["steps"] > single["steps"]) == tail
         if not tail:
-            for limit, at_horizon in zip(checked[:2], single[:2]):
-                np.testing.assert_array_equal(limit, at_horizon)
+            assert dressed[3] == single
+            np.testing.assert_array_equal(dressed[2], u_in)
 
     def test_result_carries_deterministic_solver_stats(self):
         first = s_matrix(H0, HI, 0.8).solver_stats
